@@ -1,19 +1,23 @@
 """Adaptive proper-integral engine on finite intervals.
 
-A Gauss(7)/Kronrod(15) embedded pair drives global adaptive bisection:
-each round evaluates the whole frontier of subintervals in one vectorized
-batch, then bisects the subset carrying the bulk of the error estimate.
-The Kronrod nodes are strictly interior, so endpoints are never sampled
-regardless of the open_endpoints flag (the flag documents intent and is
-honored identically for both values).
+A Gauss(7)/Kronrod(15) embedded pair drives global adaptive bisection
+(QUADPACK's QAG scheme): the span starts as eight panels, and each round
+bisects the panels carrying at least half of the frontier's error
+estimate and applies the rule to their children in one vectorized batch.
+Only those children are evaluated; every other panel keeps its value and
+error from the round that created it.  The Kronrod nodes are strictly
+interior, so endpoints are never sampled.
 
 Budget exhaustion is a soft failure: the best-effort value is returned
-with converged=False and an honest error estimate.  Non-finite integrand
+with converged=False and an honest error estimate.  No evaluation is
+spent beyond max_evals, so a budget too small for the first batch
+returns converged=False after zero evaluations.  Non-finite integrand
 values raise DomainFault with the offending abscissa.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping
 
@@ -56,9 +60,11 @@ _WG_HALF = np.array([
 _XK = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF, [0.209482141084727828012999174891714], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF, [0.417959183673469387755102040816327], _WG_HALF[::-1]])
+_WKG = np.column_stack([_WK, _WG])   # one matmul gives the Kronrod and Gauss sums
 
 _EPS = np.finfo(float).eps
 _INITIAL_SPLIT = 8   # aliasing insurance: never judge the span by one panel
+_SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -70,19 +76,14 @@ class QuadResult:
 
 
 def integrate_proper(f: ExprAST, var: str, lo: float, hi: float, abs_tol: float,
-                     max_evals: int = 10_000_000, open_endpoints: bool = True,
+                     max_evals: int = 10_000_000,
                      params: Mapping[str, float] | None = None) -> QuadResult:
     """Integrate the expression f over [lo, hi] to absolute tolerance abs_tol.
 
     params binds free variables of f other than the integration variable.
+    The expression is compiled on every call; a caller integrating one
+    expression many times compiles it once and uses integrate_callable.
     """
-    del open_endpoints  # interior-node rule either way; see module docstring
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("integration limits must be finite")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be positive")
     names = (var,) + tuple(params.keys() if params else ())
     compiled = compile_expr(f, names)
     extra = tuple(float(v) for v in (params.values() if params else ()))
@@ -96,62 +97,84 @@ def integrate_proper(f: ExprAST, var: str, lo: float, hi: float, abs_tol: float,
 def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                        abs_tol: float, max_evals: int = 10_000_000) -> QuadResult:
     """Core engine over a vectorized callable (x-array -> f-array)."""
-    edges = np.linspace(lo, hi, _INITIAL_SPLIT + 1)
-    a = edges[:-1].copy()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("integration limits must be finite")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not abs_tol > 0.0:
+        raise ValueError("abs_tol must be positive")
+    if max_evals < _INITIAL_SPLIT * _XK.size:
+        return QuadResult(value=math.nan, error_estimate=math.inf, evaluations=0,
+                          converged=False)
+    # np.linspace(lo, hi, _INITIAL_SPLIT + 1) bit for bit, at a third of its cost.
+    edges = _SLOTS * ((hi - lo) / _INITIAL_SPLIT) + lo
+    edges[-1] = hi
+    # The frontier is unordered: a bisected panel's left child takes its
+    # slot and the right child is appended.  b is written in place, so it
+    # must not share memory with a.
+    a = edges[:-1]
     b = edges[1:].copy()
-    evals = 0
-
-    vals, errs, used = _rule_batch(fn, a, b)
-    evals += used
+    vals, errs, evals = _rule_batch(fn, a, b)
+    # Panels not yet tested for float resolution: the left children sit in
+    # the slots `split` of their parents, the right children from slot n on.
+    new_a, new_b, split, n = a, b, np.arange(0), 0
 
     frozen_value = 0.0
     frozen_error = 0.0
 
     while True:
-        total_error = float(errs.sum()) + frozen_error
-        if total_error <= abs_tol:
-            return _finish(a, b, vals, errs, frozen_value, frozen_error, evals, True, abs_tol)
+        err_sum = float(errs.sum())
+        if err_sum + frozen_error <= abs_tol:
+            return _finish(vals, errs, frozen_value, frozen_error, evals, True, abs_tol)
         if evals >= max_evals:
-            return _finish(a, b, vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
+            return _finish(vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
 
-        # Freeze intervals too narrow to bisect in floating point.
-        mids = 0.5 * (a + b)
-        stuck = (mids <= a) | (mids >= b)
+        # Freeze intervals too narrow to bisect in floating point.  A panel
+        # that passed this test once always passes, so only new ones run it.
+        mids = 0.5 * (new_a + new_b)
+        stuck = (mids <= new_a) | (mids >= new_b)
+        new_a = new_b = a[:0]
         if stuck.any():
-            frozen_value += float(vals[stuck].sum())
-            frozen_error += float(errs[stuck].sum())
-            a, b, vals, errs = a[~stuck], b[~stuck], vals[~stuck], errs[~stuck]
+            k = split.size
+            gone = np.concatenate([split[stuck[:k]], n + np.flatnonzero(stuck[k:])])
+            frozen_value += float(vals[gone].sum())
+            frozen_error += float(errs[gone].sum())
+            keep = np.ones(a.size, dtype=bool)
+            keep[gone] = False
+            a, b, vals, errs = a[keep], b[keep], vals[keep], errs[keep]
             if a.size == 0:
                 done = frozen_error <= abs_tol
-                return _finish(a, b, vals, errs, frozen_value, frozen_error, evals, done, abs_tol)
+                return _finish(vals, errs, frozen_value, frozen_error, evals, done, abs_tol)
             continue
 
         # Bisect the subset carrying at least half of the frontier error.
         order = np.argsort(errs)[::-1]
         cum = np.cumsum(errs[order])
-        k = int(np.searchsorted(cum, 0.5 * float(errs.sum()))) + 1
-        split = order[:k]
+        split = order[:int(np.searchsorted(cum, 0.5 * err_sum)) + 1]
 
         if evals + 2 * split.size * 15 > max_evals:
             allowed = max(0, (max_evals - evals) // 30)
             if allowed == 0:
-                return _finish(a, b, vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
+                return _finish(vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
             split = split[:allowed]
 
-        keep = np.ones(a.size, dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (a[split] + b[split])
-        child_a = np.concatenate([a[split], mid])
-        child_b = np.concatenate([mid, b[split]])
-        cvals, cerrs, used = _rule_batch(fn, child_a, child_b)
+        n = a.size
+        k = split.size
+        left = a[split]
+        right = b[split]
+        mid = 0.5 * (left + right)
+        new_a = np.concatenate([left, mid])
+        new_b = np.concatenate([mid, right])
+        cvals, cerrs, used = _rule_batch(fn, new_a, new_b)
         evals += used
 
-        a = np.concatenate([a[keep], child_a])
-        b = np.concatenate([b[keep], child_b])
-        vals = np.concatenate([vals[keep], cvals])
-        errs = np.concatenate([errs[keep], cerrs])
-        order = np.argsort(a, kind="stable")
-        a, b, vals, errs = a[order], b[order], vals[order], errs[order]
+        b[split] = mid
+        vals[split] = cvals[:k]
+        errs[split] = cerrs[:k]
+        a = np.concatenate([a, mid])
+        b = np.concatenate([b, right])
+        vals = np.concatenate([vals, cvals[k:]])
+        errs = np.concatenate([errs, cerrs[k:]])
 
 
 def _rule_batch(fn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -160,13 +183,16 @@ def _rule_batch(fn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _XK[None, :]
     fx = fn(x.ravel()).reshape(x.shape)
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        where = x[bad][0]
-        raise DomainFault(f"integrand evaluated to a non-finite value at {where!r}")
-    resk = fx @ _WK
-    resg = fx @ _WG
     resabs = np.abs(fx) @ _WK
+    if not math.isfinite(resabs.sum()):
+        # A non-finite f makes the sum non-finite; only then scan the points.
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            where = x[bad][0]
+            raise DomainFault(f"integrand evaluated to a non-finite value at {where!r}")
+    kg = fx @ _WKG
+    resk = kg[:, 0]
+    resg = kg[:, 1]
     resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK
     value = resk * half
     raw = np.abs(resk - resg) * half
@@ -180,7 +206,7 @@ def _rule_batch(fn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return value, err, x.size
 
 
-def _finish(a, b, vals, errs, frozen_value, frozen_error, evals, converged, abs_tol):
+def _finish(vals, errs, frozen_value, frozen_error, evals, converged, abs_tol):
     value = float(vals.sum()) + frozen_value
     error = float(errs.sum()) + frozen_error
     if converged and error > abs_tol:  # pragma: no cover - guarded by caller

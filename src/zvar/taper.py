@@ -148,6 +148,11 @@ def boundary_taper_from_z(z: TerminationFunction) -> BoundaryTaper:
     """w(v) = z(-ln v) for v in (e^-c, 1], zero at and below the floor e^-c."""
     body = substitute(z.body, "s", -expr.ln(var("v")))
     floor = math.exp(-z.width)
+    if not floor < 1.0:
+        raise TaperError(
+            f"taper width c={z.width!r} is too small for a boundary taper: "
+            f"e^-c rounds to 1, leaving w no support"
+        )
     w = BoundaryTaper(body=body, support_floor=floor, kind=f"from_{z.kind}", origin=z)
     if abs(w(1.0) - 1.0) > _ENDPOINT_TOL:  # pragma: no cover - z(0)=1 already checked
         raise TaperError("boundary taper failed w(1) = 1")

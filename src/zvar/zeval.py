@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainFault, ExprAST, exp as expr_exp, free_variables, simplify, substitute, var
-from .quad import integrate_proper
+from .expr import (DomainFault, ExprAST, compile_expr, exp as expr_exp, free_variables,
+                   simplify, substitute, var)
+from .quad import integrate_callable
 from .taper import BoundaryTaper, TerminationFunction
 
 __all__ = [
@@ -256,6 +257,9 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
         raise ValueError(f"b_start {b0!r} lies below the lower limit {a!r}")
     shift = "bwin" if x != "bwin" else "bwin2"
     tail_expr = simplify(spec.integrand * substitute(z.body, "s", var(x) - var(shift)))
+    # Compile once per evaluation; each quad call binds the window position.
+    f = compile_expr(spec.integrand, (x,))
+    tail_f = compile_expr(tail_expr, (x, shift))
 
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -269,8 +273,7 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
         b = b0 + k * cfg.b_step
         try:
             if b > prev_b:
-                inc = integrate_proper(spec.integrand, x, prev_b, b, cfg.quad_tol,
-                                       max_evals=cfg.max_evals_per_point)
+                inc = integrate_callable(f, prev_b, b, cfg.quad_tol, cfg.max_evals_per_point)
                 evals += inc.evaluations
                 if not inc.converged:
                     failed = True
@@ -278,9 +281,8 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
                 prefix += inc.value
                 prefix_err += inc.error_estimate
                 prev_b = b
-            tail = integrate_proper(tail_expr, x, b, b + z.width, cfg.quad_tol,
-                                    max_evals=cfg.max_evals_per_point,
-                                    params={shift: b})
+            tail = integrate_callable(lambda t: tail_f(t, b), b, b + z.width, cfg.quad_tol,
+                                      cfg.max_evals_per_point)
         except DomainFault:
             failed = True
             break
@@ -307,6 +309,9 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
     u = spec.variable
     shrinkvar = "dwin" if u != "dwin" else "dwin2"
     head_expr = simplify(spec.integrand * substitute(w.body, "v", var(u) / var(shrinkvar)))
+    # Compile once per evaluation; each quad call binds the window scale.
+    g = compile_expr(spec.integrand, (u,))
+    head_g = compile_expr(head_expr, (u, shrinkvar))
 
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -322,8 +327,8 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
             break
         try:
             if delta < prev_delta:
-                inc = integrate_proper(spec.integrand, u, delta, prev_delta, cfg.quad_tol,
-                                       max_evals=cfg.max_evals_per_point)
+                inc = integrate_callable(g, delta, prev_delta, cfg.quad_tol,
+                                         cfg.max_evals_per_point)
                 evals += inc.evaluations
                 if not inc.converged:
                     # cost wall: keep the samples already collected if they
@@ -333,9 +338,8 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
                 tail_sum += inc.value
                 tail_err += inc.error_estimate
                 prev_delta = delta
-            head = integrate_proper(head_expr, u, w.support_floor * delta, delta,
-                                    cfg.quad_tol, max_evals=cfg.max_evals_per_point,
-                                    params={shrinkvar: delta})
+            head = integrate_callable(lambda t: head_g(t, delta), w.support_floor * delta,
+                                      delta, cfg.quad_tol, cfg.max_evals_per_point)
         except DomainFault:
             failed = True
             break

@@ -176,6 +176,16 @@ def test_usage_errors_exit_one():
         assert err.strip(), argv
 
 
+def test_max_evals_is_enforced():
+    # 1 evaluation cannot pay for a single quadrature batch
+    code, out, _ = _run(["eval", "--type", "inf", "--f", "exp(-x)", "--a", "0",
+                         "--z", "taper:c=1", "--max-evals", "1", "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "quad_failure"
+    assert payload["evaluations"] == 0
+
+
 def test_env_var_budget(monkeypatch):
     monkeypatch.setenv("ZVAR_MAX_EVALS", "5000")
     code, out, _ = _run(["eval", "--type", "inf", "--f", "x^-2", "--a", "1",

@@ -126,6 +126,11 @@ def test_boundary_taper_from_smooth():
     assert w(0.5) == pytest.approx(z(math.log(2.0)), abs=1e-14)
 
 
+def test_boundary_taper_rejects_width_below_float_resolution():
+    with pytest.raises(TaperError, match=r"c=1e-300 .* e\^-c rounds to 1"):
+        parse_boundary_spec("wfromz:taper:c=1e-300")
+
+
 def test_boundary_taper_from_matched():
     z = make_matched_trig(1.0, 1.0)
     w = boundary_taper_from_z(z)

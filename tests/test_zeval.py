@@ -168,6 +168,32 @@ def test_quad_failure_on_domain_fault(smooth):
     assert math.isinf(r.error_estimate)
 
 
+def test_integrands_compiled_once_per_evaluation(smooth, monkeypatch):
+    # One compilation for the running segment and one for the window,
+    # however many samples and quadrature calls the evaluation makes.
+    import zvar.zeval as zeval
+
+    calls = []
+    original = zeval.compile_expr
+
+    def counting(ast, args):
+        calls.append(args)
+        return original(ast, args)
+
+    monkeypatch.setattr(zeval, "compile_expr", counting)
+    cfg = EvalConfig(b_count=8, delta_count=8)
+    inf_spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth)
+    fin_spec = FiniteIntegral(parse("u^(-1/2)", variables=("u",)), 1.0,
+                              boundary_taper_from_z(smooth))
+    for run in (lambda: eval_infinite(inf_spec, cfg),
+                lambda: eval_finite(fin_spec, cfg, mode="direct"),
+                lambda: eval_finite(fin_spec, cfg, mode="bridge")):
+        calls.clear()
+        result = run()
+        assert len(result.samples) == 8
+        assert len(calls) == 2
+
+
 def test_b_start_below_lower_limit_rejected(smooth):
     spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth)
     with pytest.raises(ValueError):
