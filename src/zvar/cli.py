@@ -8,22 +8,16 @@ JSON mode emits a single object whose spec_echo block reproduces the run.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
-from .cov import BridgeSpec, CovError, apply_cov, bridge_transform, parse_cov_spec
-from .expr import ExprError, parse, serialize
-from .taper import TaperError, parse_boundary_spec, parse_taper_spec
-from .verify import CorpusError, demo_existence_asymmetry, run_suite
-from .zeval import (
-    BridgeUnavailable,
-    EvalConfig,
-    FiniteIntegral,
-    InfiniteIntegral,
-    ZResult,
-    eval_finite,
-    eval_infinite,
-)
+
+from .cov import CovError
+from .expr import ExprError, serialize
+from .taper import TaperError
+from .verify import (CorpusError, build_spec, compare_pair, demo_existence_asymmetry,
+                     derive_right, evaluate_spec, run_suite, strict_json)
+from .zeval import BridgeUnavailable, EvalConfig, InfiniteIntegral, ZResult
 
 _USAGE_ERRORS = (ExprError, TaperError, CovError, CorpusError, BridgeUnavailable, ValueError)
 
@@ -95,13 +89,8 @@ def _build_parser() -> _Parser:
 
 
 def _build_config(args) -> EvalConfig:
-    fields = {}
-    for name in ("b_start", "b_step", "b_count", "delta_shrink", "delta_count",
-                 "stability_window", "tol", "quad_tol", "max_evals_per_point",
-                 "accelerate"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(EvalConfig)
+              if getattr(args, f.name) is not None}
     if "max_evals_per_point" not in fields:
         env = os.environ.get("ZVAR_MAX_EVALS")
         if env is not None:
@@ -109,41 +98,36 @@ def _build_config(args) -> EvalConfig:
     return EvalConfig(**fields)
 
 
-def _build_spec(args, default_taper: bool):
+def _spec_object(args, default_taper: bool) -> dict:
+    """The corpus spec object (see verify.build_spec) that the spec flags describe."""
     if args.type == "inf":
-        text = args.f if args.f is not None else args.g
-        if text is None:
+        obj = {"type": "infinite", "integrand": args.f if args.f is not None else args.g,
+               "a": args.a, "taper": args.z}
+        if obj["integrand"] is None:
             raise _CliError("--f is required for --type inf")
         if args.a is None:
             raise _CliError("--a is required for --type inf")
-        variable = args.var or "x"
-        taper_text = args.z
-        if taper_text is None:
+        if args.z is None:
             if not default_taper:
                 raise _CliError("--z is required for --type inf")
-            taper_text = "taper:c=1"
-        taper = parse_taper_spec(taper_text)
-        spec = InfiniteIntegral(parse(text, variables=(variable,)), args.a, taper,
-                                variable=variable)
-        return spec, "direct", taper_text
-    text = args.g if args.g is not None else args.f
-    if text is None:
-        raise _CliError("--g is required for --type fin")
-    if args.beta is None:
-        raise _CliError("--beta is required for --type fin")
-    variable = args.var or "u"
-    taper_text = args.w
-    if taper_text is None:
-        if not default_taper:
-            raise _CliError("--w is required for --type fin")
-        taper_text = "wfromz:taper:c=1"
-    taper = parse_boundary_spec(taper_text)
-    spec = FiniteIntegral(parse(text, variables=(variable,)), args.beta, taper,
-                          variable=variable)
-    return spec, args.mode, taper_text
+            obj["taper"] = "taper:c=1"
+    else:
+        obj = {"type": "finite", "integrand": args.g if args.g is not None else args.f,
+               "beta": args.beta, "taper": args.w, "mode": args.mode}
+        if obj["integrand"] is None:
+            raise _CliError("--g is required for --type fin")
+        if args.beta is None:
+            raise _CliError("--beta is required for --type fin")
+        if args.w is None:
+            if not default_taper:
+                raise _CliError("--w is required for --type fin")
+            obj["taper"] = "wfromz:taper:c=1"
+    if args.var:
+        obj["var"] = args.var
+    return obj
 
 
-def _spec_echo(args, spec, mode, taper_text, cfg: EvalConfig) -> dict:
+def _spec_echo(spec, mode, taper_text, cfg: EvalConfig) -> dict:
     resolved_b_start = cfg.b_start
     if resolved_b_start is None and isinstance(spec, InfiniteIntegral):
         resolved_b_start = spec.lower_limit + 1.0
@@ -152,18 +136,7 @@ def _spec_echo(args, spec, mode, taper_text, cfg: EvalConfig) -> dict:
         "integrand": serialize(spec.integrand),
         "var": spec.variable,
         "taper": taper_text,
-        "config": {
-            "b_start": resolved_b_start,
-            "b_step": cfg.b_step,
-            "b_count": cfg.b_count,
-            "delta_shrink": cfg.delta_shrink,
-            "delta_count": cfg.delta_count,
-            "stability_window": cfg.stability_window,
-            "tol": cfg.tol,
-            "quad_tol": cfg.quad_tol,
-            "max_evals_per_point": cfg.max_evals_per_point,
-            "accelerate": cfg.accelerate,
-        },
+        "config": {**dataclasses.asdict(cfg), "b_start": resolved_b_start},
     }
     if isinstance(spec, InfiniteIntegral):
         echo["a"] = spec.lower_limit
@@ -193,35 +166,23 @@ def _print_result(result: ZResult, out) -> None:
     print(f"samples: {len(result.samples)}", file=out)
 
 
-def _evaluate(spec, mode, cfg):
-    if isinstance(spec, FiniteIntegral):
-        return eval_finite(spec, cfg, mode=mode)
-    return eval_infinite(spec, cfg)
-
-
 def _cmd_eval(args, out) -> int:
-    spec, mode, taper_text = _build_spec(args, default_taper=False)
+    obj = _spec_object(args, default_taper=False)
+    spec, mode = build_spec(obj, field="spec")
     cfg = _build_config(args)
-    result = _evaluate(spec, mode, cfg)
+    result = evaluate_spec(spec, cfg, mode)
     if args.json:
-        print(json.dumps(_result_payload(result, _spec_echo(args, spec, mode,
-                                                            taper_text, cfg))), file=out)
+        print(strict_json(_result_payload(result, _spec_echo(spec, mode, obj["taper"], cfg))),
+              file=out)
     else:
         _print_result(result, out)
     return 0 if result.status == "converged" else 2
 
 
 def _cmd_transform(args, out) -> int:
-    spec, mode, taper_text = _build_spec(args, default_taper=True)
+    spec, mode = build_spec(_spec_object(args, default_taper=True), field="spec")
     cfg = _build_config(args)
-    a_context = spec.lower_limit if isinstance(spec, InfiniteIntegral) else None
-    cov = parse_cov_spec(args.cov, a=a_context)
-    if isinstance(cov, BridgeSpec):
-        transformed = bridge_transform(spec, cov.d, cov.alpha)
-        transformed_mode = "direct"
-    else:
-        transformed = apply_cov(spec, cov, allow_inconclusive=args.allow_inconclusive)
-        transformed_mode = mode if isinstance(transformed, FiniteIntegral) else "direct"
+    transformed, transformed_mode = derive_right(spec, mode, args.cov, args.allow_inconclusive)
 
     if args.print_spec:
         if isinstance(transformed, InfiniteIntegral):
@@ -229,7 +190,7 @@ def _cmd_transform(args, out) -> int:
         else:
             limit_name, limit = "upper_limit", transformed.upper_limit
         if args.json:
-            print(json.dumps({
+            print(strict_json({
                 "type": "inf" if isinstance(transformed, InfiniteIntegral) else "fin",
                 "integrand": serialize(transformed.integrand),
                 "var": transformed.variable,
@@ -240,27 +201,21 @@ def _cmd_transform(args, out) -> int:
             print(f"{limit_name}: {limit!r}", file=out)
         return 0
 
-    left = _evaluate(spec, mode, cfg)
-    right = _evaluate(transformed, transformed_mode, cfg)
-    delta = abs(left.value - right.value)
-    both = left.status == right.status == "converged"
-    verdict = ("equal_within_tol" if both and delta <= cfg.tol else
-               "mismatch" if both else
-               "existence_asymmetry" if (left.status == "converged") != (right.status == "converged")
-               else "both_nonconverged")
+    outcome = compare_pair(spec, transformed, cfg, cfg.tol, mode_a=mode, mode_b=transformed_mode)
+    left, right = outcome.left, outcome.right
     if args.json:
-        print(json.dumps({
-            "verdict": verdict,
+        print(strict_json({
+            "verdict": outcome.verdict,
             "left": {"value": left.value, "status": left.status},
             "right": {"value": right.value, "status": right.status,
                       "integrand": serialize(transformed.integrand)},
         }), file=out)
     else:
-        print(f"verdict: {verdict}", file=out)
+        print(f"verdict: {outcome.verdict}", file=out)
         print(f"left:  status={left.status} value={left.value!r}", file=out)
         print(f"right: status={right.status} value={right.value!r} "
               f"integrand={serialize(transformed.integrand)}", file=out)
-    return 0 if verdict == "equal_within_tol" else 2
+    return 0 if outcome.verdict == "equal_within_tol" else 2
 
 
 def _cmd_verify(args, out) -> int:
@@ -289,10 +244,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
         if args.subcommand == "verify":
             return _cmd_verify(args, out)
         return _cmd_demo(args, out)
-    except _CliError as e:
-        print(f"zvar: error: {e}", file=err)
-        return 1
-    except _USAGE_ERRORS as e:
+    except (_CliError, *_USAGE_ERRORS) as e:
         print(f"zvar: error: {e}", file=err)
         return 1
 

@@ -38,7 +38,8 @@ from .expr import (
     var,
 )
 from .taper import boundary_taper_from_z
-from .zeval import FiniteIntegral, InfiniteIntegral, ZIntegralSpec
+from .zeval import (BridgeUnavailable, FiniteIntegral, InfiniteIntegral, ZIntegralSpec,
+                    bridge_image)
 
 __all__ = [
     "CovError", "ChangeOfVariable", "CheckResult", "ValidationReport",
@@ -442,16 +443,10 @@ def bridge_transform(spec: ZIntegralSpec, d: float, alpha: float) -> ZIntegralSp
     if not d > 0.0 or not alpha > 0.0:
         raise CovError(f"bridge needs d > 0 and alpha > 0, got d={d!r}, alpha={alpha!r}")
     if isinstance(spec, FiniteIntegral):
-        z = spec.taper.origin
-        if z is None:
-            raise CovError("bridge needs a boundary taper built from a termination function")
-        x = "x" if spec.variable != "x" else "xb"
-        decay = const(d) * expr.exp(-(const(alpha) * var(x)))
-        integrand = simplify(
-            substitute(spec.integrand, spec.variable, decay) * const(alpha) * decay
-        )
-        a = -math.log(spec.upper_limit / d) / alpha
-        return InfiniteIntegral(integrand, a, z, variable=x)
+        try:
+            return bridge_image(spec, d, alpha)
+        except BridgeUnavailable as err:
+            raise CovError(str(err)) from None
 
     u = "u" if spec.variable != "u" else "ub"
     rise = -(expr.ln(var(u) / const(d)) / const(alpha))

@@ -34,8 +34,9 @@ from .zeval import (
 
 __all__ = [
     "CorpusError", "VerificationOutcome", "CaseReport", "SuiteReport",
-    "compare_pair", "run_suite", "demo_existence_asymmetry", "load_corpus",
-    "shipped_corpus_path",
+    "compare_pair", "evaluate_spec", "pair_verdict", "build_spec", "derive_right",
+    "run_suite", "demo_existence_asymmetry", "load_corpus", "shipped_corpus_path",
+    "strict_json",
 ]
 
 
@@ -56,20 +57,22 @@ def compare_pair(spec_a: ZIntegralSpec, spec_b: ZIntegralSpec, cfg: EvalConfig,
                  tol: float, case_id: str = "", mode_a: str = "direct",
                  mode_b: str = "direct") -> VerificationOutcome:
     """Evaluate both integrals and classify the pair."""
-    left = _evaluate(spec_a, cfg, mode_a)
-    right = _evaluate(spec_b, cfg, mode_b)
+    left = evaluate_spec(spec_a, cfg, mode_a)
+    right = evaluate_spec(spec_b, cfg, mode_b)
     return VerificationOutcome(left=left, right=right,
-                               verdict=_verdict(left, right, tol),
+                               verdict=pair_verdict(left, right, tol),
                                tolerance=tol, case_id=case_id)
 
 
-def _evaluate(spec: ZIntegralSpec, cfg: EvalConfig, mode: str) -> ZResult:
+def evaluate_spec(spec: ZIntegralSpec, cfg: EvalConfig, mode: str) -> ZResult:
+    """Evaluate either integral form; mode applies to the finite form only."""
     if isinstance(spec, FiniteIntegral):
         return eval_finite(spec, cfg, mode=mode)
     return eval_infinite(spec, cfg)
 
 
-def _verdict(left: ZResult, right: ZResult, tol: float) -> str:
+def pair_verdict(left: ZResult, right: ZResult, tol: float) -> str:
+    """The verdict table of the module docstring."""
     lc = left.status == "converged"
     rc = right.status == "converged"
     if lc and rc:
@@ -131,8 +134,8 @@ class SuiteReport:
     all_expected: bool
 
     def to_json(self) -> str:
-        return json.dumps({"cases": [asdict(c) for c in self.cases],
-                           "all_expected": self.all_expected}, indent=2)
+        return strict_json({"cases": [asdict(c) for c in self.cases],
+                            "all_expected": self.all_expected}, indent=2)
 
     def to_table(self) -> str:
         rows = [f"{'case':34} {'verdict':22} {'expected':22} {'ok':3} "
@@ -144,6 +147,20 @@ class SuiteReport:
                 f"{c.left_value:14.8g} {c.right_value:14.8g} {c.evaluations}"
             )
         return "\n".join(rows)
+
+
+def strict_json(payload, indent: int | None = None) -> str:
+    """Standard JSON text of payload, with every non-finite float written as null."""
+    def clean(item):
+        if isinstance(item, float) and not math.isfinite(item):
+            return None
+        if isinstance(item, dict):
+            return {key: clean(value) for key, value in item.items()}
+        if isinstance(item, (list, tuple)):
+            return [clean(value) for value in item]
+        return item
+
+    return json.dumps(clean(payload), indent=indent, allow_nan=False)
 
 
 def shipped_corpus_path() -> Path:
@@ -188,27 +205,37 @@ def _build_case(obj: dict) -> Case:
     if not (math.isfinite(tol) and tol > 0.0):
         raise CorpusError(f"tol must be positive and finite, got {obj['tol']!r}")
     cfg = EvalConfig(**obj.get("config", {}))
-    left, left_mode = _build_spec(obj["left_spec"], field="left_spec")
+    left, left_mode = build_spec(obj["left_spec"], field="left_spec")
 
     if ("right_spec" in obj) == ("cov" in obj):
         raise CorpusError("exactly one of right_spec or cov is required")
     if "right_spec" in obj:
-        right, right_mode = _build_spec(obj["right_spec"], field="right_spec")
+        right, right_mode = build_spec(obj["right_spec"], field="right_spec")
     else:
-        cov = parse_cov_spec(obj["cov"],
-                             a=left.lower_limit if isinstance(left, InfiniteIntegral) else None)
-        if isinstance(cov, BridgeSpec):
-            right = bridge_transform(left, cov.d, cov.alpha)
-        else:
-            right = apply_cov(left, cov,
-                              allow_inconclusive=bool(obj.get("allow_inconclusive", False)))
-        right_mode = "direct"
+        right, right_mode = derive_right(left, left_mode, obj["cov"],
+                                         bool(obj.get("allow_inconclusive", False)))
     return Case(case_id=str(obj["id"]), left=left, left_mode=left_mode,
                 right=right, right_mode=right_mode,
                 expected_verdict=obj["expected_verdict"], tol=tol, config=cfg)
 
 
-def _build_spec(obj: dict, field: str) -> tuple[ZIntegralSpec, str]:
+def derive_right(left: ZIntegralSpec, left_mode: str, cov_text: str,
+                 allow_inconclusive: bool) -> tuple[ZIntegralSpec, str]:
+    """The image of `left` under a transform string, and the mode it runs in.
+
+    A finite image inherits the left side's mode; an infinite image runs direct.
+    """
+    cov = parse_cov_spec(cov_text,
+                         a=left.lower_limit if isinstance(left, InfiniteIntegral) else None)
+    if isinstance(cov, BridgeSpec):
+        right = bridge_transform(left, cov.d, cov.alpha)
+    else:
+        right = apply_cov(left, cov, allow_inconclusive=allow_inconclusive)
+    return right, left_mode if isinstance(right, FiniteIntegral) else "direct"
+
+
+def build_spec(obj: dict, field: str) -> tuple[ZIntegralSpec, str]:
+    """Build an integral spec and its evaluation mode from a corpus spec object."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise CorpusError(f"{field}: integral spec needs a 'type'")
     kind = obj["type"]
@@ -290,7 +317,7 @@ class DemoReport:
     traces: tuple[DemoTrace, ...]
 
     def to_json(self) -> str:
-        return json.dumps({
+        return strict_json({
             "traces": [{
                 "name": t.name,
                 "description": t.description,

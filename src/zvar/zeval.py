@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (DomainFault, ExprAST, compile_expr, exp as expr_exp, free_variables,
-                   simplify, substitute, var)
+from .expr import (DomainFault, ExprAST, compile_expr, const, exp as expr_exp,
+                   free_variables, simplify, substitute, var)
 from .quad import integrate_callable
 from .taper import BoundaryTaper, TerminationFunction
 
 __all__ = [
     "InfiniteIntegral", "FiniteIntegral", "ZIntegralSpec", "EvalConfig",
     "ZResult", "BridgeUnavailable", "TooFewSamples",
-    "eval_infinite", "eval_finite", "classify_sequence",
+    "eval_infinite", "eval_finite", "bridge_image", "classify_sequence",
 ]
 
 DELTA_FLOOR = 1e-8   # direct finite-limit sampling never shrinks delta below this
@@ -257,51 +257,16 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
         raise ValueError(f"b_start {b0!r} lies below the lower limit {a!r}")
     shift = "bwin" if x != "bwin" else "bwin2"
     tail_expr = simplify(spec.integrand * substitute(z.body, "s", var(x) - var(shift)))
-    # Compile once per evaluation; each quad call binds the window position.
     f = compile_expr(spec.integrand, (x,))
     tail_f = compile_expr(tail_expr, (x, shift))
-
-    samples: list[tuple[float, float]] = []
-    values: list[float] = []
-    errors: list[float] = []
-    evals = 0
-    prefix = 0.0
-    prefix_err = 0.0
-    prev_b = a
-    failed = False
-    for k in range(cfg.b_count):
-        b = b0 + k * cfg.b_step
-        try:
-            if b > prev_b:
-                inc = integrate_callable(f, prev_b, b, cfg.quad_tol, cfg.max_evals_per_point)
-                evals += inc.evaluations
-                if not inc.converged:
-                    failed = True
-                    break
-                prefix += inc.value
-                prefix_err += inc.error_estimate
-                prev_b = b
-            tail = integrate_callable(lambda t: tail_f(t, b), b, b + z.width, cfg.quad_tol,
-                                      cfg.max_evals_per_point)
-        except DomainFault:
-            failed = True
-            break
-        evals += tail.evaluations
-        if not tail.converged:
-            failed = True
-            break
-        values.append(prefix + tail.value)
-        errors.append(prefix_err + tail.error_estimate)
-        samples.append((b, values[-1]))
-        if len(values) >= cfg.stability_window and _spread(values[-cfg.stability_window:]) <= cfg.tol:
-            break
-    return _classify_result(samples, values, errors, evals, cfg, failed, "grow")
+    grid = [b0 + k * cfg.b_step for k in range(cfg.b_count)]
+    return _sample_brackets(f, tail_f, a, grid, lambda b: (b, b + z.width), cfg, "grow")
 
 
 def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
     """Sample and classify the finite-limit sequence, directly or via bridge."""
     if mode == "bridge":
-        return eval_infinite(bridged_infinite(spec), cfg)
+        return eval_infinite(bridge_image(spec, 1.0, 1.0), cfg)
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r} (expected 'direct' or 'bridge')")
     w = spec.taper
@@ -309,67 +274,73 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
     u = spec.variable
     shrinkvar = "dwin" if u != "dwin" else "dwin2"
     head_expr = simplify(spec.integrand * substitute(w.body, "v", var(u) / var(shrinkvar)))
-    # Compile once per evaluation; each quad call binds the window scale.
     g = compile_expr(spec.integrand, (u,))
     head_g = compile_expr(head_expr, (u, shrinkvar))
+    deltas = (beta * cfg.delta_shrink ** k for k in range(cfg.delta_count))
+    grid = [delta for delta in deltas if delta >= DELTA_FLOOR]
+    return _sample_brackets(g, head_g, beta, grid, lambda d: (w.support_floor * d, d), cfg,
+                            "shrink")
 
+
+def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegral:
+    """The u = d e^(-alpha x) image of a finite-limit spec; z is the taper's origin."""
+    if spec.taper.origin is None:
+        raise BridgeUnavailable("bridge needs a boundary taper built from a termination function")
+    x = "x" if spec.variable != "x" else "xb"
+    decay = const(d) * expr_exp(-(const(alpha) * var(x)))
+    integrand = simplify(substitute(spec.integrand, spec.variable, decay) * const(alpha) * decay)
+    a = -math.log(spec.upper_limit / d) / alpha
+    return InfiniteIntegral(integrand, a, spec.taper.origin, variable=x)
+
+
+def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
+    """Sample the bracket at each grid point, then classify the sequence.
+
+    f and window_f are compiled once per evaluation; each quadrature call
+    binds the grid point.  The bracket at point p is the running integral of
+    f between `start` and p plus the window integral of window_f(t, p) over
+    span(p); each point adds the running segment between the previous point
+    and itself.  Sampling stops once the last stability_window values agree
+    within tol.  An inner quadrature that fails to converge or meets a
+    domain fault ends it as quad_failure, keeping the samples so far.
+    """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
     errors: list[float] = []
     evals = 0
-    tail_sum = 0.0
-    tail_err = 0.0
-    prev_delta = beta
+    running = 0.0
+    running_err = 0.0
+    prev = start
     failed = False
-    for k in range(cfg.delta_count):
-        delta = beta * cfg.delta_shrink ** k
-        if delta < DELTA_FLOOR:
-            break
+    m = cfg.stability_window
+    for p in grid:
         try:
-            if delta < prev_delta:
-                inc = integrate_callable(g, delta, prev_delta, cfg.quad_tol,
+            if p != prev:
+                inc = integrate_callable(f, min(prev, p), max(prev, p), cfg.quad_tol,
                                          cfg.max_evals_per_point)
                 evals += inc.evaluations
-                if not inc.converged:
-                    # cost wall: keep the samples already collected if they
-                    # can be classified, otherwise report the failure
-                    failed = len(values) < cfg.stability_window
+                failed = not inc.converged
+                if failed:
                     break
-                tail_sum += inc.value
-                tail_err += inc.error_estimate
-                prev_delta = delta
-            head = integrate_callable(lambda t: head_g(t, delta), w.support_floor * delta,
-                                      delta, cfg.quad_tol, cfg.max_evals_per_point)
+                running += inc.value
+                running_err += inc.error_estimate
+                prev = p
+            lo, hi = span(p)
+            window = integrate_callable(lambda t: window_f(t, p), lo, hi, cfg.quad_tol,
+                                        cfg.max_evals_per_point)
         except DomainFault:
             failed = True
             break
-        evals += head.evaluations
-        if not head.converged:
-            failed = len(values) < cfg.stability_window
+        evals += window.evaluations
+        failed = not window.converged
+        if failed:
             break
-        values.append(head.value + tail_sum)
-        errors.append(head.error_estimate + tail_err)
-        samples.append((delta, values[-1]))
-        if len(values) >= cfg.stability_window and _spread(values[-cfg.stability_window:]) <= cfg.tol:
+        values.append(running + window.value)
+        errors.append(running_err + window.error_estimate)
+        samples.append((p, values[-1]))
+        if len(values) >= m and _spread(values[-m:]) <= cfg.tol:
             break
-    return _classify_result(samples, values, errors, evals, cfg, failed, "shrink")
-
-
-def bridged_infinite(spec: FiniteIntegral) -> InfiniteIntegral:
-    """The u = e^-x image of a finite-limit spec (unit scale and rate)."""
-    if spec.taper.origin is None:
-        raise BridgeUnavailable(
-            "bridge mode needs a boundary taper built from a termination function"
-        )
-    x = "x" if spec.variable != "x" else "xb"
-    decay = expr_exp(-var(x))
-    integrand = simplify(substitute(spec.integrand, spec.variable, decay) * decay)
-    return InfiniteIntegral(
-        integrand=integrand,
-        lower_limit=-math.log(spec.upper_limit),
-        taper=spec.taper.origin,
-        variable=x,
-    )
+    return _classify_result(samples, values, errors, evals, cfg, failed, direction)
 
 
 def _spread(window) -> float:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from zvar.cli import run_cli
+from zvar.verify import run_suite
 
 
 def _run(argv):
@@ -193,3 +194,53 @@ def test_env_var_budget(monkeypatch):
                          "--b-count", "30", "--json"])
     assert code == 0
     assert json.loads(out)["spec_echo"]["config"]["max_evals_per_point"] == 5000
+
+
+@pytest.mark.parametrize("mode", ["direct", "bridge"])
+def test_inner_quad_failure_ends_both_modes_alike(mode):
+    # The budget runs out deep in the oscillation, after more than a
+    # stability window of samples; both routes report the failure.
+    code, out, _ = _run(["eval", "--type", "fin", "--g", "sin(1/u)/u^2", "--beta", "1",
+                         "--w", "wfromz:taper:c=1", "--mode", mode, "--max-evals", "3000",
+                         "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "quad_failure"
+    assert len(payload["samples"]) >= payload["spec_echo"]["config"]["stability_window"]
+
+
+def test_transform_and_corpus_derive_the_same_right_side(tmp_path):
+    left = {"type": "finite", "integrand": "sin(1/u)/u^2", "beta": 1.0,
+            "taper": "wfromz:taper:c=1", "mode": "bridge"}
+    config = {"delta_count": 10, "tol": 1e-3, "quad_tol": 1e-8}
+    corpus = tmp_path / "case.jsonl"
+    corpus.write_text(json.dumps({"id": "finpower-bridge", "left_spec": left,
+                                  "cov": "finpower:d=1,r=2",
+                                  "expected_verdict": "equal_within_tol", "tol": 1e-3,
+                                  "config": config}) + "\n")
+    (case,) = run_suite(corpus).cases
+
+    code, out, err = _run(["transform", "--type", "fin", "--g", left["integrand"],
+                           "--beta", "1", "--w", left["taper"], "--mode", "bridge",
+                           "--cov", "finpower:d=1,r=2", "--delta-count", "10",
+                           "--tol", "1e-3", "--quad-tol", "1e-8", "--json"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["verdict"] == case.verdict == "equal_within_tol"
+    assert payload["right"]["value"] == case.right_value
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_output_is_strict():
+    code, out, _ = _run(["eval", "--type", "inf", "--f", "exp(-x)", "--a", "0",
+                         "--z", "taper:c=1", "--max-evals", "1", "--json"])
+    assert code == 2
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["value"] is None
+    assert payload["error_estimate"] is None
+    for argv in (["demo", "--json"], ["verify", "--json"]):
+        _, out, _ = _run(argv)
+        json.loads(out, parse_constant=_reject_constant)

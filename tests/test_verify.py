@@ -56,7 +56,7 @@ def test_compare_power_image_asymmetry(matched):
 
 
 def test_verdict_table_is_total():
-    from zvar.verify import _verdict
+    from zvar.verify import pair_verdict
 
     def zr(status, value=1.0):
         return ZResult(value=value, error_estimate=0.0, status=status,
@@ -65,15 +65,15 @@ def test_verdict_table_is_total():
     statuses = ("converged", "oscillatory", "drifting", "quad_failure")
     for a in statuses:
         for b in statuses:
-            verdict = _verdict(zr(a), zr(b, 1.0), 1e-6)
+            verdict = pair_verdict(zr(a), zr(b, 1.0), 1e-6)
             assert verdict in {"equal_within_tol", "mismatch",
                                "existence_asymmetry", "both_nonconverged"}
-            flipped = _verdict(zr(b, 1.0), zr(a), 1e-6)
+            flipped = pair_verdict(zr(b, 1.0), zr(a), 1e-6)
             assert flipped == verdict  # symmetric for equal values
 
-    assert _verdict(zr("converged", 1.0), zr("converged", 2.0), 1e-6) == "mismatch"
-    assert _verdict(zr("converged"), zr("oscillatory"), 1e-6) == "existence_asymmetry"
-    assert _verdict(zr("drifting"), zr("quad_failure"), 1e-6) == "both_nonconverged"
+    assert pair_verdict(zr("converged", 1.0), zr("converged", 2.0), 1e-6) == "mismatch"
+    assert pair_verdict(zr("converged"), zr("oscillatory"), 1e-6) == "existence_asymmetry"
+    assert pair_verdict(zr("drifting"), zr("quad_failure"), 1e-6) == "both_nonconverged"
 
 
 # ---------------------------------------------------------------------------
