@@ -7,12 +7,10 @@ and verify value preservation and existence (a)symmetry numerically.
 """
 
 from .cov import (
-    BridgeSpec,
     ChangeOfVariable,
     CovError,
     ValidationReport,
     apply_cov,
-    bridge_transform,
     make_bridge_cov,
     make_custom_cov,
     make_exp_cov,
@@ -45,8 +43,8 @@ from .zeval import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BridgeSpec", "ChangeOfVariable", "CovError", "ValidationReport",
-    "apply_cov", "bridge_transform", "make_bridge_cov", "make_custom_cov",
+    "ChangeOfVariable", "CovError", "ValidationReport",
+    "apply_cov", "make_bridge_cov", "make_custom_cov",
     "make_exp_cov", "make_finite_power_cov", "make_power_cov", "validate_cov",
     "DomainFault", "ExprAST", "ParseError", "differentiate", "evaluate",
     "parse", "serialize", "substitute",

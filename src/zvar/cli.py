@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .cov import CovError
@@ -91,10 +90,6 @@ def _build_parser() -> _Parser:
 def _build_config(args) -> EvalConfig:
     fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(EvalConfig)
               if getattr(args, f.name) is not None}
-    if "max_evals_per_point" not in fields:
-        env = os.environ.get("ZVAR_MAX_EVALS")
-        if env is not None:
-            fields["max_evals_per_point"] = int(env)
     return EvalConfig(**fields)
 
 

@@ -1,24 +1,23 @@
 """Changes of the integration variable, their validation, and application.
 
-Three kinds are supported.  infinite_cov maps y = P(x) with P' > 0 and
-P(x) -> infinity, carrying integral_a^inf f(x) dx to
-integral_{P(a)}^inf f(Q(y)) Q'(y) dy with Q the inverse.  finite_cov maps
+Three kinds are supported, all applied by apply_cov.  infinite_cov maps
+y = P(x) with P' > 0 and P(x) -> infinity, carrying integral_a^inf f(x) dx
+to integral_{P(a)}^inf f(Q(y)) Q'(y) dy with Q the inverse.  finite_cov maps
 t = P(u) with P > 0, P' > 0 and P -> 0 at 0, preserving the critical point.
-bridge maps u = psi(x) = d e^{-alpha x}, converting between the two
-integral forms (use bridge_transform; apply_cov handles the first two).
+bridge maps u = psi(x) = d e^{-alpha x}, converting between the two forms.
 
-Shipped specializations (power, exponential) are certified analytically;
-custom transforms are validated by dense sampling with local refinement,
-which can refute but never certify the strict global conditions, so their
-best verdict is "inconclusive" and applying them requires an explicit
-override.  The termination taper is always carried over unchanged --
-existence on the transformed side is a genuinely separate question, which
-the verification harness probes.
+Shipped specializations (power, exponential, bridge) are certified
+analytically; custom transforms are validated by dense sampling with local
+refinement, which can refute but never certify the strict global conditions,
+so their best verdict is "inconclusive" and applying them requires an
+explicit override.  The termination taper is carried over unchanged (the
+bridge swaps z and the boundary taper derived from it) -- existence on the
+transformed side is a genuinely separate question, which the verification
+harness probes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,7 @@ __all__ = [
     "CovError", "ChangeOfVariable", "CheckResult", "ValidationReport",
     "make_power_cov", "make_exp_cov", "make_finite_power_cov",
     "make_custom_cov", "make_bridge_cov", "validate_cov", "apply_cov",
-    "bridge_transform", "parse_cov_spec", "BridgeSpec",
+    "parse_cov_spec",
 ]
 
 _VARS = {"infinite_cov": ("x", "y"), "finite_cov": ("u", "t"), "bridge": ("x", "u")}
@@ -118,17 +117,7 @@ def make_power_cov(d: float, r: float, a: float) -> ChangeOfVariable:
         # on negative arguments, so take the sign-preserving real root
         ay = expr.absval(y)
         inverse = (y / ay) * (ay / const(d)) ** const(1.0 / r)
-    cov = ChangeOfVariable(
-        kind="infinite_cov",
-        forward=simplify(forward),
-        inverse=simplify(inverse),
-        forward_derivative=differentiate(forward, "x"),
-        domain=(a, 1e6),
-        params={"d": d, "r": r},
-        analytic=True,
-    )
-    _check_roundtrip(cov)
-    return cov
+    return _analytic("infinite_cov", forward, inverse, (a, 1e6), {"d": d, "r": r})
 
 
 def make_exp_cov(d: float, alpha: float) -> ChangeOfVariable:
@@ -140,17 +129,8 @@ def make_exp_cov(d: float, alpha: float) -> ChangeOfVariable:
     x, y = var("x"), var("y")
     forward = const(d) * expr.exp(const(alpha) * x)
     inverse = expr.ln(y / const(d)) / const(alpha)
-    cov = ChangeOfVariable(
-        kind="infinite_cov",
-        forward=simplify(forward),
-        inverse=simplify(inverse),
-        forward_derivative=differentiate(forward, "x"),
-        domain=(0.0, min(600.0 / alpha, 1e6)),
-        params={"d": d, "alpha": alpha},
-        analytic=True,
-    )
-    _check_roundtrip(cov)
-    return cov
+    return _analytic("infinite_cov", forward, inverse, (0.0, min(600.0 / alpha, 1e6)),
+                     {"d": d, "alpha": alpha})
 
 
 def make_finite_power_cov(d: float, r: float) -> ChangeOfVariable:
@@ -162,17 +142,7 @@ def make_finite_power_cov(d: float, r: float) -> ChangeOfVariable:
     u, t = var("u"), var("t")
     forward = (u / const(d)) ** const(1.0 / r)      # t = P(u)
     inverse = const(d) * t ** const(r)              # u = Q(t)
-    cov = ChangeOfVariable(
-        kind="finite_cov",
-        forward=simplify(forward),
-        inverse=simplify(inverse),
-        forward_derivative=differentiate(forward, "u"),
-        domain=(1e-9, 1.0),
-        params={"d": d, "r": r},
-        analytic=True,
-    )
-    _check_roundtrip(cov)
-    return cov
+    return _analytic("finite_cov", forward, inverse, (1e-9, 1.0), {"d": d, "r": r})
 
 
 def make_bridge_cov(d: float, alpha: float) -> ChangeOfVariable:
@@ -184,13 +154,20 @@ def make_bridge_cov(d: float, alpha: float) -> ChangeOfVariable:
     x, u = var("x"), var("u")
     forward = const(d) * expr.exp(-(const(alpha) * x))
     inverse = -(expr.ln(u / const(d)) / const(alpha))
+    return _analytic("bridge", forward, inverse, (0.0, min(600.0 / alpha, 1e6)),
+                     {"d": d, "alpha": alpha})
+
+
+def _analytic(kind: str, forward: ExprAST, inverse: ExprAST, domain: tuple[float, float],
+              params: dict[str, float]) -> ChangeOfVariable:
+    """A certified specialization; checks the inverse round-trip."""
     cov = ChangeOfVariable(
-        kind="bridge",
+        kind=kind,
         forward=simplify(forward),
         inverse=simplify(inverse),
-        forward_derivative=differentiate(forward, "x"),
-        domain=(0.0, min(600.0 / alpha, 1e6)),
-        params={"d": d, "alpha": alpha},
+        forward_derivative=differentiate(forward, _VARS[kind][0]),
+        domain=domain,
+        params=params,
         analytic=True,
     )
     _check_roundtrip(cov)
@@ -199,9 +176,10 @@ def make_bridge_cov(d: float, alpha: float) -> ChangeOfVariable:
 
 def make_custom_cov(kind: str, forward_text: str, inverse_text: str,
                     domain: tuple[float, float]) -> ChangeOfVariable:
-    """Build a transform from expression text; checks the inverse round-trip."""
-    if kind not in _VARS:
-        raise CovError(f"unknown transform kind {kind!r}")
+    """Build an infinite_cov or finite_cov from expression text; checks the round-trip."""
+    if kind not in ("infinite_cov", "finite_cov"):
+        raise CovError(f"unknown custom transform kind {kind!r} "
+                       f"(expected infinite_cov or finite_cov)")
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise CovError(f"empty domain [{lo!r}, {hi!r}]")
@@ -314,7 +292,7 @@ def _sampled_checks(cov: ChangeOfVariable) -> list[CheckResult]:
             f"P(10^k) k=0..6: {np.array2string(probes, precision=3)}",
             growing,
         ))
-    elif cov.kind == "finite_cov":
+    else:  # finite_cov
         pts = np.geomspace(max(lo, 1e-8), hi, 256)
         vals = fwd(pts)
         pmin = float(vals.min())
@@ -337,29 +315,6 @@ def _sampled_checks(cov: ChangeOfVariable) -> list[CheckResult]:
             f"P(10^-k) k=1..8: {np.array2string(probes, precision=3)}",
             shrinking,
         ))
-    else:  # bridge
-        pts = np.linspace(lo, lo + 64.0, 256)
-        dmax, where = _refined_min(lambda t: -dfwd(t), pts)
-        checks.append(CheckResult(
-            "forward_derivative_negative",
-            f"max psi' ~ {-dmax:.3e} near x={where:.6g}",
-            bool(dmax > 0.0),
-        ))
-        vals = fwd(pts)
-        checks.append(CheckResult(
-            "forward_positive",
-            f"min psi ~ {float(vals.min()):.3e} on [{lo:.3g}, {lo + 64.0:.3g}]",
-            bool(np.isfinite(vals).all() and float(vals.min()) > 0.0),
-        ))
-        probes = fwd(10.0 ** np.arange(0, 7, dtype=float))
-        probes = np.where(np.isfinite(probes), probes, 0.0)  # underflow counts as small
-        fading = bool(np.all(np.diff(probes) <= 0.0) and probes[-1] < 1e-3)
-        checks.append(CheckResult(
-            "forward_vanishes_at_infinity",
-            f"psi(10^k) k=0..6: {np.array2string(probes, precision=3)}",
-            fading,
-        ))
-
     try:
         _check_roundtrip(cov)
         checks.append(CheckResult("inverse_roundtrip",
@@ -406,11 +361,9 @@ def _refined_min(fn, pts: np.ndarray, rounds: int = 8) -> tuple[float, float]:
 
 def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
               allow_inconclusive: bool = False) -> ZIntegralSpec:
-    """Rewrite the integral through the transform; the taper is unchanged."""
-    if cov.kind == "bridge":
-        raise CovError("bridge transforms convert between integral forms; "
-                       "use bridge_transform")
-    if isinstance(spec, InfiniteIntegral) != (cov.kind == "infinite_cov"):
+    """Rewrite the integral through the transform; a bridge also changes its form."""
+    bridge = cov.kind == "bridge"
+    if not bridge and isinstance(spec, InfiniteIntegral) != (cov.kind == "infinite_cov"):
         raise CovError(f"transform kind {cov.kind!r} does not match the integral form")
     report = validate_cov(cov)
     if report.verdict == "invalid":
@@ -421,40 +374,25 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
             "transform validation is inconclusive (sampled only); pass "
             "allow_inconclusive=True to apply it anyway"
         )
-
-    iv = cov.inverse_var
-    dq = simplify(differentiate(cov.inverse, iv))
-    new_integrand = simplify(substitute(spec.integrand, spec.variable, cov.inverse) * dq)
-    if isinstance(spec, InfiniteIntegral):
-        new_limit = evaluate(cov.forward, {cov.forward_var: spec.lower_limit})
-        return InfiniteIntegral(new_integrand, new_limit, spec.taper, variable=iv)
-    new_limit = evaluate(cov.forward, {cov.forward_var: spec.upper_limit})
-    return FiniteIntegral(new_integrand, new_limit, spec.taper, variable=iv)
-
-
-def bridge_transform(spec: ZIntegralSpec, d: float, alpha: float) -> ZIntegralSpec:
-    """Convert between the finite- and infinite-limit forms via u = d e^(-alpha x).
-
-    finite -> infinite requires the boundary taper to carry its termination
-    origin (it supplies z on the infinite side); infinite -> finite derives
-    the boundary taper from z.  A round trip reproduces an integrand that is
-    pointwise equal to the original.
-    """
-    if not d > 0.0 or not alpha > 0.0:
-        raise CovError(f"bridge needs d > 0 and alpha > 0, got d={d!r}, alpha={alpha!r}")
-    if isinstance(spec, FiniteIntegral):
+    if bridge and isinstance(spec, FiniteIntegral):
         try:
-            return bridge_image(spec, d, alpha)
+            return bridge_image(spec, cov.params["d"], cov.params["alpha"])
         except BridgeUnavailable as err:
             raise CovError(str(err)) from None
 
-    u = "u" if spec.variable != "u" else "ub"
-    rise = -(expr.ln(var(u) / const(d)) / const(alpha))
-    dq = const(1.0) / (const(alpha) * var(u))
-    integrand = simplify(substitute(spec.integrand, spec.variable, rise) * dq)
-    beta = d * math.exp(-alpha * spec.lower_limit)
-    w = boundary_taper_from_z(spec.taper)
-    return FiniteIntegral(integrand, beta, w, variable=u)
+    iv = cov.inverse_var
+    dq = simplify(differentiate(cov.inverse, iv))
+    if bridge:
+        dq = -dq  # psi decreases, so the limits swap
+    new_integrand = simplify(substitute(spec.integrand, spec.variable, cov.inverse) * dq)
+    if isinstance(spec, InfiniteIntegral):
+        new_limit = evaluate(cov.forward, {cov.forward_var: spec.lower_limit})
+        if bridge:
+            return FiniteIntegral(new_integrand, new_limit, boundary_taper_from_z(spec.taper),
+                                  variable=iv)
+        return InfiniteIntegral(new_integrand, new_limit, spec.taper, variable=iv)
+    new_limit = evaluate(cov.forward, {cov.forward_var: spec.upper_limit})
+    return FiniteIntegral(new_integrand, new_limit, spec.taper, variable=iv)
 
 
 # --------------------------------------------------------------------------
@@ -464,15 +402,7 @@ def bridge_transform(spec: ZIntegralSpec, d: float, alpha: float) -> ZIntegralSp
 #   "bridge:d=1,alpha=1"
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BridgeSpec:
-    """Marker for a bridge request parsed from a transform string."""
-
-    d: float
-    alpha: float
-
-
-def parse_cov_spec(text: str, a: float | None = None) -> ChangeOfVariable | BridgeSpec:
+def parse_cov_spec(text: str, a: float | None = None) -> ChangeOfVariable:
     """Parse a CLI transform string; `a` supplies the power-map caveat context."""
     head, _, payload = text.strip().partition(":")
     fields = _split_fields(payload)
@@ -490,7 +420,7 @@ def parse_cov_spec(text: str, a: float | None = None) -> ChangeOfVariable | Brid
         return make_finite_power_cov(float(fields["d"]), float(fields["r"]))
     if head == "bridge":
         _require(fields, ("d", "alpha"), head)
-        return BridgeSpec(float(fields["d"]), float(fields["alpha"]))
+        return make_bridge_cov(float(fields["d"]), float(fields["alpha"]))
     if head == "custom":
         _require(fields, ("kind", "forward", "inverse", "lo", "hi"), head)
         return make_custom_cov(fields["kind"], fields["forward"], fields["inverse"],

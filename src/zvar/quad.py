@@ -11,8 +11,11 @@ interior, so endpoints are never sampled.
 Budget exhaustion is a soft failure: the best-effort value is returned
 with converged=False and an honest error estimate.  No evaluation is
 spent beyond max_evals, so a budget too small for the first batch
-returns converged=False after zero evaluations.  Non-finite integrand
-values raise DomainFault with the offending abscissa.
+returns converged=False after zero evaluations.  So is a tolerance below
+roundoff: once the panels' roundoff floors (10 eps times the integral of
+|f| over each) and the frozen panels' errors exceed abs_tol together, no
+refinement can meet it, and the run stops (QUADPACK's ier=2).  Non-finite
+integrand values raise DomainFault with the offending abscissa.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     # must not share memory with a.
     a = edges[:-1]
     b = edges[1:].copy()
-    vals, errs, evals = _rule_batch(fn, a, b)
+    vals, errs, floors, evals = _rule_batch(fn, a, b)
     # Panels not yet tested for float resolution: the left children sit in
     # the slots `split` of their parents, the right children from slot n on.
     new_a, new_b, split, n = a, b, np.arange(0), 0
@@ -126,7 +129,7 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
         err_sum = float(errs.sum())
         if err_sum + frozen_error <= abs_tol:
             return _finish(vals, errs, frozen_value, frozen_error, evals, True, abs_tol)
-        if evals >= max_evals:
+        if evals >= max_evals or float(floors.sum()) + frozen_error > abs_tol:
             return _finish(vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
 
         # Freeze intervals too narrow to bisect in floating point.  A panel
@@ -141,7 +144,7 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
             frozen_error += float(errs[gone].sum())
             keep = np.ones(a.size, dtype=bool)
             keep[gone] = False
-            a, b, vals, errs = a[keep], b[keep], vals[keep], errs[keep]
+            a, b, vals, errs, floors = a[keep], b[keep], vals[keep], errs[keep], floors[keep]
             if a.size == 0:
                 done = frozen_error <= abs_tol
                 return _finish(vals, errs, frozen_value, frozen_error, evals, done, abs_tol)
@@ -165,20 +168,23 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
         mid = 0.5 * (left + right)
         new_a = np.concatenate([left, mid])
         new_b = np.concatenate([mid, right])
-        cvals, cerrs, used = _rule_batch(fn, new_a, new_b)
+        cvals, cerrs, cfloors, used = _rule_batch(fn, new_a, new_b)
         evals += used
 
         b[split] = mid
         vals[split] = cvals[:k]
         errs[split] = cerrs[:k]
+        floors[split] = cfloors[:k]
         a = np.concatenate([a, mid])
         b = np.concatenate([b, right])
         vals = np.concatenate([vals, cvals[k:]])
         errs = np.concatenate([errs, cerrs[k:]])
+        floors = np.concatenate([floors, cfloors[k:]])
 
 
-def _rule_batch(fn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Apply the 15-point rule to every [a_i, b_i]; returns (values, errors, evals)."""
+def _rule_batch(fn, a: np.ndarray, b: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Apply the 15-point rule to every [a_i, b_i]; returns (values, errors, floors, evals)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _XK[None, :]
@@ -202,8 +208,8 @@ def _rule_batch(fn, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         asc * np.minimum(1.0, (200.0 * raw / np.where(asc == 0.0, 1.0, asc)) ** 1.5),
         raw,
     )
-    err = np.maximum(err, 10.0 * _EPS * resabs * half)
-    return value, err, x.size
+    floor = 10.0 * _EPS * resabs * half
+    return value, np.maximum(err, floor), floor, x.size
 
 
 def _finish(vals, errs, frozen_value, frozen_error, evals, converged, abs_tol):

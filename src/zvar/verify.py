@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
-from .cov import BridgeSpec, CovError, apply_cov, bridge_transform, parse_cov_spec
+from .cov import CovError, apply_cov, parse_cov_spec
 from .expr import ExprError, parse
 from .taper import TaperError, parse_boundary_spec, parse_taper_spec
 from .zeval import (
@@ -227,10 +227,7 @@ def derive_right(left: ZIntegralSpec, left_mode: str, cov_text: str,
     """
     cov = parse_cov_spec(cov_text,
                          a=left.lower_limit if isinstance(left, InfiniteIntegral) else None)
-    if isinstance(cov, BridgeSpec):
-        right = bridge_transform(left, cov.d, cov.alpha)
-    else:
-        right = apply_cov(left, cov, allow_inconclusive=allow_inconclusive)
+    right = apply_cov(left, cov, allow_inconclusive=allow_inconclusive)
     return right, left_mode if isinstance(right, FiniteIntegral) else "direct"
 
 

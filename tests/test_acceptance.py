@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from abel_oracle import ORACLE_TOL, abel_limit
-from zvar.cov import CovError, apply_cov, bridge_transform, make_exp_cov, make_finite_power_cov, make_power_cov
+from zvar.cov import (CovError, apply_cov, make_bridge_cov, make_exp_cov, make_finite_power_cov,
+                      make_power_cov)
 from zvar.expr import evaluate, parse
 from zvar.taper import boundary_taper_from_z, check_moments, make_matched_trig, make_smooth_taper
 from zvar.verify import compare_pair, run_suite
@@ -162,7 +163,7 @@ def test_criterion_09_bridge_equivalence_both_directions(smooth):
     fin = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, boundary_taper_from_z(smooth))
     cfg = EvalConfig(b_start=1.0, b_count=14, tol=1e-5, quad_tol=1e-9)
     via_bridge = eval_finite(fin, cfg, mode="bridge")
-    explicit = bridge_transform(fin, 1.0, 1.0)
+    explicit = apply_cov(fin, make_bridge_cov(1.0, 1.0))
     for x in (0.0, 0.7, 1.5):
         assert evaluate(explicit.integrand, {"x": x}) == pytest.approx(
             math.exp(x) * math.sin(math.exp(x)), rel=1e-12)
@@ -172,7 +173,7 @@ def test_criterion_09_bridge_equivalence_both_directions(smooth):
 
     # infinite -> finite: exp decay maps to the constant integrand
     inf = InfiniteIntegral(parse("exp(-x)"), 0.0, smooth)
-    fin_image = bridge_transform(inf, 1.0, 1.0)
+    fin_image = apply_cov(inf, make_bridge_cov(1.0, 1.0))
     r_inf = eval_infinite(inf, EvalConfig(accelerate=True))
     r_fin = eval_finite(fin_image, EvalConfig(accelerate=True), mode="direct")
     pair_two = (r_inf.status == r_fin.status == "converged"

@@ -187,11 +187,10 @@ def test_max_evals_is_enforced():
     assert payload["evaluations"] == 0
 
 
-def test_env_var_budget(monkeypatch):
-    monkeypatch.setenv("ZVAR_MAX_EVALS", "5000")
+def test_max_evals_budget():
     code, out, _ = _run(["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
                          "--z", "taper:c=1", "--b-start", "2e6", "--b-step", "1",
-                         "--b-count", "30", "--json"])
+                         "--b-count", "30", "--max-evals", "5000", "--json"])
     assert code == 0
     assert json.loads(out)["spec_echo"]["config"]["max_evals_per_point"] == 5000
 

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from zvar.cov import (
-    BridgeSpec,
     ChangeOfVariable,
     CovError,
     apply_cov,
-    bridge_transform,
     make_bridge_cov,
     make_custom_cov,
     make_exp_cov,
@@ -177,8 +175,8 @@ def test_apply_kind_mismatch(smooth_z):
     spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
     with pytest.raises(CovError, match="does not match"):
         apply_cov(spec, make_finite_power_cov(1.0, 2.0))
-    with pytest.raises(CovError, match="bridge"):
-        apply_cov(spec, make_bridge_cov(1.0, 1.0))
+    # a bridge converts between the forms instead of refusing the mismatch
+    assert isinstance(apply_cov(spec, make_bridge_cov(1.0, 1.0)), FiniteIntegral)
 
 
 def test_apply_finite_power_to_inverse_sqrt(smooth_z):
@@ -213,7 +211,7 @@ def test_argument_level_round_trip(matched_z):
 def test_bridge_finite_to_infinite(smooth_z):
     w = boundary_taper_from_z(smooth_z)
     spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, w)
-    out = bridge_transform(spec, 1.0, 1.0)
+    out = apply_cov(spec, make_bridge_cov(1.0, 1.0))
     assert isinstance(out, InfiniteIntegral)
     assert out.lower_limit == pytest.approx(0.0)
     assert out.taper is smooth_z
@@ -225,7 +223,7 @@ def test_bridge_finite_to_infinite(smooth_z):
 
 def test_bridge_infinite_to_finite(smooth_z):
     spec = InfiniteIntegral(parse("exp(-x)"), 0.0, smooth_z)
-    out = bridge_transform(spec, 1.0, 1.0)
+    out = apply_cov(spec, make_bridge_cov(1.0, 1.0))
     assert isinstance(out, FiniteIntegral)
     assert out.upper_limit == pytest.approx(1.0)
     assert out.taper.origin is smooth_z
@@ -236,7 +234,8 @@ def test_bridge_infinite_to_finite(smooth_z):
 def test_bridge_round_trip_pointwise(smooth_z):
     w = boundary_taper_from_z(smooth_z)
     spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, w)
-    back = bridge_transform(bridge_transform(spec, 1.0, 1.0), 1.0, 1.0)
+    bridge = make_bridge_cov(1.0, 1.0)
+    back = apply_cov(apply_cov(spec, bridge), bridge)
     assert isinstance(back, FiniteIntegral)
     assert back.upper_limit == pytest.approx(1.0)
     for u in (0.05, 0.3, 0.9):
@@ -248,7 +247,7 @@ def test_bridge_round_trip_pointwise(smooth_z):
 def test_bridge_scale_family(smooth_z):
     w = boundary_taper_from_z(smooth_z)
     spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
-    out = bridge_transform(spec, 2.0, 0.5)
+    out = apply_cov(spec, make_bridge_cov(2.0, 0.5))
     assert out.lower_limit == pytest.approx(-math.log(1.0 / 2.0) / 0.5)
     for x in (2.0, 3.0, 5.0):
         u = 2.0 * math.exp(-0.5 * x)
@@ -264,10 +263,23 @@ def test_bridge_general_scale_preserves_value(smooth_z):
     spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
     base = eval_finite(spec, EvalConfig(accelerate=True))
     for d, alpha in ((1.0, 2.0), (2.0, 0.5), (3.0, 1.0)):
-        image = bridge_transform(spec, d, alpha)
+        image = apply_cov(spec, make_bridge_cov(d, alpha))
         r = eval_infinite(image, EvalConfig(accelerate=True))
         assert r.status == "converged", (d, alpha)
         assert abs(r.value - base.value) < 1e-6, (d, alpha, r.value)
+
+
+def test_bridge_infinite_to_finite_scale_family(smooth_z):
+    spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
+    d, alpha = 2.0, 3.0
+    out = apply_cov(spec, make_bridge_cov(d, alpha))
+    assert isinstance(out, FiniteIntegral)
+    assert out.upper_limit == d * math.exp(-alpha)
+    assert out.taper.origin is smooth_z
+    for u in (0.01, 0.05, 0.09):
+        x = -math.log(u / d) / alpha
+        want = x ** -2 / (alpha * u)
+        assert evaluate(out.integrand, {"u": u}) == pytest.approx(want, rel=1e-12)
 
 
 def test_bridge_requires_origin(smooth_z):
@@ -276,15 +288,46 @@ def test_bridge_requires_origin(smooth_z):
     w = BoundaryTaper(body=parse("1+0*v"), support_floor=0.0, kind="adhoc", origin=None)
     spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
     with pytest.raises(CovError, match="origin|termination"):
-        bridge_transform(spec, 1.0, 1.0)
+        apply_cov(spec, make_bridge_cov(1.0, 1.0))
 
 
-def test_bridge_parameter_guards(smooth_z):
-    spec = InfiniteIntegral(parse("exp(-x)"), 0.0, smooth_z)
+def test_bridge_parameter_guards():
     with pytest.raises(CovError):
-        bridge_transform(spec, 0.0, 1.0)
+        make_bridge_cov(0.0, 1.0)
     with pytest.raises(CovError):
-        bridge_transform(spec, 1.0, -1.0)
+        make_bridge_cov(1.0, -1.0)
+
+
+def test_custom_finite_cov_sampled_checks(smooth_z):
+    sqrt_map = make_custom_cov("finite_cov", "u^2", "t^(1/2)", (1e-9, 1.0))
+    report = validate_cov(sqrt_map)
+    assert report.verdict == "inconclusive"
+    sampled = [c for c in report.checks if c.condition != "analytic_certificate"]
+    assert {c.condition for c in sampled} == {
+        "forward_positive", "forward_derivative_positive", "forward_vanishes_at_zero",
+        "inverse_roundtrip"}
+    assert all(c.passed for c in sampled)
+
+    shifted = make_custom_cov("finite_cov", "u+1", "t-1", (1e-9, 1.0))
+    report = validate_cov(shifted)
+    assert report.verdict == "invalid"
+    assert {c.condition for c in report.checks if not c.passed} == {
+        "forward_vanishes_at_zero", "analytic_certificate"}
+
+    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, boundary_taper_from_z(smooth_z))
+    out = apply_cov(spec, sqrt_map, allow_inconclusive=True)
+    assert isinstance(out, FiniteIntegral)
+    assert out.upper_limit == pytest.approx(1.0)
+    # g(t^(1/2)) * (1/2) t^(-1/2) = (1/2) t^(-3/4)
+    for t in (0.01, 0.3, 1.0):
+        assert evaluate(out.integrand, {"t": t}) == pytest.approx(0.5 * t ** -0.75, rel=1e-12)
+
+
+def test_custom_bridge_is_rejected():
+    with pytest.raises(CovError, match="custom transform kind"):
+        make_custom_cov("bridge", "exp(-x)", "-ln(u)", (0.0, 50.0))
+    with pytest.raises(CovError, match="custom transform kind"):
+        parse_cov_spec("custom:kind=bridge,forward=exp(-x),inverse=-ln(u),lo=0,hi=50")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +342,7 @@ def test_parse_cov_specs():
     cov = parse_cov_spec("finpower:d=1,r=2")
     assert cov.kind == "finite_cov"
     bridge = parse_cov_spec("bridge:d=1,alpha=1")
-    assert isinstance(bridge, BridgeSpec)
+    assert bridge.kind == "bridge"
     custom = parse_cov_spec(
         "custom:kind=infinite_cov,forward=x+5,inverse=y-5,lo=0,hi=50")
     assert custom.kind == "infinite_cov"

@@ -116,6 +116,19 @@ def test_float_resolution_panels_are_frozen():
     assert r.evaluations == 1620
 
 
+def test_tolerance_below_roundoff_stops_early():
+    # 10 eps times the integral of |f| exceeds abs_tol: no refinement can
+    # meet it, so the run stops after the first batch instead of spending
+    # its budget.
+    def step(x):
+        return (x >= 1.0 / 3.0).astype(float)
+
+    for fn, lo, hi, tol in ((step, 0.0, 0.34, 1e-17), (np.sin, 0.0, 1000.0, 1e-14)):
+        r = integrate_callable(fn, lo, hi, tol, max_evals=1_000_000)
+        assert not r.converged
+        assert r.evaluations <= 120
+
+
 def test_domain_fault_raised_with_location():
     with pytest.raises(DomainFault):
         integrate_proper(parse("ln(x)"), "x", -1.0, 1.0, 1e-10)
