@@ -1,34 +1,48 @@
 """Adaptive proper-integral engine on finite intervals.
 
-A Gauss(7)/Kronrod(15) embedded pair drives global adaptive bisection
-(QUADPACK's QAG scheme): the span starts as eight panels, and each round
-bisects the panels carrying at least half of the frontier's error
-estimate and applies the rule to their children in one vectorized batch.
-Only those children are evaluated; every other panel keeps its value and
-error from the round that created it.  The Kronrod nodes are strictly
+One engine integrates S segments in lockstep, each by QUADPACK's QAG
+scheme (Piessens et al. 1983) with its own frontier, error budget and
+evaluation count, as `scipy.integrate.quad_vec` does for the components
+of a vector integrand.  A segment starts as eight panels; each round it
+bisects the panels carrying at least half of its error estimate.  The
+Gauss(7)/Kronrod(15) rule is then applied to the children of every live
+segment in one vectorized batch, with one call per integrand, in blocks
+of whole segments of at most 512 panels (a larger segment runs alone).
+Only children are evaluated: every other panel keeps its value and error
+from the round that created it.  The Kronrod nodes are strictly
 interior, so endpoints are never sampled.
 
-Budget exhaustion is a soft failure: the best-effort value is returned
-with converged=False and an honest error estimate.  No evaluation is
-spent beyond max_evals, so a budget too small for the first batch
-returns converged=False after zero evaluations.  So is a tolerance below
-roundoff: once the panels' roundoff floors (10 eps times the integral of
-|f| over each) and the frozen panels' errors exceed abs_tol together, no
-refinement can meet it, and the run stops (QUADPACK's ier=2).  Non-finite
-integrand values raise DomainFault with the offending abscissa.
+A segment's decisions and sums read only its own panels, in the order a
+one-segment run keeps them, so a segment gets the same result, bit for
+bit, in a batch of any size.  For that reason the |f| matrix-vector sums
+run per segment: BLAS's result for a row depends on the number of rows
+in the call.
+
+A segment stops unconverged, with its best-effort value and error, when
+- its budget is spent.  No evaluation goes beyond max_evals, so a budget
+  smaller than the first batch returns after zero evaluations;
+- abs_tol is below roundoff.  Once the panels' roundoff floors (10 eps
+  times the integral of |f| over each) and the frozen panels' errors
+  exceed abs_tol together, no refinement can meet it (QUADPACK's ier=2);
+- the frozen panels hold more than abs_tol in absolute value.  A panel
+  too narrow to bisect in floating point is frozen: its value and error
+  still count, but its value can no longer be checked (ier=5).
+A non-finite integrand value fails its own segment only, with a
+DomainFault that names the abscissa.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import DomainFault, ExprAST, compile_expr
 
-__all__ = ["QuadResult", "integrate_proper", "integrate_callable"]
+__all__ = ["QuadResult", "integrate_proper", "integrate_callable", "integrate_segments"]
 
 # Gauss-Kronrod 7-15 pair, nodes sorted ascending.  WG is aligned with the
 # Kronrod nodes and zero where the node is Kronrod-only.
@@ -68,6 +82,12 @@ _WKG = np.column_stack([_WK, _WG])   # one matmul gives the Kronrod and Gauss su
 _EPS = np.finfo(float).eps
 _INITIAL_SPLIT = 8   # aliasing insurance: never judge the span by one panel
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
+_NONE = np.arange(0)
+_BATCH_PANELS = 512  # rule batch bound; a segment with more children runs alone
+
+# Segments sharing one integrand: (fn, lo, hi, params), see integrate_segments.
+SegmentGroup = tuple[Callable[..., np.ndarray], Sequence[float], Sequence[float],
+                     Sequence[float] | None]
 
 
 @dataclass(frozen=True)
@@ -99,122 +119,280 @@ def integrate_proper(f: ExprAST, var: str, lo: float, hi: float, abs_tol: float,
 
 def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                        abs_tol: float, max_evals: int = 10_000_000) -> QuadResult:
-    """Core engine over a vectorized callable (x-array -> f-array)."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration limits must be finite")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    """Integrate a vectorized callable (x-array -> f-array) over [lo, hi]."""
+    result, = integrate_segments([(fn, (lo,), (hi,), None)], abs_tol, max_evals)
+    if isinstance(result, DomainFault):
+        raise result
+    return result
+
+
+def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
+                       max_evals: int = 10_000_000) -> list[QuadResult | DomainFault]:
+    """Integrate every segment of every group to absolute tolerance abs_tol.
+
+    A group (fn, lo, hi, params) holds the segments [lo[i], hi[i]] of fn,
+    which is called as fn(x) when params is None and as fn(x, p) otherwise,
+    p holding params[i] at every point of segment i.  The results come in
+    group order, one per segment: what integrate_callable returns for that
+    segment alone, or the DomainFault it raises.  max_evals caps each
+    segment.
+    """
+    owner, param, lo, hi = [], [], [], []
+    for g, (_, glo, ghi, gparams) in enumerate(groups):
+        for i, (a, b) in enumerate(zip(glo, ghi, strict=True)):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("integration limits must be finite")
+            if not a < b:
+                raise ValueError(f"need lo < hi, got [{a!r}, {b!r}]")
+            owner.append(g)
+            param.append(None if gparams is None else gparams[i])
+            lo.append(a)
+            hi.append(b)
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
-    if max_evals < _INITIAL_SPLIT * _XK.size:
-        return QuadResult(value=math.nan, error_estimate=math.inf, evaluations=0,
-                          converged=False)
+    count = len(lo)
+    first_batch = _INITIAL_SPLIT * _XK.size
+    if max_evals < first_batch:
+        return [QuadResult(value=math.nan, error_estimate=math.inf, evaluations=0,
+                           converged=False) for _ in range(count)]
+    rule = _Rule([group[0] for group in groups], owner, param)
+    results: list[QuadResult | DomainFault | None] = [None] * count
+    evals = [first_batch] * count
+    frozen_value = [0.0] * count
+    frozen_error = [0.0] * count
+    frozen_abs = [0.0] * count
+
+    def finish(s, block, converged, err_sum=None):
+        if err_sum is None:
+            err_sum = float(block[3].sum())
+        results[s] = QuadResult(value=float(block[2].sum()) + frozen_value[s],
+                                error_estimate=err_sum + frozen_error[s],
+                                evaluations=evals[s], converged=converged)
+
+    # The frontier holds one block of columns (a, b, value, error, roundoff
+    # floor) per live segment, in segment order.  A bisected panel's left
+    # child takes its column and the right child is appended to the block,
+    # so each block keeps the panel order, and the sums, of a one-segment
+    # run.  Each round's children are the columns of `kids`; an entry of
+    # `carried` is (segment, block, first and end child column, split): the
+    # first split.size children replace the split columns, the rest are
+    # appended.  The starting panels are children appended to empty blocks.
+    lo_arr = np.array(lo, dtype=float)
+    hi_arr = np.array(hi, dtype=float)
     # np.linspace(lo, hi, _INITIAL_SPLIT + 1) bit for bit, at a third of its cost.
-    edges = _SLOTS * ((hi - lo) / _INITIAL_SPLIT) + lo
-    edges[-1] = hi
-    # The frontier is unordered: a bisected panel's left child takes its
-    # slot and the right child is appended.  b is written in place, so it
-    # must not share memory with a.
-    a = edges[:-1]
-    b = edges[1:].copy()
-    vals, errs, floors, evals = _rule_batch(fn, a, b)
-    # Panels not yet tested for float resolution: the left children sit in
-    # the slots `split` of their parents, the right children from slot n on.
-    new_a, new_b, split, n = a, b, np.arange(0), 0
+    edges = _SLOTS * ((hi_arr - lo_arr) / _INITIAL_SPLIT)[:, None] + lo_arr[:, None]
+    edges[:, -1] = hi_arr
+    kids = np.empty((5, count, _INITIAL_SPLIT))
+    kids[0] = edges[:, :-1]
+    kids[1] = edges[:, 1:]
+    kids = kids.reshape(5, -1)
+    panels = kids[:, :0]
+    rows = [(s, s * _INITIAL_SPLIT, (s + 1) * _INITIAL_SPLIT) for s in range(count)]
+    carried = [(s, panels, r0, r1, _NONE) for s, r0, r1 in rows]
+    at = _NONE
+    stuck: dict[int, np.ndarray] = {}   # segment -> fresh columns too narrow to bisect
 
-    frozen_value = 0.0
-    frozen_error = 0.0
+    while carried:
+        faults, narrow = rule.apply(kids, rows) if rows else ({}, None)
+        if at.size:
+            lefts = [kids[1:, r0:(r0 + r1) // 2] for _, r0, r1 in rows]
+            panels[1:, at] = np.concatenate(lefts, axis=1) if len(lefts) > 1 else lefts[0]
+        pieces, live, sizes = [], [], []
+        for s, block, r0, r1, split in carried:
+            if s in faults:
+                results[s] = faults[s]
+                continue
+            n = block.shape[1]
+            added = r1 - r0 - split.size
+            if narrow is not None and narrow[r0:r1].any():
+                fresh = np.concatenate([split, n + np.arange(added)])
+                stuck[s] = fresh[narrow[r0:r1]]
+            if n:
+                pieces.append(block)
+            if added:
+                pieces.append(kids[:, r1 - added:r1])
+            live.append(s)
+            sizes.append(n + added)
+        if not live:
+            break
+        panels = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
 
-    while True:
-        err_sum = float(errs.sum())
-        if err_sum + frozen_error <= abs_tol:
-            return _finish(vals, errs, frozen_value, frozen_error, evals, True, abs_tol)
-        if evals >= max_evals or float(floors.sum()) + frozen_error > abs_tol:
-            return _finish(vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
+        carried, splits, rows, children = [], [], [], 0
+        end = 0
+        for s, n in zip(live, sizes):
+            start, end = end, end + n
+            block = panels[:, start:end]
+            gone = stuck.pop(s, None)
+            errs = block[3]
+            err_sum = float(errs.sum())
+            if err_sum + frozen_error[s] <= abs_tol:
+                finish(s, block, True, err_sum)
+            elif evals[s] >= max_evals or float(block[4].sum()) + frozen_error[s] > abs_tol:
+                finish(s, block, False, err_sum)
+            elif gone is not None:
+                # Freeze the panels too narrow to bisect in floating point.  A
+                # panel that passed this test once always passes, so only
+                # fresh ones run it.
+                frozen_value[s] += float(block[2, gone].sum())
+                frozen_error[s] += float(block[3, gone].sum())
+                frozen_abs[s] += float(np.abs(block[2, gone]).sum())
+                keep = np.ones(n, dtype=bool)
+                keep[gone] = False
+                block = block[:, keep]
+                if frozen_abs[s] > abs_tol or block.shape[1] == 0:
+                    converged = frozen_abs[s] <= abs_tol and frozen_error[s] <= abs_tol
+                    finish(s, block, converged)
+                else:
+                    carried.append((s, block, children, children, _NONE))
+            else:
+                # Bisect the subset carrying at least half of the segment's error.
+                order = errs.argsort()[::-1]
+                cum = errs[order].cumsum()
+                split = order[:int(cum.searchsorted(0.5 * err_sum)) + 1]
+                if evals[s] + 2 * split.size * _XK.size > max_evals:
+                    allowed = max(0, (max_evals - evals[s]) // (2 * _XK.size))
+                    if allowed == 0:
+                        finish(s, block, False, err_sum)
+                        continue
+                    split = split[:allowed]
+                k = split.size
+                evals[s] += 2 * k * _XK.size
+                splits.append(split + start if start else split)
+                rows.append((s, children, children + 2 * k))
+                carried.append((s, block, children, children + 2 * k, split))
+                children += 2 * k
 
-        # Freeze intervals too narrow to bisect in floating point.  A panel
-        # that passed this test once always passes, so only new ones run it.
-        mids = 0.5 * (new_a + new_b)
-        stuck = (mids <= new_a) | (mids >= new_b)
-        new_a = new_b = a[:0]
-        if stuck.any():
-            k = split.size
-            gone = np.concatenate([split[stuck[:k]], n + np.flatnonzero(stuck[k:])])
-            frozen_value += float(vals[gone].sum())
-            frozen_error += float(errs[gone].sum())
-            keep = np.ones(a.size, dtype=bool)
-            keep[gone] = False
-            a, b, vals, errs, floors = a[keep], b[keep], vals[keep], errs[keep], floors[keep]
-            if a.size == 0:
-                done = frozen_error <= abs_tol
-                return _finish(vals, errs, frozen_value, frozen_error, evals, done, abs_tol)
-            continue
-
-        # Bisect the subset carrying at least half of the frontier error.
-        order = np.argsort(errs)[::-1]
-        cum = np.cumsum(errs[order])
-        split = order[:int(np.searchsorted(cum, 0.5 * err_sum)) + 1]
-
-        if evals + 2 * split.size * 15 > max_evals:
-            allowed = max(0, (max_evals - evals) // 30)
-            if allowed == 0:
-                return _finish(vals, errs, frozen_value, frozen_error, evals, False, abs_tol)
-            split = split[:allowed]
-
-        n = a.size
-        k = split.size
-        left = a[split]
-        right = b[split]
-        mid = 0.5 * (left + right)
-        new_a = np.concatenate([left, mid])
-        new_b = np.concatenate([mid, right])
-        cvals, cerrs, cfloors, used = _rule_batch(fn, new_a, new_b)
-        evals += used
-
-        b[split] = mid
-        vals[split] = cvals[:k]
-        errs[split] = cerrs[:k]
-        floors[split] = cfloors[:k]
-        a = np.concatenate([a, mid])
-        b = np.concatenate([b, right])
-        vals = np.concatenate([vals, cvals[k:]])
-        errs = np.concatenate([errs, cerrs[k:]])
-        floors = np.concatenate([floors, cfloors[k:]])
-
-
-def _rule_batch(fn, a: np.ndarray, b: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Apply the 15-point rule to every [a_i, b_i]; returns (values, errors, floors, evals)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    fx = fn(x.ravel()).reshape(x.shape)
-    resabs = np.abs(fx) @ _WK
-    if not math.isfinite(resabs.sum()):
-        # A non-finite f makes the sum non-finite; only then scan the points.
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            where = x[bad][0]
-            raise DomainFault(f"integrand evaluated to a non-finite value at {where!r}")
-    kg = fx @ _WKG
-    resk = kg[:, 0]
-    resg = kg[:, 1]
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK
-    value = resk * half
-    raw = np.abs(resk - resg) * half
-    asc = resasc * half
-    err = np.where(
-        (asc != 0.0) & (raw != 0.0),
-        asc * np.minimum(1.0, (200.0 * raw / np.where(asc == 0.0, 1.0, asc)) ** 1.5),
-        raw,
-    )
-    floor = 10.0 * _EPS * resabs * half
-    return value, np.maximum(err, floor), floor, x.size
+        at = _NONE
+        if splits:
+            at = np.concatenate(splits) if len(splits) > 1 else splits[0]
+            left = panels[0, at]
+            right = panels[1, at]
+            mid = 0.5 * (left + right)
+            # Segment by segment: the left children, then the right ones.
+            kids = np.empty((5, children))
+            if len(rows) == 1:
+                np.concatenate([left, mid], out=kids[0])
+                np.concatenate([mid, right], out=kids[1])
+            else:
+                sides = [slice(r0 // 2, r1 // 2) for _, r0, r1 in rows]
+                np.concatenate([part for i in sides for part in (left[i], mid[i])], out=kids[0])
+                np.concatenate([part for i in sides for part in (mid[i], right[i])], out=kids[1])
+    return results
 
 
-def _finish(vals, errs, frozen_value, frozen_error, evals, converged, abs_tol):
-    value = float(vals.sum()) + frozen_value
-    error = float(errs.sum()) + frozen_error
-    if converged and error > abs_tol:  # pragma: no cover - guarded by caller
-        converged = False
-    return QuadResult(value=value, error_estimate=error, evaluations=evals, converged=converged)
+class _Rule:
+    """The 15-point rule over the columns of a panel batch, one call per integrand."""
+
+    def __init__(self, fns, owner, param):
+        self.fns = fns
+        self.owner = owner
+        self.param = param
+
+    def apply(self, panels, rows):
+        """Fill value, error and roundoff floor (rows 2-4) of every panel [a, b].
+
+        rows lists (segment, first column, end column), contiguous and in
+        segment order.  Returns the DomainFault of each segment whose
+        integrand is not finite, and a mask of the panels too narrow to
+        bisect (None when there are none).
+        """
+        faults = {}
+        narrow = None
+        first = 0
+        while first < len(rows):
+            last = first + 1
+            while last < len(rows) and rows[last][2] - rows[first][1] <= _BATCH_PANELS:
+                last += 1
+            r0, r1 = rows[first][1], rows[last - 1][2]
+            local = rows[first:last]
+            if r0:
+                local = [(s, q0 - r0, q1 - r0) for s, q0, q1 in local]
+            first = last
+            a = panels[0, r0:r1]
+            b = panels[1, r0:r1]
+            mid = 0.5 * (a + b)
+            tight = (mid <= a) | (mid >= b)
+            if np.count_nonzero(tight):
+                if narrow is None:
+                    narrow = np.zeros(panels.shape[1], dtype=bool)
+                narrow[r0:r1] = tight
+            half = 0.5 * (b - a)
+            faults.update(self._block(panels[2:, r0:r1], mid, half, local))
+        return faults, narrow
+
+    def _block(self, out, mid, half, rows):
+        fx = self._evaluate(mid, half, rows)
+        resabs = _segment_sums(np.abs(fx), rows)
+        faults = {}
+        if not math.isfinite(resabs.sum()):
+            # A non-finite f makes the sum non-finite; only then scan the points.
+            # The faulted segments' results are dropped; zeroing their f keeps
+            # the batch's arithmetic finite.
+            fx = fx.copy()
+            bad = ~np.isfinite(fx)
+            for s, q0, q1 in rows:
+                if bad[q0:q1].any():
+                    r, c = np.argwhere(bad[q0:q1])[0]
+                    where = mid[q0 + r] + half[q0 + r] * _XK[c]
+                    faults[s] = DomainFault(
+                        f"integrand evaluated to a non-finite value at {where!r}")
+                    fx[q0:q1] = 0.0
+                    resabs[q0:q1] = 0.0
+        kg = fx @ _WKG
+        resk = kg[:, 0]
+        resg = kg[:, 1]
+        dev = fx - 0.5 * resk[:, None]
+        resasc = _segment_sums(np.abs(dev, out=dev), rows)
+        raw = np.abs(resk - resg) * half
+        asc = resasc * half
+        err = np.where(
+            (asc != 0.0) & (raw != 0.0),
+            asc * np.minimum(1.0, (200.0 * raw / np.where(asc == 0.0, 1.0, asc)) ** 1.5),
+            raw,
+        )
+        np.multiply(resk, half, out=out[0])
+        floor = np.multiply(10.0 * _EPS * resabs, half, out=out[2])
+        np.maximum(err, floor, out=out[1])
+        return faults
+
+    def _evaluate(self, mid, half, rows):
+        """f at every node, one call per run of rows sharing an integrand.
+
+        A run longer than _BATCH_PANELS rows is cut into calls of that many,
+        which bounds the integrand's temporaries.
+        """
+        s, q0, q1 = rows[0]
+        if len(rows) == 1 and q1 - q0 <= _BATCH_PANELS:
+            x = (mid[:, None] + half[:, None] * _XK).ravel()
+            fn, p = self.fns[self.owner[s]], self.param[s]
+            return (fn(x) if p is None else fn(x, np.full(x.size, p))).reshape(-1, _XK.size)
+        parts = []
+        for g, run in itertools.groupby(rows, key=lambda row: self.owner[row[0]]):
+            run = list(run)
+            start, end = run[0][1], run[-1][2]
+            params = None
+            if self.param[run[0][0]] is not None:
+                params = np.repeat([self.param[s] for s, _, _ in run],
+                                   [(q1 - q0) * _XK.size for _, q0, q1 in run])
+            for r0 in range(start, end, _BATCH_PANELS):
+                r1 = min(r0 + _BATCH_PANELS, end)
+                x = (mid[r0:r1, None] + half[r0:r1, None] * _XK).ravel()
+                if params is None:
+                    parts.append(self.fns[g](x))
+                else:
+                    p = params[(r0 - start) * _XK.size:(r1 - start) * _XK.size]
+                    parts.append(self.fns[g](x, p))
+        fx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return fx.reshape(-1, _XK.size)
+
+
+def _segment_sums(m, rows):
+    """m @ _WK, one call per segment: BLAS's result for a row depends on the
+    number of rows in the call, and a segment's results must not depend on
+    the batch it is in."""
+    if len(rows) == 1:
+        return m @ _WK
+    out = np.empty(m.shape[0])
+    for _, q0, q1 in rows:
+        np.matmul(m[q0:q1], _WK, out=out[q0:q1])
+    return out

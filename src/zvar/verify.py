@@ -163,12 +163,15 @@ def strict_json(payload, indent: int | None = None) -> str:
     return json.dumps(clean(payload), indent=indent, allow_nan=False)
 
 
-def shipped_corpus_path() -> Path:
-    return Path(str(resources.files("zvar").joinpath("data/corpus.jsonl")))
+def shipped_corpus_path() -> resources.abc.Traversable:
+    """The shipped corpus as a resource: a file, or a member of a zipped package."""
+    return resources.files("zvar").joinpath("data/corpus.jsonl")
 
 
-def load_corpus(path: str | Path | None = None) -> list[Case]:
-    source = Path(path) if path is not None else shipped_corpus_path()
+def load_corpus(path: str | Path | resources.abc.Traversable | None = None) -> list[Case]:
+    if path is None:
+        path = shipped_corpus_path()
+    source = path if hasattr(path, "read_text") else Path(path)
     try:
         text = source.read_text(encoding="utf-8")
     except OSError as err:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import (DomainFault, ExprAST, compile_expr, const, exp as expr_exp,
                    free_variables, simplify, substitute, var)
-from .quad import integrate_callable
+from .quad import integrate_segments
 from .taper import BoundaryTaper, TerminationFunction
 
 __all__ = [
@@ -296,13 +296,19 @@ def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegr
 def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
     """Sample the bracket at each grid point, then classify the sequence.
 
-    f and window_f are compiled once per evaluation; each quadrature call
-    binds the grid point.  The bracket at point p is the running integral of
-    f between `start` and p plus the window integral of window_f(t, p) over
-    span(p); each point adds the running segment between the previous point
-    and itself.  Sampling stops once the last stability_window values agree
-    within tol.  An inner quadrature that fails to converge or meets a
-    domain fault ends it as quad_failure, keeping the samples so far.
+    f and window_f are compiled once per evaluation.  The bracket at point p
+    is the running integral of f between `start` and p plus the window
+    integral of window_f(t, p) over span(p); each point adds the running
+    segment between the previous point and itself.  Sampling stops once the
+    last stability_window values agree within tol.  An inner quadrature that
+    fails to converge or meets a domain fault ends it as quad_failure,
+    keeping the samples before it.
+
+    The points are integrated in chunks, every running segment and window
+    of a chunk in one integrate_segments call.  A chunk ends at the first
+    point that could stop the sequence, so on success no point past the
+    stopping one is integrated.  The results are read in grid order, and
+    the evaluations counted are those of the quadratures read.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -311,36 +317,66 @@ def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
     running = 0.0
     running_err = 0.0
     prev = start
-    failed = False
+    failed = stopped = False
     m = cfg.stability_window
-    for p in grid:
-        try:
-            if p != prev:
-                inc = integrate_callable(f, min(prev, p), max(prev, p), cfg.quad_tol,
-                                         cfg.max_evals_per_point)
-                evals += inc.evaluations
-                failed = not inc.converged
-                if failed:
+    while len(values) < len(grid) and not (failed or stopped):
+        points = grid[len(values):_chunk_end(values, len(grid), m, cfg.tol)]
+        steps = [(q, p) for q, p in zip([prev, *points], points) if q != p]
+        windows = [span(p) for p in points]
+        results = integrate_segments(
+            [(f, [min(q, p) for q, p in steps], [max(q, p) for q, p in steps], None),
+             (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
+            cfg.quad_tol, cfg.max_evals_per_point)
+        increments = dict(zip((p for _, p in steps), results))
+        for p, window in zip(points, results[len(steps):]):
+            inc = increments.get(p)
+            if inc is not None:
+                converged, spent = _read(inc)
+                evals += spent
+                if not converged:
+                    failed = True
                     break
                 running += inc.value
                 running_err += inc.error_estimate
-                prev = p
-            lo, hi = span(p)
-            window = integrate_callable(lambda t: window_f(t, p), lo, hi, cfg.quad_tol,
-                                        cfg.max_evals_per_point)
-        except DomainFault:
-            failed = True
-            break
-        evals += window.evaluations
-        failed = not window.converged
-        if failed:
-            break
-        values.append(running + window.value)
-        errors.append(running_err + window.error_estimate)
-        samples.append((p, values[-1]))
-        if len(values) >= m and _spread(values[-m:]) <= cfg.tol:
-            break
+            converged, spent = _read(window)
+            evals += spent
+            if not converged:
+                failed = True
+                break
+            values.append(running + window.value)
+            errors.append(running_err + window.error_estimate)
+            samples.append((p, values[-1]))
+            stopped = len(values) >= m and _spread(values[-m:]) <= cfg.tol
+            if stopped:
+                break
+        prev = points[-1]
     return _classify_result(samples, values, errors, evals, cfg, failed, direction)
+
+
+def _read(result) -> tuple[bool, int]:
+    """Whether a quadrature converged, and the evaluations it counts.
+
+    A domain fault counts none: raised one call at a time, it stopped the
+    call before its count was known.
+    """
+    if isinstance(result, DomainFault):
+        return False, 0
+    return result.converged, result.evaluations
+
+
+def _chunk_end(values, size, m, tol) -> int:
+    """End index in the grid of the next chunk of points.
+
+    Point j can stop the sequence only as the last of m samples spread
+    within tol.  So it cannot while fewer than m samples exist, nor while
+    the known samples of its window already spread wider than tol.  The
+    chunk takes those points and the first one that could stop.
+    """
+    n = len(values)
+    j = n
+    while j + 1 < size and (j + 1 < m or _spread(values[j + 1 - m:n] or [0.0]) > tol):
+        j += 1
+    return j + 1
 
 
 def _spread(window) -> float:

@@ -187,6 +187,18 @@ def test_max_evals_is_enforced():
     assert payload["evaluations"] == 0
 
 
+def test_non_integrable_inner_integral_ends_quad_failure():
+    # The window over [1, 2] holds tan's pole at pi/2: its inner quadrature
+    # stops unconverged instead of certifying a value, after a few thousand
+    # evaluations rather than a whole budget.
+    code, out, _ = _run(["eval", "--type", "inf", "--f", "tan(x)", "--a", "0",
+                         "--z", "taper:c=1", "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "quad_failure"
+    assert payload["evaluations"] < 10_000
+
+
 def test_max_evals_budget():
     code, out, _ = _run(["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
                          "--z", "taper:c=1", "--b-start", "2e6", "--b-step", "1",

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from zvar.expr import DomainFault, parse
-from zvar.quad import integrate_callable, integrate_proper
+from zvar.expr import DomainFault, compile_expr, parse
+from zvar.quad import integrate_callable, integrate_proper, integrate_segments
 
 
 def test_basic_values():
@@ -156,3 +156,80 @@ def test_invalid_arguments():
             integrate(0.0, math.inf, 1e-10)
         with pytest.raises(ValueError):
             integrate(0.0, 1.0, 0.0)
+
+
+def test_non_integrable_integral_is_not_certified():
+    # tan has a pole at pi/2.  Bisection closes in on it until panels are
+    # one ulp wide and frozen; their values cannot be checked, so once they
+    # add up to more than abs_tol the run stops unconverged (QUADPACK's ier=5).
+    r = integrate_proper(parse("tan(x)"), "x", 1.0, 2.0, 1e-10)
+    assert not r.converged
+    assert r.evaluations < 2000
+
+
+def test_segments_match_one_at_a_time():
+    # Every segment of a lockstep batch gets, bit for bit, the result it gets
+    # alone: value, error, evaluations and converged, or the same DomainFault.
+    def step(x):
+        return (x >= 1.0 / 3.0).astype(float)
+
+    def chirp(x):
+        return np.sin(1.0 / x) / x**2
+
+    def damped(x, p):
+        return 1e-7 * np.sin(p * x) * np.exp(-x)
+
+    def kink(x, c):
+        # Bisection closes in on the kink one panel per round; the smooth
+        # panels' error is their roundoff floor, so the floor's bits show in
+        # the result.
+        return np.abs(x - c) * np.exp(x)
+
+    rng = np.random.default_rng(7)
+    plain = [
+        (step, 0.0, 0.34),                              # 3e-17: a panel is frozen
+        (np.sin, 0.0, 1000.0),                          # 3e-17: below roundoff
+        (chirp, 0.002, 1.0),                            # 1e-10: budget spent
+        (np.tan, 1.0, 2.0),                             # 1e-10: frozen |value| > abs_tol
+        (compile_expr(parse("ln(x)"), ("x",)), -1.0, 1.0),   # non-finite
+    ]
+    plain += [(np.exp, lo, lo + w)
+              for lo, w in zip(rng.uniform(-3, 0, 4), rng.uniform(0.01, 0.1, 4))]
+    plain = [plain[i] for i in rng.permutation(len(plain))]
+    lo_p = rng.uniform(0.0, 1.0, 12)
+    hi_p = lo_p + rng.uniform(0.5, 3.0, 12)
+    freqs = rng.uniform(1.0, 40.0, 12)
+    kinks = rng.uniform(0.1, 0.9, 24)
+    budget = 3000
+
+    def alone(fn, lo, hi, tol):
+        try:
+            return integrate_callable(fn, lo, hi, tol, budget)
+        except DomainFault as fault:
+            return fault
+
+    outcomes = set()
+    for tol in (3e-17, 1e-10):
+        batch = integrate_segments(
+            [(damped, lo_p, hi_p, freqs),
+             (np.cos, [], [], None),                     # no segments
+             (kink, np.zeros(kinks.size), np.ones(kinks.size), kinks),
+             *[(fn, [lo], [hi], None) for fn, lo, hi in plain]],
+            tol, budget)
+        expected = [alone(lambda x, p=p: damped(x, p), lo, hi, tol)
+                    for lo, hi, p in zip(lo_p, hi_p, freqs)]
+        expected += [alone(lambda x, c=c: kink(x, c), 0.0, 1.0, tol) for c in kinks]
+        expected += [alone(fn, lo, hi, tol) for fn, lo, hi in plain]
+        assert len(batch) == len(expected)
+        for got, want in zip(batch, expected):
+            if isinstance(want, DomainFault):
+                assert isinstance(got, DomainFault) and str(got) == str(want)
+                outcomes.add("fault")
+            else:
+                assert got == want
+                outcomes.add((tol, got.converged, got.evaluations))
+    assert "fault" in outcomes
+    assert (3e-17, True, 1620) in outcomes      # the frozen step still converges
+    assert (3e-17, False, 120) in outcomes      # below roundoff
+    assert (1e-10, False, budget) in outcomes   # budget spent
+    assert (1e-10, False, 1800) in outcomes     # tan: frozen panels hold too much

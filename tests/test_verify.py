@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
+import zvar
 from zvar.cov import apply_cov, make_custom_cov, make_power_cov
 from zvar.expr import parse
 from zvar.taper import make_matched_trig
@@ -95,6 +101,23 @@ def test_suite_determinism():
 def test_corpus_loads_shipped_file():
     cases = load_corpus(shipped_corpus_path())
     assert len({c.case_id for c in cases}) == len(cases)
+
+
+def test_shipped_corpus_loads_from_a_zipped_package(tmp_path):
+    # Imported from a zip, the corpus is a zip member, not a file on disk.
+    package = Path(zvar.__file__).parent
+    archive = tmp_path / "zvar.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, Path("zvar") / path.relative_to(package))
+    code = ("import zvar, zvar.verify\n"
+            "assert '.zip' in zvar.__file__, zvar.__file__\n"
+            "print(len(zvar.verify.load_corpus()))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(archive)})
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) == len(load_corpus())
 
 
 def test_empty_corpus_rejected(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from abel_oracle import ORACLE_TOL, abel_limit
-from zvar.expr import parse
+from zvar.expr import DomainFault, parse
+from zvar.quad import integrate_callable
 from zvar.taper import BoundaryTaper, boundary_taper_from_z, make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     BridgeUnavailable,
@@ -192,6 +193,91 @@ def test_integrands_compiled_once_per_evaluation(smooth, monkeypatch):
         result = run()
         assert len(result.samples) == 8
         assert len(calls) == 2
+
+
+def _record_quadrature(monkeypatch):
+    """Record the groups of every integrate_segments call zeval makes."""
+    import zvar.zeval as zeval
+
+    calls = []
+    original = zeval.integrate_segments
+
+    def recording(groups, *args):
+        calls.append([(fn, list(lo), list(hi), params) for fn, lo, hi, params in groups])
+        return original(groups, *args)
+
+    monkeypatch.setattr(zeval, "integrate_segments", recording)
+    return calls
+
+
+def _one_at_a_time(f, window_f, start, grid, span, cfg):
+    """The bracket loop without chunks: one quadrature call per integral."""
+    values, evals, running, prev = [], 0, 0.0, start
+    m = cfg.stability_window
+    for p in grid:
+        try:
+            if p != prev:
+                inc = integrate_callable(f, min(prev, p), max(prev, p), cfg.quad_tol,
+                                         cfg.max_evals_per_point)
+                evals += inc.evaluations
+                if not inc.converged:
+                    break
+                running += inc.value
+                prev = p
+            lo, hi = span(p)
+            window = integrate_callable(lambda t: window_f(t, p), lo, hi, cfg.quad_tol,
+                                        cfg.max_evals_per_point)
+        except DomainFault:
+            break
+        evals += window.evaluations
+        if not window.converged:
+            break
+        values.append(running + window.value)
+        if len(values) >= m and max(values[-m:]) - min(values[-m:]) <= cfg.tol:
+            break
+    return values, evals
+
+
+@pytest.mark.parametrize("form", ["infinite", "finite"])
+def test_converging_evaluation_integrates_no_point_past_its_last_sample(smooth, monkeypatch,
+                                                                        form):
+    calls = _record_quadrature(monkeypatch)
+    cfg = EvalConfig()
+    if form == "infinite":
+        r = eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), cfg)
+        start, grid = 0.0, [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
+        span = lambda b: (b, b + smooth.width)  # noqa: E731
+    else:
+        w = boundary_taper_from_z(smooth)
+        r = eval_finite(FiniteIntegral(parse("u", variables=("u",)), 1.0, w), cfg)
+        start, grid = 1.0, [cfg.delta_shrink ** k for k in range(cfg.delta_count)]
+        span = lambda d: (w.support_floor * d, d)  # noqa: E731
+    assert r.status == "converged"
+    points = [p for call in calls for p in call[1][3]]
+    # Every integrated point is a sample: none past the stopping one.
+    assert points == [p for p, _ in r.samples]
+    assert max(len(call[1][3]) for call in calls[1:]) > 1   # later chunks hold several points
+    # Bit for bit what integrating one integral at a time gives.
+    f, window_f = calls[0][0][0], calls[0][1][0]
+    values, evals = _one_at_a_time(f, window_f, start, grid, span, cfg)
+    assert [v for _, v in r.samples] == values
+    assert r.evaluations == evals
+
+
+def test_domain_fault_inside_a_chunk_keeps_the_samples_before_it(smooth, monkeypatch):
+    # ln(3.3 - x) faults past x = 3.3: the window of the third point, [2.4, 3.4],
+    # is the first integral to reach there, inside the first five-point chunk.
+    calls = _record_quadrature(monkeypatch)
+    cfg = EvalConfig()
+    r = eval_infinite(InfiniteIntegral(parse("ln(3.3 - x)"), 0.0, smooth), cfg)
+    assert r.status == "quad_failure"
+    assert [p for p, _ in r.samples] == [1.0, 1.7]
+    assert len(calls) == 1 and len(calls[0][1][3]) == 5
+    f, window_f = calls[0][0][0], calls[0][1][0]
+    grid = [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
+    values, evals = _one_at_a_time(f, window_f, 0.0, grid, lambda b: (b, b + smooth.width), cfg)
+    assert [v for _, v in r.samples] == values
+    assert r.evaluations == evals
 
 
 def test_b_start_below_lower_limit_rejected(smooth):
