@@ -13,10 +13,11 @@ from the round that created it.  The Kronrod nodes are strictly
 interior, so endpoints are never sampled.
 
 A segment's decisions and sums read only its own panels, in the order a
-one-segment run keeps them, so a segment gets the same result, bit for
-bit, in a batch of any size.  For that reason the |f| matrix-vector sums
-run per segment: BLAS's result for a row depends on the number of rows
-in the call.
+one-segment run keeps them, and its rule sums take one BLAS call with
+the shape they have when it runs alone, so a segment gets the same
+result, bit for bit, in a batch of any size.  A caller that reads the
+results in order and stops at the first failure can say so, and the
+segments it would never read stop early.
 
 A segment stops unconverged, with its best-effort value and error, when
 - its budget is spent.  No evaluation goes beyond max_evals, so a budget
@@ -127,7 +128,9 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
 
 
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
-                       max_evals: int = 10_000_000) -> list[QuadResult | DomainFault]:
+                       max_evals: int = 10_000_000,
+                       read_order: Sequence[int] | None = None
+                       ) -> list[QuadResult | DomainFault | None]:
     """Integrate every segment of every group to absolute tolerance abs_tol.
 
     A group (fn, lo, hi, params) holds the segments [lo[i], hi[i]] of fn,
@@ -136,6 +139,12 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     group order, one per segment: what integrate_callable returns for that
     segment alone, or the DomainFault it raises.  max_evals caps each
     segment.
+
+    read_order, one position per segment, is the order in which a caller
+    reads the results and stops at the first failure (a DomainFault or
+    converged=False).  A segment placed after a failed one is never read,
+    so it stops within a round of that failure; its result is None unless
+    it had finished.
     """
     owner, param, lo, hi = [], [], [], []
     for g, (_, glo, ghi, gparams) in enumerate(groups):
@@ -155,6 +164,8 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     if max_evals < first_batch:
         return [QuadResult(value=math.nan, error_estimate=math.inf, evaluations=0,
                            converged=False) for _ in range(count)]
+    position = [0] * count if read_order is None else list(read_order)
+    cutoff = math.inf   # read position of the first failure so far
     rule = _Rule([group[0] for group in groups], owner, param)
     results: list[QuadResult | DomainFault | None] = [None] * count
     evals = [first_batch] * count
@@ -163,11 +174,14 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     frozen_abs = [0.0] * count
 
     def finish(s, block, converged, err_sum=None):
+        nonlocal cutoff
         if err_sum is None:
             err_sum = float(block[3].sum())
         results[s] = QuadResult(value=float(block[2].sum()) + frozen_value[s],
                                 error_estimate=err_sum + frozen_error[s],
                                 evaluations=evals[s], converged=converged)
+        if not converged:
+            cutoff = min(cutoff, position[s])
 
     # The frontier holds one block of columns (a, b, value, error, roundoff
     # floor) per live segment, in segment order.  A bisected panel's left
@@ -193,34 +207,35 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     stuck: dict[int, np.ndarray] = {}   # segment -> fresh columns too narrow to bisect
 
     while carried:
-        faults, narrow = rule.apply(kids, rows) if rows else ({}, None)
+        faults, narrow = rule.apply(kids, rows)
         if at.size:
-            lefts = [kids[1:, r0:(r0 + r1) // 2] for _, r0, r1 in rows]
-            panels[1:, at] = np.concatenate(lefts, axis=1) if len(lefts) > 1 else lefts[0]
+            panels[1:, at] = _join([kids[1:, r0:(r0 + r1) // 2] for _, r0, r1 in rows], axis=1)
+        for s, fault in faults.items():
+            results[s] = fault
+            cutoff = min(cutoff, position[s])
         pieces, live, sizes = [], [], []
         for s, block, r0, r1, split in carried:
-            if s in faults:
-                results[s] = faults[s]
+            if s in faults or position[s] > cutoff:
                 continue
             n = block.shape[1]
             added = r1 - r0 - split.size
             if narrow is not None and narrow[r0:r1].any():
                 fresh = np.concatenate([split, n + np.arange(added)])
                 stuck[s] = fresh[narrow[r0:r1]]
-            if n:
-                pieces.append(block)
-            if added:
-                pieces.append(kids[:, r1 - added:r1])
+            pieces += (block, kids[:, r1 - added:r1])
             live.append(s)
             sizes.append(n + added)
         if not live:
             break
-        panels = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
+        panels = np.concatenate(pieces, axis=1)
+        del pieces, block   # views that would keep the last frontier alive
 
         carried, splits, rows, children = [], [], [], 0
         end = 0
         for s, n in zip(live, sizes):
             start, end = end, end + n
+            if position[s] > cutoff:
+                continue
             block = panels[:, start:end]
             gone = stuck.pop(s, None)
             errs = block[3]
@@ -257,20 +272,20 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                     split = split[:allowed]
                 k = split.size
                 evals[s] += 2 * k * _XK.size
-                splits.append(split + start if start else split)
+                splits.append(split + start)
                 rows.append((s, children, children + 2 * k))
                 carried.append((s, block, children, children + 2 * k, split))
                 children += 2 * k
 
         at = _NONE
         if splits:
-            at = np.concatenate(splits) if len(splits) > 1 else splits[0]
+            at = _join(splits)
             left = panels[0, at]
             right = panels[1, at]
             mid = 0.5 * (left + right)
             # Segment by segment: the left children, then the right ones.
             kids = np.empty((5, children))
-            if len(rows) == 1:
+            if len(rows) == 1:   # the same columns; a lone segment's rounds are frequent
                 np.concatenate([left, mid], out=kids[0])
                 np.concatenate([mid, right], out=kids[1])
             else:
@@ -304,9 +319,7 @@ class _Rule:
             while last < len(rows) and rows[last][2] - rows[first][1] <= _BATCH_PANELS:
                 last += 1
             r0, r1 = rows[first][1], rows[last - 1][2]
-            local = rows[first:last]
-            if r0:
-                local = [(s, q0 - r0, q1 - r0) for s, q0, q1 in local]
+            local = [(s, q0 - r0, q1 - r0) for s, q0, q1 in rows[first:last]]
             first = last
             a = panels[0, r0:r1]
             b = panels[1, r0:r1]
@@ -322,12 +335,12 @@ class _Rule:
 
     def _block(self, out, mid, half, rows):
         fx = self._evaluate(mid, half, rows)
-        resabs = _segment_sums(np.abs(fx), rows)
+        resabs = _sums(np.abs(fx), _WK, rows)
         faults = {}
         if not math.isfinite(resabs.sum()):
             # A non-finite f makes the sum non-finite; only then scan the points.
             # The faulted segments' results are dropped; zeroing their f keeps
-            # the batch's arithmetic finite.
+            # the rest of the block's arithmetic finite.
             fx = fx.copy()
             bad = ~np.isfinite(fx)
             for s, q0, q1 in rows:
@@ -338,11 +351,11 @@ class _Rule:
                         f"integrand evaluated to a non-finite value at {where!r}")
                     fx[q0:q1] = 0.0
                     resabs[q0:q1] = 0.0
-        kg = fx @ _WKG
+        kg = _sums(fx, _WKG, rows)
         resk = kg[:, 0]
         resg = kg[:, 1]
         dev = fx - 0.5 * resk[:, None]
-        resasc = _segment_sums(np.abs(dev, out=dev), rows)
+        resasc = _sums(np.abs(dev, out=dev), _WK, rows)
         raw = np.abs(resk - resg) * half
         asc = resasc * half
         err = np.where(
@@ -362,7 +375,7 @@ class _Rule:
         which bounds the integrand's temporaries.
         """
         s, q0, q1 = rows[0]
-        if len(rows) == 1 and q1 - q0 <= _BATCH_PANELS:
+        if len(rows) == 1 and q1 - q0 <= _BATCH_PANELS:   # one call, with less overhead
             x = (mid[:, None] + half[:, None] * _XK).ravel()
             fn, p = self.fns[self.owner[s]], self.param[s]
             return (fn(x) if p is None else fn(x, np.full(x.size, p))).reshape(-1, _XK.size)
@@ -382,17 +395,16 @@ class _Rule:
                 else:
                     p = params[(r0 - start) * _XK.size:(r1 - start) * _XK.size]
                     parts.append(self.fns[g](x, p))
-        fx = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return fx.reshape(-1, _XK.size)
+        return _join(parts).reshape(-1, _XK.size)
 
 
-def _segment_sums(m, rows):
-    """m @ _WK, one call per segment: BLAS's result for a row depends on the
-    number of rows in the call, and a segment's results must not depend on
-    the batch it is in."""
-    if len(rows) == 1:
-        return m @ _WK
-    out = np.empty(m.shape[0])
-    for _, q0, q1 in rows:
-        np.matmul(m[q0:q1], _WK, out=out[q0:q1])
-    return out
+def _sums(m, weights, rows):
+    """m @ weights in one BLAS call per segment, with the shape the segment
+    has when it runs alone: BLAS's result for a row can depend on the number
+    of rows in the call."""
+    return _join([m[q0:q1] @ weights for _, q0, q1 in rows])
+
+
+def _join(parts, axis=0):
+    """np.concatenate(parts, axis), without the copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)

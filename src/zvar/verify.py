@@ -168,10 +168,8 @@ def shipped_corpus_path() -> resources.abc.Traversable:
     return resources.files("zvar").joinpath("data/corpus.jsonl")
 
 
-def load_corpus(path: str | Path | resources.abc.Traversable | None = None) -> list[Case]:
-    if path is None:
-        path = shipped_corpus_path()
-    source = path if hasattr(path, "read_text") else Path(path)
+def load_corpus(path: str | Path | None = None) -> list[Case]:
+    source = shipped_corpus_path() if path is None else Path(path)
     try:
         text = source.read_text(encoding="utf-8")
     except OSError as err:

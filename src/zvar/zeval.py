@@ -308,7 +308,8 @@ def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
     of a chunk in one integrate_segments call.  A chunk ends at the first
     point that could stop the sequence, so on success no point past the
     stopping one is integrated.  The results are read in grid order, and
-    the evaluations counted are those of the quadratures read.
+    the evaluations counted are those of the quadratures read; the
+    quadratures after a failed one stop early, as they are never read.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -321,15 +322,18 @@ def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
     m = cfg.stability_window
     while len(values) < len(grid) and not (failed or stopped):
         points = grid[len(values):_chunk_end(values, len(grid), m, cfg.tol)]
-        steps = [(q, p) for q, p in zip([prev, *points], points) if q != p]
+        ends = list(zip([prev, *points], points))
+        moved = [i for i, (q, p) in enumerate(ends) if q != p]
         windows = [span(p) for p in points]
         results = integrate_segments(
-            [(f, [min(q, p) for q, p in steps], [max(q, p) for q, p in steps], None),
+            [(f, [min(ends[i]) for i in moved], [max(ends[i]) for i in moved], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
-            cfg.quad_tol, cfg.max_evals_per_point)
-        increments = dict(zip((p for _, p in steps), results))
-        for p, window in zip(points, results[len(steps):]):
-            inc = increments.get(p)
+            cfg.quad_tol, cfg.max_evals_per_point,
+            read_order=[2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
+        increments = [None] * len(points)   # none where a point repeats the previous one
+        for i, inc in zip(moved, results):
+            increments[i] = inc
+        for p, inc, window in zip(points, increments, results[len(moved):]):
             if inc is not None:
                 converged, spent = _read(inc)
                 evals += spent

@@ -233,3 +233,29 @@ def test_segments_match_one_at_a_time():
     assert (3e-17, False, 120) in outcomes      # below roundoff
     assert (1e-10, False, budget) in outcomes   # budget spent
     assert (1e-10, False, 1800) in outcomes     # tan: frozen panels hold too much
+
+
+def test_segments_after_a_failure_in_read_order_stop_early():
+    # Read in read_order, the results after the first failure (tan's) are
+    # never read: the chirp stops within a round of it, with None.  The exp
+    # segment placed after tan had already converged and keeps its result.
+    spent = []
+
+    def chirp(x):
+        spent.append(x.size)
+        return np.sin(1.0 / x) / x**2
+
+    groups = [(np.exp, [0.0, 1.0], [1.0, 2.0], None),
+              (np.tan, [1.0], [2.0], None),
+              (chirp, [2e-4], [1.0], None)]
+    got = integrate_segments(groups, 1e-10, read_order=[0, 3, 1, 2])
+    alone = [integrate_callable(np.exp, 0.0, 1.0, 1e-10),
+             integrate_callable(np.exp, 1.0, 2.0, 1e-10),
+             integrate_callable(np.tan, 1.0, 2.0, 1e-10)]
+    assert got[:3] == alone and not alone[2].converged
+    assert got[3] is None
+    cut = sum(spent)
+    spent.clear()
+    full = integrate_segments(groups, 1e-10)[3]     # no read order: the chirp runs on
+    assert cut < sum(spent) == full.evaluations
+    assert full == integrate_callable(chirp, 2e-4, 1.0, 1e-10)

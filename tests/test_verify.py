@@ -20,7 +20,6 @@ from zvar.verify import (
     demo_existence_asymmetry,
     load_corpus,
     run_suite,
-    shipped_corpus_path,
 )
 from zvar.zeval import EvalConfig, InfiniteIntegral, ZResult
 
@@ -99,7 +98,7 @@ def test_suite_determinism():
 
 
 def test_corpus_loads_shipped_file():
-    cases = load_corpus(shipped_corpus_path())
+    cases = load_corpus()
     assert len({c.case_id for c in cases}) == len(cases)
 
 

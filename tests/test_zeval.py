@@ -202,9 +202,9 @@ def _record_quadrature(monkeypatch):
     calls = []
     original = zeval.integrate_segments
 
-    def recording(groups, *args):
+    def recording(groups, *args, **kwargs):
         calls.append([(fn, list(lo), list(hi), params) for fn, lo, hi, params in groups])
-        return original(groups, *args)
+        return original(groups, *args, **kwargs)
 
     monkeypatch.setattr(zeval, "integrate_segments", recording)
     return calls
@@ -273,6 +273,44 @@ def test_domain_fault_inside_a_chunk_keeps_the_samples_before_it(smooth, monkeyp
     assert r.status == "quad_failure"
     assert [p for p, _ in r.samples] == [1.0, 1.7]
     assert len(calls) == 1 and len(calls[0][1][3]) == 5
+    f, window_f = calls[0][0][0], calls[0][1][0]
+    grid = [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
+    values, evals = _one_at_a_time(f, window_f, 0.0, grid, lambda b: (b, b + smooth.width), cfg)
+    assert [v for _, v in r.samples] == values
+    assert r.evaluations == evals
+
+
+def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
+    # zeval reads each point's running segment, then its window, and stops at
+    # the first failure; integrate_segments is given that order, so the
+    # quadratures it would never read stop early.
+    import zvar.zeval as zeval
+
+    orders = []
+    original = zeval.integrate_segments
+
+    def recording(groups, *args, read_order=None):
+        (_, _, run_hi, _), (_, _, _, points) = groups
+        labels = [("run", p) for p in run_hi] + [("window", p) for p in points]
+        orders.append(([label for _, label in sorted(zip(read_order, labels))], points))
+        return original(groups, *args, read_order=read_order)
+
+    monkeypatch.setattr(zeval, "integrate_segments", recording)
+    eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), EvalConfig())
+    assert len(orders) > 1
+    for order, points in orders:
+        assert order == [(kind, p) for p in points for kind in ("run", "window")]
+
+
+def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
+    # 1 + k * 1e-17 rounds to 1 for k <= 11: the grid repeats its first point,
+    # and a repeated point has no running segment of its own.
+    calls = _record_quadrature(monkeypatch)
+    cfg = EvalConfig(b_start=1.0, b_step=1e-17)
+    r = eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), cfg)
+    assert r.status == "converged"
+    assert [p for p, _ in r.samples] == [1.0] * cfg.stability_window
+    assert len({v for _, v in r.samples}) == 1
     f, window_f = calls[0][0][0], calls[0][1][0]
     grid = [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
     values, evals = _one_at_a_time(f, window_f, 0.0, grid, lambda b: (b, b + smooth.width), cfg)
