@@ -381,7 +381,7 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
             raise CovError(str(err)) from None
 
     iv = cov.inverse_var
-    dq = simplify(differentiate(cov.inverse, iv))
+    dq = differentiate(cov.inverse, iv)
     if bridge:
         dq = -dq  # psi decreases, so the limits swap
     new_integrand = simplify(substitute(spec.integrand, spec.variable, cov.inverse) * dq)

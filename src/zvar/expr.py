@@ -2,10 +2,16 @@
 
 The node set is deliberately small (constants, named variables, unary
 neg/sin/cos/tan/exp/ln/sqrt/abs, binary add/sub/mul/div/pow).  Trees are
-immutable and hashable; all operations return new trees.  Domain problems
-(ln of a nonpositive value, division by zero, 0^negative, ...) surface as
-DomainFault rather than silent NaN so callers can tell a singular
-integrand from a broken one.
+immutable and hashable; all operations return new trees.
+
+One table, _UFUNCS, maps each operation to the numpy ufunc that computes
+it.  `evaluate` applies it to scalars, `compile_expr` to arrays, and
+`simplify` folds constants through `evaluate`, so a folded constant is the
+value the compiled integrand computes.  Scalar evaluation is strict: an
+operation that raises a floating-point error other than underflow (ln of a
+nonpositive value, x/0, 0^negative, overflow, ...) or gives a non-finite
+value raises DomainFault, so callers can tell a singular integrand from a
+broken one.  Compiled callables let such values through as inf or nan.
 """
 
 from __future__ import annotations
@@ -23,9 +29,16 @@ __all__ = [
     "substitute", "simplify", "free_variables", "compile_expr",
 ]
 
-UNARY_OPS = ("neg", "sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-_FUNCTIONS = {"sin", "cos", "tan", "exp", "ln", "sqrt", "abs"}
+# What each operation computes; nothing else in this module decides it.
+_UFUNCS = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs,
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+    "pow": np.power,
+}
+UNARY_OPS = tuple(kind for kind, f in _UFUNCS.items() if f.nin == 1)
+BINARY_OPS = tuple(kind for kind, f in _UFUNCS.items() if f.nin == 2)
+_FUNCTIONS = set(UNARY_OPS) - {"neg"}
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
@@ -61,10 +74,8 @@ class ExprAST:
     def __post_init__(self):
         if self.kind == "const" or self.kind == "var":
             arity = 0
-        elif self.kind in UNARY_OPS:
-            arity = 1
-        elif self.kind in BINARY_OPS:
-            arity = 2
+        elif self.kind in _UFUNCS:
+            arity = _UFUNCS[self.kind].nin
         else:
             raise ExprError(f"unknown node kind {self.kind!r}")
         if len(self.children) != arity:
@@ -289,7 +300,7 @@ def _parse_atom(toks: _Tokens, allowed) -> ExprAST:
             toks.next()
             arg = _parse_expr(toks, allowed)
             _expect(toks, ")")
-            return ExprAST("ln" if lex == "ln" else lex, (arg,))
+            return ExprAST(lex, (arg,))
         if lex in _FUNCTIONS:
             raise ParseError(f"function name {lex!r} needs an argument list", off)
         if allowed is not None and lex not in allowed:
@@ -371,6 +382,11 @@ def free_variables(ast: ExprAST) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 def evaluate(ast: ExprAST, bindings: Mapping[str, float]) -> float:
+    with np.errstate(all="raise", under="ignore"):
+        return float(_evaluate(ast, bindings))
+
+
+def _evaluate(ast: ExprAST, bindings: Mapping[str, float]):
     if ast.kind == "const":
         return ast.value
     if ast.kind == "var":
@@ -378,61 +394,18 @@ def evaluate(ast: ExprAST, bindings: Mapping[str, float]) -> float:
             return float(bindings[ast.name])
         except KeyError:
             raise UnboundVariable(f"variable {ast.name!r} has no binding") from None
-    if ast.kind == "neg":
-        return -evaluate(ast.children[0], bindings)
-    if ast.kind in BINARY_OPS:
-        a = evaluate(ast.children[0], bindings)
-        b = evaluate(ast.children[1], bindings)
-        return _apply_binary(ast.kind, a, b)
-    return _apply_unary(ast.kind, evaluate(ast.children[0], bindings))
-
-
-def _apply_unary(kind: str, x: float) -> float:
+    operands = [_evaluate(child, bindings) for child in ast.children]
     try:
-        if kind == "sin":
-            return math.sin(x)
-        if kind == "cos":
-            return math.cos(x)
-        if kind == "tan":
-            return math.tan(x)
-        if kind == "exp":
-            return math.exp(x)
-        if kind == "ln":
-            if x <= 0.0:
-                raise DomainFault(f"ln of nonpositive value {x!r}")
-            return math.log(x)
-        if kind == "sqrt":
-            if x < 0.0:
-                raise DomainFault(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if kind == "abs":
-            return abs(x)
-    except OverflowError:
-        raise DomainFault(f"{kind}({x!r}) overflows") from None
-    raise ExprError(f"unknown unary op {kind!r}")
+        out = _UFUNCS[ast.kind](*operands)
+    except FloatingPointError as err:
+        raise DomainFault(f"{_call_text(ast.kind, operands)}: {err}") from None
+    if not math.isfinite(out):
+        raise DomainFault(f"{_call_text(ast.kind, operands)} is not finite")
+    return out
 
 
-def _apply_binary(kind: str, a: float, b: float) -> float:
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if b == 0.0:
-            raise DomainFault("division by zero")
-        return a / b
-    if kind == "pow":
-        if a == 0.0 and b < 0.0:
-            raise DomainFault("zero raised to a negative power")
-        if a < 0.0 and b != math.floor(b):
-            raise DomainFault(f"negative base {a!r} with non-integer exponent {b!r}")
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            raise DomainFault(f"{a!r}^{b!r} overflows") from None
-    raise ExprError(f"unknown binary op {kind!r}")
+def _call_text(kind: str, operands: list) -> str:
+    return f"{kind}({', '.join(repr(float(v)) for v in operands)})"
 
 
 # --------------------------------------------------------------------------
@@ -496,12 +469,9 @@ def simplify(ast: ExprAST) -> ExprAST:
     node = ExprAST(ast.kind, kids, name=ast.name)
     if all(c.kind == "const" for c in kids):
         try:
-            folded = evaluate(node, {})
+            return const(evaluate(node, {}))
         except DomainFault:
             return node  # keep faulting subtrees intact
-        if math.isfinite(folded):
-            return const(folded)
-        return node
     k = node.kind
     if k == "neg" and kids[0].kind == "neg":
         return kids[0].children[0]
@@ -518,7 +488,8 @@ def simplify(ast: ExprAST) -> ExprAST:
             if _is_const(a, 0.0):
                 return -b
         elif k == "mul":
-            if _is_const(a, 0.0) or _is_const(b, 0.0):
+            # 0*x is 0 for every finite binding of x; any other factor may fault, so it stays
+            if (_is_const(a, 0.0) and b.kind == "var") or (_is_const(b, 0.0) and a.kind == "var"):
                 return const(0.0)
             if _is_const(a, 1.0):
                 return b
@@ -531,8 +502,6 @@ def simplify(ast: ExprAST) -> ExprAST:
         elif k == "div":
             if _is_const(b, 1.0):
                 return a
-            if _is_const(a, 0.0):
-                return const(0.0)
         elif k == "pow":
             if _is_const(b, 1.0):
                 return a
@@ -554,16 +523,9 @@ def substitute(ast: ExprAST, name: str, replacement: ExprAST) -> ExprAST:
 
 # --------------------------------------------------------------------------
 # Vectorized compilation.  compile_expr(ast, ("x", "b")) returns a callable
-# f(x_array, b) evaluating with numpy ufuncs; domain problems appear as
-# non-finite entries which quadrature turns into DomainFault.
+# f(x_array, b) evaluating with the same ufuncs as evaluate; domain problems
+# appear as non-finite entries which quadrature turns into DomainFault.
 # --------------------------------------------------------------------------
-
-_NUMPY_UNARY = {
-    "neg": np.negative, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
-}
-_NUMPY_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
-
 
 def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarray]:
     missing = free_variables(ast) - set(args)
@@ -578,21 +540,12 @@ def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarra
         if node.kind == "var":
             i = index[node.name]
             return lambda a: a[i]
-        if node.kind in _NUMPY_UNARY:
-            f = _NUMPY_UNARY[node.kind]
+        f = _UFUNCS[node.kind]
+        if f.nin == 1:
             c = build(node.children[0])
             return lambda a: f(c(a))
-        if node.kind == "ln":
-            c = build(node.children[0])
-            return lambda a: np.log(c(a))
-        f = _NUMPY_BINARY.get(node.kind)
-        if f is not None:
-            l, r = build(node.children[0]), build(node.children[1])
-            return lambda a: f(l(a), r(a))
-        # pow: numpy rejects negative bases with integral float exponents
-        # unless float_power-style handling is used; match scalar semantics.
         l, r = build(node.children[0]), build(node.children[1])
-        return lambda a: np.power(l(a), r(a))
+        return lambda a: f(l(a), r(a))
 
     body = build(ast)
 
