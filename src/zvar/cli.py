@@ -2,7 +2,8 @@
 
 Exit codes: 0 for converged evaluations and expected/equal verdicts, 2 for
 non-convergence or verdict mismatches, 1 for usage or evaluation errors.
-JSON mode emits a single object whose spec_echo block reproduces the run.
+JSON mode emits a single object whose spec_echo block reproduces the run: its
+spec and config drop into a corpus line as left_spec and config.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .cov import CovError
 from .expr import ExprError, serialize
 from .taper import TaperError
 from .verify import (CorpusError, build_spec, compare_pair, demo_existence_asymmetry,
-                     derive_right, evaluate_spec, run_suite, strict_json)
+                     derive_right, evaluate_spec, run_suite, spec_object, strict_json)
 from .zeval import BridgeUnavailable, EvalConfig, InfiniteIntegral, ZResult
 
 _USAGE_ERRORS = (ExprError, TaperError, CovError, CorpusError, BridgeUnavailable, ValueError)
@@ -122,26 +123,10 @@ def _spec_object(args, default_taper: bool) -> dict:
     return obj
 
 
-def _spec_echo(spec, mode, taper_text, cfg: EvalConfig) -> dict:
-    resolved_b_start = cfg.b_start
-    if resolved_b_start is None and isinstance(spec, InfiniteIntegral):
-        resolved_b_start = spec.lower_limit + 1.0
-    echo = {
-        "type": "inf" if isinstance(spec, InfiniteIntegral) else "fin",
-        "integrand": serialize(spec.integrand),
-        "var": spec.variable,
-        "taper": taper_text,
-        "config": {**dataclasses.asdict(cfg), "b_start": resolved_b_start},
-    }
-    if isinstance(spec, InfiniteIntegral):
-        echo["a"] = spec.lower_limit
-    else:
-        echo["beta"] = spec.upper_limit
-        echo["mode"] = mode
-    return echo
-
-
-def _result_payload(result: ZResult, echo: dict) -> dict:
+def _result_payload(result: ZResult, spec, mode: str, cfg: EvalConfig) -> dict:
+    b_start = cfg.b_start
+    if b_start is None and isinstance(spec, InfiniteIntegral):
+        b_start = spec.lower_limit + 1.0
     return {
         "value": result.value,
         "error_estimate": result.error_estimate,
@@ -149,7 +134,9 @@ def _result_payload(result: ZResult, echo: dict) -> dict:
         "samples": [list(s) for s in result.samples],
         "evaluations": result.evaluations,
         "accelerated": result.accelerated,
-        "spec_echo": echo,
+        # a corpus line's left_spec and config, as resolved for this run
+        "spec_echo": {"spec": spec_object(spec, mode),
+                      "config": {**dataclasses.asdict(cfg), "b_start": b_start}},
     }
 
 
@@ -162,13 +149,11 @@ def _print_result(result: ZResult, out) -> None:
 
 
 def _cmd_eval(args, out) -> int:
-    obj = _spec_object(args, default_taper=False)
-    spec, mode = build_spec(obj, field="spec")
+    spec, mode = build_spec(_spec_object(args, default_taper=False), field="spec")
     cfg = _build_config(args)
     result = evaluate_spec(spec, cfg, mode)
     if args.json:
-        print(strict_json(_result_payload(result, _spec_echo(spec, mode, obj["taper"], cfg))),
-              file=out)
+        print(strict_json(_result_payload(result, spec, mode, cfg)), file=out)
     else:
         _print_result(result, out)
     return 0 if result.status == "converged" else 2
@@ -180,18 +165,13 @@ def _cmd_transform(args, out) -> int:
     transformed, transformed_mode = derive_right(spec, mode, args.cov, args.allow_inconclusive)
 
     if args.print_spec:
-        if isinstance(transformed, InfiniteIntegral):
-            limit_name, limit = "lower_limit", transformed.lower_limit
-        else:
-            limit_name, limit = "upper_limit", transformed.upper_limit
         if args.json:
-            print(strict_json({
-                "type": "inf" if isinstance(transformed, InfiniteIntegral) else "fin",
-                "integrand": serialize(transformed.integrand),
-                "var": transformed.variable,
-                limit_name: limit,
-            }), file=out)
+            print(strict_json(spec_object(transformed, transformed_mode)), file=out)
         else:
+            if isinstance(transformed, InfiniteIntegral):
+                limit_name, limit = "lower_limit", transformed.lower_limit
+            else:
+                limit_name, limit = "upper_limit", transformed.upper_limit
             print(f"integrand: {serialize(transformed.integrand)}", file=out)
             print(f"{limit_name}: {limit!r}", file=out)
         return 0

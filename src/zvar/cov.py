@@ -36,7 +36,7 @@ from .expr import (
     substitute,
     var,
 )
-from .taper import boundary_taper_from_z
+from .taper import boundary_taper_from_z, split_spec
 from .zeval import (BridgeUnavailable, FiniteIntegral, InfiniteIntegral, ZIntegralSpec,
                     bridge_image)
 
@@ -396,66 +396,27 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
 
 
 # --------------------------------------------------------------------------
-# CLI transform strings:
-#   "power:d=1,r=2", "exp:d=1,alpha=1", "finpower:d=1,r=2",
-#   "custom:kind=...,forward=...,inverse=...,lo=...,hi=...",
-#   "bridge:d=1,alpha=1"
+# CLI transform strings, "kind:key=value,...": the fields of each kind.
 # --------------------------------------------------------------------------
+
+_COV_FIELDS = {"power": ("d", "r"), "exp": ("d", "alpha"), "finpower": ("d", "r"),
+               "bridge": ("d", "alpha"), "custom": ("kind", "forward", "inverse", "lo", "hi")}
+
 
 def parse_cov_spec(text: str, a: float | None = None) -> ChangeOfVariable:
     """Parse a CLI transform string; `a` supplies the power-map caveat context."""
-    head, _, payload = text.strip().partition(":")
-    fields = _split_fields(payload)
+    head, fields = split_spec(text, _COV_FIELDS, "transform", CovError,
+                              text_fields=("kind", "forward", "inverse"))
     if head == "power":
-        _require(fields, ("d", "r"), head)
         if a is None:
             raise CovError("power transforms need the integral's lower limit for "
                            "the odd-exponent caveat")
-        return make_power_cov(float(fields["d"]), float(fields["r"]), a)
+        return make_power_cov(fields["d"], fields["r"], a)
     if head == "exp":
-        _require(fields, ("d", "alpha"), head)
-        return make_exp_cov(float(fields["d"]), float(fields["alpha"]))
+        return make_exp_cov(fields["d"], fields["alpha"])
     if head == "finpower":
-        _require(fields, ("d", "r"), head)
-        return make_finite_power_cov(float(fields["d"]), float(fields["r"]))
+        return make_finite_power_cov(fields["d"], fields["r"])
     if head == "bridge":
-        _require(fields, ("d", "alpha"), head)
-        return make_bridge_cov(float(fields["d"]), float(fields["alpha"]))
-    if head == "custom":
-        _require(fields, ("kind", "forward", "inverse", "lo", "hi"), head)
-        return make_custom_cov(fields["kind"], fields["forward"], fields["inverse"],
-                               (float(fields["lo"]), float(fields["hi"])))
-    raise CovError(f"unknown transform kind {head!r}")
-
-
-def _split_fields(payload: str) -> dict[str, str]:
-    # commas inside parentheses belong to expressions, not field separators
-    out: dict[str, str] = {}
-    depth = 0
-    start = 0
-    items = []
-    for i, ch in enumerate(payload):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            items.append(payload[start:i])
-            start = i + 1
-    if payload[start:].strip():
-        items.append(payload[start:])
-    for item in items:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise CovError(f"malformed transform field {item!r} (expected key=value)")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _require(fields: dict[str, str], names: tuple[str, ...], kind: str) -> None:
-    missing = [n for n in names if n not in fields]
-    if missing:
-        raise CovError(f"{kind} transform is missing fields: {', '.join(missing)}")
-    extra = [k for k in fields if k not in names]
-    if extra:
-        raise CovError(f"{kind} transform has unknown fields: {', '.join(extra)}")
+        return make_bridge_cov(fields["d"], fields["alpha"])
+    return make_custom_cov(fields["kind"], fields["forward"], fields["inverse"],
+                           (fields["lo"], fields["hi"]))

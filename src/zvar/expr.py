@@ -429,10 +429,17 @@ def _diff(ast: ExprAST, name: str) -> ExprAST:
     if k in ("add", "sub"):
         return ExprAST(k, (_diff(ast.children[0], name), _diff(ast.children[1], name)))
     if k == "mul":
+        # a constant factor passes through, leaving no 0*u term to evaluate
         u, v = ast.children
+        if u.kind == "const":
+            return u * _diff(v, name)
+        if v.kind == "const":
+            return _diff(u, name) * v
         return _diff(u, name) * v + u * _diff(v, name)
     if k == "div":
         u, v = ast.children
+        if v.kind == "const":
+            return _diff(u, name) / v
         return (_diff(u, name) * v - u * _diff(v, name)) / (v * v)
     if k == "pow":
         u, v = ast.children

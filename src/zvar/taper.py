@@ -27,7 +27,7 @@ from .quad import integrate_proper
 __all__ = [
     "TaperError", "TerminationFunction", "BoundaryTaper",
     "make_smooth_taper", "make_matched_trig", "boundary_taper_from_z",
-    "check_moments", "parse_taper_spec", "parse_boundary_spec",
+    "check_moments", "parse_taper_spec", "parse_boundary_spec", "split_spec",
 ]
 
 MOMENT_TOL = 1e-13
@@ -80,8 +80,9 @@ class BoundaryTaper:
         return evaluate(self.body, {"v": v})
 
     def spec_string(self) -> str:
-        if self.origin is None:  # pragma: no cover - all shipped tapers carry one
-            return self.kind
+        if self.origin is None:
+            raise TaperError(f"a {self.kind!r} boundary taper without a termination-function "
+                             f"origin has no spec string")
         return f"wfromz:{self.origin.spec_string()}"
 
 
@@ -115,21 +116,12 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
         expr.sin(const(4.0 * math.pi / c) * s),
     ]
 
-    def moment(f: ExprAST, trig: str) -> float:
-        kernel = expr.sin(const(omega) * s) if trig == "sin" else expr.cos(const(omega) * s)
-        r = integrate_proper(kernel * f, "s", 0.0, c, MOMENT_TOL)
-        if not r.converged:
-            raise TaperError("moment quadrature failed to converge")
-        return r.value
-
-    m = np.array([
-        [moment(base.body * harmonics[0], "cos"), moment(base.body * harmonics[1], "cos")],
-        [moment(base.body * harmonics[0], "sin"), moment(base.body * harmonics[1], "sin")],
-    ])
-    rhs = np.array([
-        -moment(base.body, "cos"),
-        1.0 / omega - moment(base.body, "sin"),
-    ])
+    (c1, s1), (c2, s2), (c0, s0) = (
+        _tone_moments(body, omega, c)
+        for body in (base.body * harmonics[0], base.body * harmonics[1], base.body)
+    )
+    m = np.array([[c1, c2], [s1, s2]])
+    rhs = np.array([-c0, 1.0 / omega - s0])
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond > 1e8:
         raise TaperError(
@@ -167,14 +159,20 @@ def check_moments(z: TerminationFunction, omega: float) -> tuple[float, float]:
     """
     if not omega > 0.0:
         raise TaperError(f"tone frequency must be positive, got {omega!r}")
+    cos_moment, sin_moment = _tone_moments(z.body, omega, z.width)
+    return cos_moment, sin_moment - 1.0 / omega
+
+
+def _tone_moments(body: ExprAST, omega: float, c: float) -> tuple[float, float]:
+    """(integral_0^c cos(w s) body ds, integral_0^c sin(w s) body ds) at w = omega."""
     s = var("s")
     out = []
     for kernel in (expr.cos(const(omega) * s), expr.sin(const(omega) * s)):
-        r = integrate_proper(kernel * z.body, "s", 0.0, z.width, MOMENT_TOL)
+        r = integrate_proper(kernel * body, "s", 0.0, c, MOMENT_TOL)
         if not r.converged:
             raise TaperError("moment quadrature failed to converge")
         out.append(r.value)
-    return out[0], out[1] - 1.0 / omega
+    return out[0], out[1]
 
 
 def _validate(z: TerminationFunction) -> None:
@@ -202,15 +200,14 @@ def _validate(z: TerminationFunction) -> None:
 # CLI spec strings: "taper:c=1", "matched:omega=1,c=1", "wfromz:<taper spec>"
 # --------------------------------------------------------------------------
 
+_TAPER_FIELDS = {"taper": ("c",), "matched": ("omega", "c")}
+
+
 def parse_taper_spec(text: str) -> TerminationFunction:
-    head, _, payload = text.strip().partition(":")
+    head, fields = split_spec(text, _TAPER_FIELDS, "taper")
     if head == "taper":
-        fields = _fields(payload, "taper", required=("c",))
         return make_smooth_taper(fields["c"])
-    if head == "matched":
-        fields = _fields(payload, "matched", required=("omega", "c"))
-        return make_matched_trig(fields["omega"], fields["c"])
-    raise TaperError(f"unknown taper kind {head!r} (expected 'taper' or 'matched')")
+    return make_matched_trig(fields["omega"], fields["c"])
 
 
 def parse_boundary_spec(text: str) -> BoundaryTaper:
@@ -220,21 +217,51 @@ def parse_boundary_spec(text: str) -> BoundaryTaper:
     return boundary_taper_from_z(parse_taper_spec(payload))
 
 
-def _fields(payload: str, kind: str, required: tuple[str, ...]) -> dict[str, float]:
-    out: dict[str, float] = {}
+def split_spec(text: str, kinds: dict[str, tuple[str, ...]], noun: str,
+               error: type[ValueError] = TaperError,
+               text_fields: tuple[str, ...] = ()) -> tuple[str, dict]:
+    """Split a "kind:key=value,..." spec string into its kind and fields.
+
+    kinds maps each accepted kind to its field names, all of them required;
+    a field may not repeat.  Commas inside parentheses belong to a value (an
+    expression), not to the field list.  Fields named in text_fields stay
+    strings; every other value is converted to a float.  Errors are raised
+    as `error`, naming the spec's `noun` ("taper", "transform").
+    """
+    head, _, payload = text.strip().partition(":")
+    if head not in kinds:
+        raise error(f"unknown {noun} kind {head!r} (expected one of: {', '.join(kinds)})")
+    items = []
+    depth = start = 0
+    for i, ch in enumerate(payload):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            items.append(payload[start:i])
+            start = i + 1
     if payload.strip():
-        for item in payload.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise TaperError(f"malformed {kind} field {item!r} (expected key=value)")
-            try:
-                out[key.strip()] = float(value)
-            except ValueError:
-                raise TaperError(f"non-numeric {kind} field {item!r}") from None
-    missing = [k for k in required if k not in out]
+        items.append(payload[start:])
+    fields: dict = {}
+    for item in items:
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise error(f"malformed {noun} field {item!r} (expected key=value)")
+        if key in fields:
+            raise error(f"{noun} {head!r} repeats field {key!r}")
+        fields[key] = value.strip()
+    missing = [name for name in kinds[head] if name not in fields]
     if missing:
-        raise TaperError(f"{kind} spec is missing fields: {', '.join(missing)}")
-    extra = [k for k in out if k not in required]
-    if extra:
-        raise TaperError(f"{kind} spec has unknown fields: {', '.join(extra)}")
-    return out
+        raise error(f"{noun} {head!r} is missing fields: {', '.join(missing)}")
+    unknown = [key for key in fields if key not in kinds[head]]
+    if unknown:
+        raise error(f"{noun} {head!r} has unknown fields: {', '.join(unknown)}")
+    for key in (name for name in kinds[head] if name not in text_fields):
+        try:
+            fields[key] = float(fields[key])
+        except ValueError:
+            raise error(f"{noun} {head!r} field {key!r} is not a number: "
+                        f"{fields[key]!r}") from None
+    return head, fields

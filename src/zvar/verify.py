@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .cov import CovError, apply_cov, parse_cov_spec
-from .expr import ExprError, parse
+from .expr import ExprError, parse, serialize
 from .taper import TaperError, parse_boundary_spec, parse_taper_spec
 from .zeval import (
     EvalConfig,
@@ -34,7 +36,7 @@ from .zeval import (
 
 __all__ = [
     "CorpusError", "VerificationOutcome", "CaseReport", "SuiteReport",
-    "compare_pair", "evaluate_spec", "pair_verdict", "build_spec", "derive_right",
+    "compare_pair", "evaluate_spec", "pair_verdict", "build_spec", "spec_object", "derive_right",
     "run_suite", "demo_existence_asymmetry", "load_corpus", "shipped_corpus_path",
     "strict_json",
 ]
@@ -89,7 +91,7 @@ def pair_verdict(left: ZResult, right: ZResult, tol: float) -> str:
 #  "expected_verdict": ..., "tol": ..., "config": {...}?,
 #  "allow_inconclusive": bool?}
 #
-# Integral spec objects:
+# Integral spec objects, written by spec_object and read by build_spec:
 #   {"type": "infinite", "integrand": str, "a": float, "taper": "taper:...",
 #    "var": str?}
 #   {"type": "finite", "integrand": str, "beta": float,
@@ -98,8 +100,21 @@ def pair_verdict(left: ZResult, right: ZResult, tol: float) -> str:
 
 _CASE_KEYS = {"id", "left_spec", "right_spec", "cov", "expected_verdict", "tol",
               "config", "allow_inconclusive"}
-_INF_KEYS = {"type", "integrand", "a", "taper", "var"}
-_FIN_KEYS = {"type", "integrand", "beta", "taper", "mode", "var"}
+
+
+class _Form(NamedTuple):
+    cls: type
+    limit: str                          # the limit's key in a spec object
+    attr: str                           # the limit's attribute on cls
+    parse_taper: Callable
+    var: str                            # default integration variable
+    has_mode: bool = False              # takes a "mode": "direct" | "bridge" key
+
+
+_FORMS = {
+    "infinite": _Form(InfiniteIntegral, "a", "lower_limit", parse_taper_spec, "x"),
+    "finite": _Form(FiniteIntegral, "beta", "upper_limit", parse_boundary_spec, "u", True),
+}
 _VERDICTS = {"equal_within_tol", "mismatch", "existence_asymmetry", "both_nonconverged"}
 
 
@@ -236,41 +251,38 @@ def build_spec(obj: dict, field: str) -> tuple[ZIntegralSpec, str]:
     """Build an integral spec and its evaluation mode from a corpus spec object."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise CorpusError(f"{field}: integral spec needs a 'type'")
-    kind = obj["type"]
-    if kind == "infinite":
-        unknown = set(obj) - _INF_KEYS
-        if unknown:
-            raise CorpusError(f"{field}: unknown fields: {', '.join(sorted(unknown))}")
-        for required in ("integrand", "a", "taper"):
-            if required not in obj:
-                raise CorpusError(f"{field}: missing field {required!r}")
-        variable = obj.get("var", "x")
-        try:
-            taper = parse_taper_spec(obj["taper"])
-        except TaperError as err:
-            raise CorpusError(f"{field}.taper: {err}") from None
-        spec = InfiniteIntegral(parse(obj["integrand"], variables=(variable,)),
-                                float(obj["a"]), taper, variable=variable)
-        return spec, "direct"
-    if kind == "finite":
-        unknown = set(obj) - _FIN_KEYS
-        if unknown:
-            raise CorpusError(f"{field}: unknown fields: {', '.join(sorted(unknown))}")
-        for required in ("integrand", "beta", "taper"):
-            if required not in obj:
-                raise CorpusError(f"{field}: missing field {required!r}")
-        mode = obj.get("mode", "direct")
-        if mode not in ("direct", "bridge"):
-            raise CorpusError(f"{field}.mode: unknown mode {mode!r}")
-        variable = obj.get("var", "u")
-        try:
-            taper = parse_boundary_spec(obj["taper"])
-        except TaperError as err:
-            raise CorpusError(f"{field}.taper: {err}") from None
-        spec = FiniteIntegral(parse(obj["integrand"], variables=(variable,)),
-                              float(obj["beta"]), taper, variable=variable)
-        return spec, mode
-    raise CorpusError(f"{field}.type: unknown integral type {kind!r}")
+    form = _FORMS.get(obj["type"])
+    if form is None:
+        raise CorpusError(f"{field}.type: unknown integral type {obj['type']!r}")
+    keys = {"type", "integrand", form.limit, "taper", "var"} | ({"mode"} if form.has_mode else set())
+    unknown = set(obj) - keys
+    if unknown:
+        raise CorpusError(f"{field}: unknown fields: {', '.join(sorted(unknown))}")
+    for required in ("integrand", form.limit, "taper"):
+        if required not in obj:
+            raise CorpusError(f"{field}: missing field {required!r}")
+    mode = obj.get("mode", "direct")
+    if mode not in ("direct", "bridge"):
+        raise CorpusError(f"{field}.mode: unknown mode {mode!r}")
+    variable = obj.get("var", form.var)
+    try:
+        taper = form.parse_taper(obj["taper"])
+    except TaperError as err:
+        raise CorpusError(f"{field}.taper: {err}") from None
+    spec = form.cls(parse(obj["integrand"], variables=(variable,)), float(obj[form.limit]),
+                    taper, variable=variable)
+    return spec, mode
+
+
+def spec_object(spec: ZIntegralSpec, mode: str = "direct") -> dict:
+    """The corpus spec object of `spec` evaluated in `mode`: the inverse of build_spec."""
+    kind, form = next((kind, form) for kind, form in _FORMS.items() if isinstance(spec, form.cls))
+    obj = {"type": kind, "integrand": serialize(spec.integrand),
+           form.limit: getattr(spec, form.attr), "taper": spec.taper.spec_string(),
+           "var": spec.variable}
+    if form.has_mode:
+        obj["mode"] = mode
+    return obj
 
 
 def run_suite(path: str | Path | None = None) -> SuiteReport:

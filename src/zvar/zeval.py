@@ -19,6 +19,7 @@ bracket sequences coincide sample for sample.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -259,8 +260,8 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     tail_expr = simplify(spec.integrand * substitute(z.body, "s", var(x) - var(shift)))
     f = compile_expr(spec.integrand, (x,))
     tail_f = compile_expr(tail_expr, (x, shift))
-    grid = [b0 + k * cfg.b_step for k in range(cfg.b_count)]
-    return _sample_brackets(f, tail_f, a, grid, lambda b: (b, b + z.width), cfg, "grow")
+    return _sample_brackets(f, tail_f, a, cfg.b_count, lambda k: b0 + k * cfg.b_step,
+                            lambda b: (b, b + z.width), cfg, "grow")
 
 
 def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
@@ -276,10 +277,14 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
     head_expr = simplify(spec.integrand * substitute(w.body, "v", var(u) / var(shrinkvar)))
     g = compile_expr(spec.integrand, (u,))
     head_g = compile_expr(head_expr, (u, shrinkvar))
-    deltas = (beta * cfg.delta_shrink ** k for k in range(cfg.delta_count))
-    grid = [delta for delta in deltas if delta >= DELTA_FLOOR]
-    return _sample_brackets(g, head_g, beta, grid, lambda d: (w.support_floor * d, d), cfg,
-                            "shrink")
+
+    def delta(k):
+        return beta * cfg.delta_shrink ** k
+
+    # the deltas decrease, so those at or above the floor come first
+    count = bisect.bisect_left(range(cfg.delta_count), True, key=lambda k: delta(k) < DELTA_FLOOR)
+    return _sample_brackets(g, head_g, beta, count, delta, lambda d: (w.support_floor * d, d),
+                            cfg, "shrink")
 
 
 def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegral:
@@ -293,10 +298,12 @@ def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegr
     return InfiniteIntegral(integrand, a, spec.taper.origin, variable=x)
 
 
-def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
-    """Sample the bracket at each grid point, then classify the sequence.
+def _sample_brackets(f, window_f, start, count, point, span, cfg, direction) -> ZResult:
+    """Sample the bracket at point(k) for k < count, then classify the sequence.
 
-    f and window_f are compiled once per evaluation.  The bracket at point p
+    Each point is computed when its chunk is integrated, so the count costs
+    nothing until it is reached.  f and window_f are compiled once per
+    evaluation.  The bracket at point p
     is the running integral of f between `start` and p plus the window
     integral of window_f(t, p) over span(p); each point adds the running
     segment between the previous point and itself.  Sampling stops once the
@@ -307,7 +314,7 @@ def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
     The points are integrated in chunks, every running segment and window
     of a chunk in one integrate_segments call.  A chunk ends at the first
     point that could stop the sequence, so on success no point past the
-    stopping one is integrated.  The results are read in grid order, and
+    stopping one is integrated.  The results are read in point order, and
     the evaluations counted are those of the quadratures read; the
     quadratures after a failed one stop early, as they are never read.
     """
@@ -320,8 +327,8 @@ def _sample_brackets(f, window_f, start, grid, span, cfg, direction) -> ZResult:
     prev = start
     failed = stopped = False
     m = cfg.stability_window
-    while len(values) < len(grid) and not (failed or stopped):
-        points = grid[len(values):_chunk_end(values, len(grid), m, cfg.tol)]
+    while len(values) < count and not (failed or stopped):
+        points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         ends = list(zip([prev, *points], points))
         moved = [i for i, (q, p) in enumerate(ends) if q != p]
         windows = [span(p) for p in points]
@@ -369,7 +376,7 @@ def _read(result) -> tuple[bool, int]:
 
 
 def _chunk_end(values, size, m, tol) -> int:
-    """End index in the grid of the next chunk of points.
+    """End index, among the `size` points, of the next chunk of points.
 
     Point j can stop the sequence only as the last of m samples spread
     within tol.  So it cannot while fewer than m samples exist, nor while

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from zvar.cli import run_cli
-from zvar.verify import run_suite
+from zvar.verify import evaluate_spec, load_corpus, run_suite
 
 
 def _run(argv):
@@ -25,7 +25,12 @@ def test_eval_infinite_json():
     assert payload["status"] == "converged"
     assert abs(payload["value"] - 1.0) < 1e-6
     assert payload["evaluations"] > 0
-    assert payload["spec_echo"]["type"] == "inf"
+    assert payload["spec_echo"]["spec"] == {"type": "infinite", "integrand": "x^-2.0", "a": 1.0,
+                                            "taper": "taper:c=1.0", "var": "x"}
+    assert payload["spec_echo"]["config"] == {
+        "b_start": 2e6, "b_step": 1.0, "b_count": 30, "delta_shrink": 0.5, "delta_count": 40,
+        "stability_window": 5, "tol": 1e-6, "quad_tol": 1e-10,
+        "max_evals_per_point": 10_000_000, "accelerate": False}
 
 
 def test_eval_text_mode_and_exit_two_on_oscillation():
@@ -54,25 +59,50 @@ def test_eval_finite_bridge_mode_default_config():
     assert abs(json.loads(out)["value"] - math.cos(1.0)) < 1e-5
 
 
-def test_spec_echo_round_trips_identically():
-    argv = ["eval", "--type", "inf", "--f", "sin(x)", "--a", "0",
-            "--z", "matched:omega=1,c=1", "--json"]
-    code, out, _ = _run(argv)
-    assert code == 0
+def _replay_through_corpus(tmp_path, payload):
+    """The eval payload's spec_echo as a corpus line, loaded and evaluated again."""
+    echo = payload["spec_echo"]
+    corpus = tmp_path / "echo.jsonl"
+    corpus.write_text(json.dumps({"id": "echo", "left_spec": echo["spec"],
+                                  "right_spec": echo["spec"], "config": echo["config"],
+                                  "expected_verdict": "equal_within_tol", "tol": 1e-6}) + "\n")
+    (case,) = load_corpus(corpus)
+    return evaluate_spec(case.left, case.config, case.left_mode)
+
+
+def _assert_replays(tmp_path, argv):
+    # eval --json -> corpus line -> load_corpus -> evaluate_spec, bit for bit
+    _, out, err = _run(["eval", *argv, "--json"])
     first = json.loads(out)
-    echo = first["spec_echo"]
-    cfg = echo["config"]
-    replay = ["eval", "--type", echo["type"], "--f", echo["integrand"],
-              "--var", echo["var"], "--a", str(echo["a"]), "--z", echo["taper"],
-              "--b-start", repr(cfg["b_start"]), "--b-step", repr(cfg["b_step"]),
-              "--b-count", str(cfg["b_count"]), "--window", str(cfg["stability_window"]),
-              "--tol", repr(cfg["tol"]), "--quad-tol", repr(cfg["quad_tol"]),
-              "--max-evals", str(cfg["max_evals_per_point"]), "--json"]
-    code2, out2, _ = _run(replay)
-    assert code2 == 0
-    second = json.loads(out2)
-    assert second["value"] == first["value"]
-    assert second["samples"] == first["samples"]
+    replay = _replay_through_corpus(tmp_path, first)
+    assert replay.value == first["value"], err
+    assert replay.status == first["status"]
+    assert [list(s) for s in replay.samples] == first["samples"]
+    assert replay.evaluations == first["evaluations"]
+    assert replay.accelerated == first["accelerated"]
+    return first
+
+
+def test_spec_echo_round_trips_identically(tmp_path):
+    first = _assert_replays(tmp_path, ["--type", "inf", "--f", "sin(x)", "--a", "0",
+                                       "--z", "matched:omega=1,c=1"])
+    assert first["status"] == "converged"
+    assert first["spec_echo"]["spec"]["taper"] == "matched:omega=1.0,c=1.0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "inf", "--f", "sin(0.7*y)", "--var", "y", "--a", "0.3",
+     "--z", "matched:omega=0.7,c=1"],
+    ["--type", "inf", "--f", "x^-1.7", "--a", "1.5", "--z", "taper:c=1", "--b-start", "2e4",
+     "--b-step", "3", "--window", "4"],
+    ["--type", "fin", "--g", "u^-0.4", "--beta", "1.3", "--w", "wfromz:taper:c=1",
+     "--mode", "bridge", "--accelerate"],
+    ["--type", "fin", "--g", "ln(u)", "--beta", "0.8", "--w", "wfromz:taper:c=1",
+     "--accelerate", "--delta-shrink", "0.6", "--tol", "1e-5"],
+    ["--type", "inf", "--f", "sin(x)", "--a", "0", "--z", "taper:c=1"],
+], ids=["matched-var-y", "power-tail", "bridge", "finite-direct", "oscillatory"])
+def test_spec_echo_round_trips_for_every_form(tmp_path, argv):
+    _assert_replays(tmp_path, argv)
 
 
 def test_transform_print_spec():
@@ -114,7 +144,9 @@ def test_transform_bridge():
                          "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["type"] == "inf"
+    assert {key: payload[key] for key in ("type", "a", "taper", "var")} == {
+        "type": "infinite", "a": 0.0, "taper": "taper:c=1.0", "var": "x"}
+    assert set(payload) == {"type", "integrand", "a", "taper", "var"}
     from zvar.expr import evaluate, parse
 
     got = parse(payload["integrand"])
@@ -255,3 +287,46 @@ def test_json_output_is_strict():
     for argv in (["demo", "--json"], ["verify", "--json"]):
         _, out, _ = _run(argv)
         json.loads(out, parse_constant=_reject_constant)
+
+
+def test_non_numeric_transform_field_is_named():
+    code, _, err = _run(["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
+                         "--cov", "power:d=abc,r=2"])
+    assert code == 1
+    assert "field 'd' is not a number: 'abc'" in err
+
+
+def test_exp_map_print_spec_has_no_zero_terms():
+    code, out, _ = _run(["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
+                         "--cov", "exp:d=2,alpha=3", "--print-spec"])
+    assert code == 0
+    text = out.splitlines()[0].split(": ", 1)[1]
+    assert "*0.0" not in text
+    from zvar.expr import evaluate, parse
+
+    # the integrand printed before constant factors were differentiated directly
+    before = parse("(ln(y/2.0)/3.0)^-2.0*((0.5/(y/2.0)*3.0 - ln(y/2.0)*0.0)/9.0)")
+    for y in (40.5, 100.0, 1e4, 1e8):
+        assert evaluate(parse(text), {"y": y}) == pytest.approx(evaluate(before, {"y": y}),
+                                                                rel=1e-15)
+
+
+def test_print_spec_json_stands_in_for_the_cov(tmp_path):
+    left = {"type": "finite", "integrand": "u^(-1/2)", "beta": 1.0,
+            "taper": "wfromz:taper:c=1", "mode": "direct"}
+    code, out, _ = _run(["transform", "--type", "fin", "--g", left["integrand"], "--beta", "1",
+                         "--w", left["taper"], "--cov", "finpower:d=1,r=2", "--print-spec",
+                         "--json"])
+    assert code == 0
+    right_spec = json.loads(out)
+    case = {"id": "finpower", "left_spec": left, "expected_verdict": "equal_within_tol",
+            "tol": 1e-6, "config": {"accelerate": True}}
+    corpus = tmp_path / "pair.jsonl"
+    corpus.write_text(json.dumps({**case, "cov": "finpower:d=1,r=2"}) + "\n"
+                      + json.dumps({**case, "id": "printed", "right_spec": right_spec}) + "\n")
+    by_cov, by_spec = load_corpus(corpus)
+    assert by_spec.right_mode == by_cov.right_mode == "direct"
+    assert (evaluate_spec(by_spec.right, by_spec.config, by_spec.right_mode)
+            == evaluate_spec(by_cov.right, by_cov.config, by_cov.right_mode))
+    verdicts = {c.case_id: c.verdict for c in run_suite(corpus).cases}
+    assert verdicts == {"finpower": "equal_within_tol", "printed": "equal_within_tol"}

@@ -355,6 +355,15 @@ def test_parse_cov_specs():
         parse_cov_spec("power:d=1,r=2")
     with pytest.raises(CovError, match="non-odd-integer"):
         parse_cov_spec("power:d=1,r=0.5", a=-1.0)
+    with pytest.raises(CovError, match="repeats field 'd'"):
+        parse_cov_spec("power:d=1,d=3,r=2", a=1.0)
+    with pytest.raises(CovError, match="field 'd' is not a number: 'abc'"):
+        parse_cov_spec("power:d=abc,r=2", a=1.0)
+    with pytest.raises(CovError, match="field 'lo' is not a number"):
+        parse_cov_spec("custom:kind=infinite_cov,forward=x+5,inverse=y-5,lo=zero,hi=50")
+    # commas inside parentheses belong to the expression
+    with pytest.raises(CovError, match="unknown fields: hi2"):
+        parse_cov_spec("custom:kind=infinite_cov,forward=(x+5),inverse=(y-5),lo=0,hi=50,hi2=1")
 
 
 @pytest.fixture(scope="module")

@@ -119,6 +119,22 @@ def test_differentiate_product_rule_pointwise():
         assert evaluate(d, {"x": x}) == pytest.approx(expected, rel=1e-12)
 
 
+def test_differentiate_constant_factors_leave_no_zero_terms():
+    # c*u, u*c and u/c differentiate as c*du, du*c and du/c: no 0*u term
+    for text, want in (("3*x^2", "3.0*(2.0*x)"), ("x^2*3", "2.0*x*3.0"),
+                       ("ln(x)/3", "1.0/x/3.0"), ("(x*2)/(3*x)", None)):
+        ast = parse(text)
+        d = differentiate(ast, "x")
+        if want is None:
+            assert "0.0" not in serialize(d)
+        else:
+            assert serialize(d) == want
+        for x in (0.5, 1.0, 4.0):
+            h = 1e-6 * x
+            fd = (evaluate(ast, {"x": x + h}) - evaluate(ast, {"x": x - h})) / (2 * h)
+            assert evaluate(d, {"x": x}) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
 def test_substitute_examples():
     out = substitute(parse("x^-2"), "x", parse("y^(1/2)"))
     assert out == parse("(y^(1/2))^-2")

@@ -13,6 +13,7 @@ import pytest
 from zvar.expr import evaluate
 from zvar.quad import integrate_proper
 from zvar.taper import (
+    BoundaryTaper,
     TaperError,
     boundary_taper_from_z,
     check_moments,
@@ -152,5 +153,25 @@ def test_taper_spec_strings():
         parse_taper_spec("matched:c=1")
     with pytest.raises(TaperError, match="unknown fields"):
         parse_taper_spec("taper:c=1,d=2")
+    with pytest.raises(TaperError, match="repeats field 'c'"):
+        parse_taper_spec("taper:c=1,c=2")
+    with pytest.raises(TaperError, match="field 'omega' is not a number"):
+        parse_taper_spec("matched:omega=one,c=1")
+    with pytest.raises(TaperError, match="malformed"):
+        parse_taper_spec("taper:c")
     with pytest.raises(TaperError):
         parse_boundary_spec("taper:c=1")
+
+
+def test_spec_strings_write_what_the_parser_reads():
+    for text, canonical in (("taper:c=1", "taper:c=1.0"),
+                            ("matched:omega=0.5,c=2", "matched:omega=0.5,c=2.0")):
+        z = parse_taper_spec(text)
+        assert z.spec_string() == canonical
+        again = parse_taper_spec(canonical)
+        assert repr(again.body) == repr(z.body)
+    w = parse_boundary_spec("wfromz:taper:c=1")
+    assert w.spec_string() == "wfromz:taper:c=1.0"
+    orphan = BoundaryTaper(body=w.body, support_floor=w.support_floor, kind=w.kind)
+    with pytest.raises(ValueError, match="origin"):
+        orphan.spec_string()

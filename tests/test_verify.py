@@ -16,10 +16,14 @@ from zvar.expr import parse
 from zvar.taper import make_matched_trig
 from zvar.verify import (
     CorpusError,
+    build_spec,
     compare_pair,
     demo_existence_asymmetry,
+    evaluate_spec,
     load_corpus,
+    pair_verdict,
     run_suite,
+    spec_object,
 )
 from zvar.zeval import EvalConfig, InfiniteIntegral, ZResult
 
@@ -174,6 +178,36 @@ def test_right_spec_and_cov_conflict(tmp_path):
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------
+
+def test_spec_object_stands_in_for_every_shipped_cov():
+    # each transform's image, written as a spec object and read back as a
+    # right_spec, evaluates bit for bit like the image the cov derives
+    cases = [json.loads(line) for line in
+             zvar.verify.shipped_corpus_path().read_text().splitlines() if line.strip()]
+    loaded = {case.case_id: case for case in load_corpus()}
+    checked = 0
+    for obj in cases:
+        if "cov" not in obj:
+            continue
+        case = loaded[obj["id"]]
+        written = json.loads(json.dumps(spec_object(case.right, case.right_mode)))
+        right, right_mode = build_spec(written, field="right_spec")
+        assert right_mode == case.right_mode
+        left = evaluate_spec(case.left, case.config, case.left_mode)
+        derived = evaluate_spec(case.right, case.config, case.right_mode)
+        assert evaluate_spec(right, case.config, right_mode) == derived, obj["id"]
+        assert pair_verdict(left, derived, case.tol) == case.expected_verdict
+        checked += 1
+    assert checked == 7
+
+
+def test_spec_object_inverts_build_spec():
+    for obj in ({"type": "infinite", "integrand": "sin(y/2.0)/2.0", "a": 2.0,
+                 "taper": "matched:omega=0.5,c=1.0", "var": "y"},
+                {"type": "finite", "integrand": "u^-0.5", "beta": 1.5,
+                 "taper": "wfromz:taper:c=1.0", "var": "u", "mode": "bridge"}):
+        assert spec_object(*build_spec(obj, field="spec")) == obj
+
 
 def test_demo_existence_asymmetry():
     report = demo_existence_asymmetry()

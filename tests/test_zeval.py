@@ -318,6 +318,30 @@ def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
     assert r.evaluations == evals
 
 
+def test_sample_counts_cost_nothing_until_reached(smooth):
+    # Points are computed as they are integrated: a count of 10^12 is not
+    # allocated or walked, and a converging evaluation ends as it does with
+    # the default count.
+    huge = EvalConfig(b_count=10**12, delta_count=10**12)
+    w = boundary_taper_from_z(smooth)
+    for run in (lambda cfg: eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), cfg),
+                lambda cfg: eval_finite(FiniteIntegral(parse("cos(u)", variables=("u",)),
+                                                       1.0, w), cfg)):
+        default = run(EvalConfig())
+        assert default.status == "converged"
+        assert run(huge) == default
+
+
+def test_finite_sampling_stops_at_the_delta_floor(smooth, monkeypatch):
+    calls = _record_quadrature(monkeypatch)
+    w = boundary_taper_from_z(smooth)
+    r = eval_finite(FiniteIntegral(parse("1/u", variables=("u",)), 1.0, w),
+                    EvalConfig(delta_count=10**12))
+    points = [p for call in calls for p in call[1][3]]
+    assert points == [0.5 ** k for k in range(27)]   # 0.5^27 < 1e-8 <= 0.5^26
+    assert [p for p, _ in r.samples] == points
+
+
 def test_b_start_below_lower_limit_rejected(smooth):
     spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth)
     with pytest.raises(ValueError):
