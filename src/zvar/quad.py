@@ -3,9 +3,9 @@
 One engine integrates S segments in lockstep, each by QUADPACK's QAG
 scheme (Piessens et al. 1983) with its own frontier, error budget and
 evaluation count, as `scipy.integrate.quad_vec` does for the components
-of a vector integrand.  A segment starts as eight panels; each round it
+of a vector integrand.  A segment starts as six panels; each round it
 bisects the panels carrying at least half of its error estimate.  The
-Gauss(7)/Kronrod(15) rule is then applied to the children of every live
+Gauss(10)/Kronrod(21) rule is then applied to the children of every live
 segment in one vectorized batch, with one call per integrand, in blocks
 of whole segments of at most 512 panels (a larger segment runs alone).
 Only children are evaluated: every other panel keeps its value and error
@@ -45,43 +45,53 @@ from .expr import DomainFault, ExprAST, compile_expr
 
 __all__ = ["QuadResult", "integrate_proper", "integrate_callable", "integrate_segments"]
 
-# Gauss-Kronrod 7-15 pair, nodes sorted ascending.  WG is aligned with the
-# Kronrod nodes and zero where the node is Kronrod-only.
+# Gauss-Kronrod 10-21 pair (QUADPACK's QK21), nodes sorted ascending.  WG is
+# aligned with the Kronrod nodes and zero where the node is Kronrod-only,
+# the centre included: the 10-point Gauss rule has no centre node.
 _XK_HALF = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
 ])
 _WK_HALF = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
 ])
 _WG_HALF = np.array([
     0.0,
-    0.129484966168869693270611432679082,
+    0.066671344308688137593568809893332,
     0.0,
-    0.279705391489276667901467771423780,
+    0.149451349150580593145776339657697,
     0.0,
-    0.381830050505118944950369775488975,
+    0.219086362515982043995534934228163,
     0.0,
+    0.269266719309996355091226921569469,
+    0.0,
+    0.295524224714752870173892994651338,
 ])
 
 _XK = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
-_WK = np.concatenate([_WK_HALF, [0.209482141084727828012999174891714], _WK_HALF[::-1]])
-_WG = np.concatenate([_WG_HALF, [0.417959183673469387755102040816327], _WG_HALF[::-1]])
+_WK = np.concatenate([_WK_HALF, [0.149445554002916905664936468389821], _WK_HALF[::-1]])
+_WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
 _WKG = np.column_stack([_WK, _WG])   # one matmul gives the Kronrod and Gauss sums
 
 _EPS = np.finfo(float).eps
-_INITIAL_SPLIT = 8   # aliasing insurance: never judge the span by one panel
+_INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
 _NONE = np.arange(0)
 _BATCH_PANELS = 512  # rule batch bound; a segment with more children runs alone
@@ -296,7 +306,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
 
 
 class _Rule:
-    """The 15-point rule over the columns of a panel batch, one call per integrand."""
+    """The 21-point rule over the columns of a panel batch, one call per integrand."""
 
     def __init__(self, fns, owner, param):
         self.fns = fns
