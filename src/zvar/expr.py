@@ -185,6 +185,12 @@ def absval(a):
 #   atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 # --------------------------------------------------------------------------
 
+# Deepest nesting, and deepest tree, that parse accepts.  Every tree walk
+# (simplify, substitute, differentiate, compile) recurses once per level,
+# so this keeps a parsed expression and its transforms far from Python's
+# recursion limit.
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[a-zA-Z][a-zA-Z0-9_]*)"
@@ -230,65 +236,76 @@ def parse(text: str, variables: Iterable[str] | None = None) -> ExprAST:
 
     When `variables` is given, identifiers outside it (and outside the
     function names) are rejected as unknown; with None, any identifier is
-    accepted as a variable.
+    accepted as a variable.  Text nested more than MAX_DEPTH levels deep
+    (parentheses, calls, signs and powers) or parsing to a tree of more
+    than MAX_DEPTH levels is rejected, so no later walk of the tree can
+    exhaust the interpreter's stack.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     allowed = None if variables is None else frozenset(variables)
     toks = _Tokens(text)
-    ast = _parse_expr(toks, allowed)
+    ast = _parse_expr(toks, allowed, 1)
     kind, lex, off = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {lex!r}, expected operator or end of input", off)
+    levels, level = 0, [ast]
+    while level:
+        levels += 1
+        level = [child for node in level for child in node.children]
+    if levels > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
     return ast
 
 
-def _parse_expr(toks: _Tokens, allowed) -> ExprAST:
-    node = _parse_term(toks, allowed)
+def _parse_expr(toks: _Tokens, allowed, depth: int) -> ExprAST:
+    node = _parse_term(toks, allowed, depth)
     while True:
         kind, lex, _ = toks.peek()
         if kind == "op" and lex in "+-":
             toks.next()
-            rhs = _parse_term(toks, allowed)
+            rhs = _parse_term(toks, allowed, depth)
             node = ExprAST("add" if lex == "+" else "sub", (node, rhs))
         else:
             return node
 
 
-def _parse_term(toks: _Tokens, allowed) -> ExprAST:
-    node = _parse_factor(toks, allowed)
+def _parse_term(toks: _Tokens, allowed, depth: int) -> ExprAST:
+    node = _parse_factor(toks, allowed, depth)
     while True:
         kind, lex, _ = toks.peek()
         if kind == "op" and lex in "*/":
             toks.next()
-            rhs = _parse_factor(toks, allowed)
+            rhs = _parse_factor(toks, allowed, depth)
             node = ExprAST("mul" if lex == "*" else "div", (node, rhs))
         else:
             return node
 
 
-def _parse_factor(toks: _Tokens, allowed) -> ExprAST:
-    kind, lex, _ = toks.peek()
+def _parse_factor(toks: _Tokens, allowed, depth: int) -> ExprAST:
+    kind, lex, off = toks.peek()
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", off)
     if kind == "op" and lex == "-":
         toks.next()
-        child = _parse_factor(toks, allowed)
+        child = _parse_factor(toks, allowed, depth + 1)
         if child.kind == "const":
             return const(-child.value)  # keep constants canonical
         return ExprAST("neg", (child,))
-    return _parse_power(toks, allowed)
+    return _parse_power(toks, allowed, depth)
 
 
-def _parse_power(toks: _Tokens, allowed) -> ExprAST:
-    base = _parse_atom(toks, allowed)
+def _parse_power(toks: _Tokens, allowed, depth: int) -> ExprAST:
+    base = _parse_atom(toks, allowed, depth)
     kind, lex, _ = toks.peek()
     if kind == "op" and lex == "^":
         toks.next()
-        exponent = _parse_factor(toks, allowed)  # right associative
+        exponent = _parse_factor(toks, allowed, depth + 1)  # right associative
         return ExprAST("pow", (base, exponent))
     return base
 
 
-def _parse_atom(toks: _Tokens, allowed) -> ExprAST:
+def _parse_atom(toks: _Tokens, allowed, depth: int) -> ExprAST:
     kind, lex, off = toks.next()
     if kind == "num":
         return const(float(lex))
@@ -298,7 +315,7 @@ def _parse_atom(toks: _Tokens, allowed) -> ExprAST:
             if lex not in _FUNCTIONS:
                 raise ParseError(f"unknown function {lex!r}", off)
             toks.next()
-            arg = _parse_expr(toks, allowed)
+            arg = _parse_expr(toks, allowed, depth + 1)
             _expect(toks, ")")
             return ExprAST(lex, (arg,))
         if lex in _FUNCTIONS:
@@ -307,7 +324,7 @@ def _parse_atom(toks: _Tokens, allowed) -> ExprAST:
             raise ParseError(f"unknown identifier {lex!r}", off)
         return var(lex)
     if kind == "op" and lex == "(":
-        node = _parse_expr(toks, allowed)
+        node = _parse_expr(toks, allowed, depth + 1)
         _expect(toks, ")")
         return node
     shown = lex if lex else "end of input"

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
@@ -95,6 +96,7 @@ _INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
 _NONE = np.arange(0)
 _BATCH_PANELS = 512  # rule batch bound; a segment with more children runs alone
+_MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
 
 # Segments sharing one integrand: (fn, lo, hi, params), see integrate_segments.
 SegmentGroup = tuple[Callable[..., np.ndarray], Sequence[float], Sequence[float],
@@ -159,8 +161,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     owner, param, lo, hi = [], [], [], []
     for g, (_, glo, ghi, gparams) in enumerate(groups):
         for i, (a, b) in enumerate(zip(glo, ghi, strict=True)):
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("integration limits must be finite")
+            if not (abs(a) <= _MAX_LIMIT and abs(b) <= _MAX_LIMIT):
+                raise ValueError(f"integration limits [{a!r}, {b!r}] must be finite and "
+                                 f"at most {_MAX_LIMIT!r} in magnitude")
             if not a < b:
                 raise ValueError(f"need lo < hi, got [{a!r}, {b!r}]")
             owner.append(g)

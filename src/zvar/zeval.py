@@ -8,8 +8,10 @@ samples
     G(d) = integral_{v0 d}^{d} g(u) w(u/d) du + integral_d^{beta} g du
 along a geometric sequence d_k = beta * shrink^k, where v0 is the taper's
 support floor.  Either way the sample sequence is classified as
-converged / oscillatory / drifting from its last windows, with optional
-iterated Aitken acceleration for slowly decaying tails.
+converged / oscillatory / drifting from its last windows.  Optional
+acceleration then tries to certify a limit the window misses: iterated
+Aitken first, then, on a growing b, a least-squares fit of a 1/ln b
+remainder, which Aitken cannot accelerate.
 
 Bridge mode rewrites a finite-limit problem through u = e^-x into the
 infinite-limit form with integrand g(e^-x) e^-x and lower limit -ln(beta);
@@ -164,84 +166,58 @@ def classify_sequence(samples, m: int, tol: float) -> str:
     return "drifting"
 
 
-def _aitken_accelerate(values: list[float], min_len: int, noise_floor: float) -> list[float]:
-    """Iterated Aitken delta-squared; stops at the noise floor or min length."""
+def _extrapolate(params, values, errors, m: int, tol: float):
+    """Extrapolate the limit of a sequence whose last window is not within tol.
+
+    Returns (limit, error_estimate), the quadrature error included, or None.
+    Iterated Aitken delta-squared runs first, stopping at the samples' noise
+    floor or at m values; its result counts if its last m values agree
+    within tol.  Aitken cannot accelerate a 1/ln p remainder, and no
+    transform accelerates every logarithmically convergent sequence
+    (Delahaye & Germain-Bonne 1980).  So when the parameter p grows from
+    above 1.5, the samples are then fitted by least squares on
+    [1, 1/ln p, 1/ln^2 p].  The fit counts if, fitted without the last m
+    samples, it predicts them within tol, its residual window spreads within
+    tol, and the held-out error, the limit's shift between the two halves'
+    fits and three standard errors of the limit sum to at most tol.
+    """
+    noise = max(32.0 * np.finfo(float).eps * max(abs(v) for v in values), 4.0 * max(errors))
     seq = np.asarray(values, dtype=float)
-    while seq.size >= min_len + 2:
+    while seq.size >= m + 2:
         d1 = np.diff(seq)
         d2 = np.diff(d1)
-        if np.any(np.abs(d2) <= noise_floor):
+        if np.any(np.abs(d2) <= noise):
             break
         new = seq[2:] - d1[1:] ** 2 / d2
         if not np.all(np.isfinite(new)):
             break
         seq = new
-    return seq.tolist()
+    window = seq[-m:].tolist()
+    if _spread(window) <= tol:
+        return window[-1], _spread(window) + errors[-1] + noise
 
-
-# Remainder families for model-validated extrapolation.  Aitken cannot
-# accelerate 1/log tails (no iterated-difference scheme can, even in exact
-# arithmetic), so when it fails to certify a limit we fit the sample tail
-# against these canonical decay shapes and accept the extrapolated limit
-# only if it predicts the held-out last window to within tolerance.
-_GROW_MODELS: tuple[tuple[str, tuple], ...] = (
-    ("log", (lambda b: 1.0 / np.log(b), lambda b: np.log(b) ** -2.0)),
-    ("sqrt", (lambda b: b ** -0.5, lambda b: 1.0 / b)),
-    ("inv", (lambda b: 1.0 / b, lambda b: b ** -2.0)),
-    ("inv32", (lambda b: b ** -1.5, lambda b: b ** -2.5)),
-)
-_SHRINK_MODELS: tuple[tuple[str, tuple], ...] = (
-    ("sqrt", (lambda d: d ** 0.5, lambda d: d)),
-    ("linear", (lambda d: d, lambda d: d ** 2.0)),
-    ("d32", (lambda d: d ** 1.5, lambda d: d ** 2.5)),
-)
-
-
-def _model_extrapolate(params, values, m: int, tol: float, direction: str):
-    """Fit the sample tail to a decay model and extrapolate the limit.
-
-    Returns (limit, error_estimate) or None.  Acceptance requires the model
-    fitted without the last m samples to predict them within tol, the full
-    fit's residual window to sit within tol, and the combined honesty terms
-    (held-out error, split-half limit shift, 3-sigma regression error) to
-    stay within tol.
-    """
     n = len(values)
-    if n < 3 * m + 6:
+    if n < 3 * m + 6 or not 1.5 < params[0] < params[-1]:
         return None
     x = np.asarray(params, dtype=float)
     y = np.asarray(values, dtype=float)
-    candidates = _GROW_MODELS if direction == "grow" else _SHRINK_MODELS
-    best = None
-    for name, basis in candidates:
-        if name == "log" and x.min() <= 1.5:
-            continue
-        with np.errstate(all="ignore"):
-            cols = [np.ones_like(x)] + [phi(x) for phi in basis]
-        a = np.column_stack(cols)
-        if not np.all(np.isfinite(a)):
-            continue
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 1e-13 * sv[0]:
-            continue
-        coef_train, *_ = np.linalg.lstsq(a[:-m], y[:-m], rcond=None)
-        val_err = float(np.max(np.abs(a[-m:] @ coef_train - y[-m:])))
-        if val_err > tol:
-            continue
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        resid = y - a @ coef
-        window = resid[-m:]
-        if float(window.max() - window.min()) > tol:
-            continue
-        half = n // 2
-        s1, *_ = np.linalg.lstsq(a[:half], y[:half], rcond=None)
-        s2, *_ = np.linalg.lstsq(a[half:], y[half:], rcond=None)
-        sigma2 = float(resid @ resid) / max(n - a.shape[1], 1)
-        cov00 = float(np.linalg.inv(a.T @ a)[0, 0]) * sigma2
-        err = val_err + abs(float(s1[0] - s2[0])) + 3.0 * math.sqrt(max(cov00, 0.0))
-        if err <= tol and (best is None or err < best[1]):
-            best = (float(coef[0]), err, name)
-    return best
+    a = np.column_stack([np.ones_like(x), 1.0 / np.log(x), np.log(x) ** -2.0])
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= 1e-13 * sv[0]:
+        return None
+    coef_train, *_ = np.linalg.lstsq(a[:-m], y[:-m], rcond=None)
+    val_err = float(np.max(np.abs(a[-m:] @ coef_train - y[-m:])))
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    resid = y - a @ coef
+    if val_err > tol or float(resid[-m:].max() - resid[-m:].min()) > tol:
+        return None
+    half = n // 2
+    s1, *_ = np.linalg.lstsq(a[:half], y[:half], rcond=None)
+    s2, *_ = np.linalg.lstsq(a[half:], y[half:], rcond=None)
+    sigma2 = float(resid @ resid) / (n - 3)
+    cov00 = float(np.linalg.inv(a.T @ a)[0, 0]) * sigma2
+    fit_err = val_err + abs(float(s1[0] - s2[0])) + 3.0 * math.sqrt(max(cov00, 0.0))
+    return (float(coef[0]), fit_err + errors[-1]) if fit_err <= tol else None
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +237,7 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     f = compile_expr(spec.integrand, (x,))
     tail_f = compile_expr(tail_expr, (x, shift))
     return _sample_brackets(f, tail_f, a, cfg.b_count, lambda k: b0 + k * cfg.b_step,
-                            lambda b: (b, b + z.width), cfg, "grow")
+                            lambda b: (b, b + z.width), cfg)
 
 
 def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
@@ -284,7 +260,7 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
     # the deltas decrease, so those at or above the floor come first
     count = bisect.bisect_left(range(cfg.delta_count), True, key=lambda k: delta(k) < DELTA_FLOOR)
     return _sample_brackets(g, head_g, beta, count, delta, lambda d: (w.support_floor * d, d),
-                            cfg, "shrink")
+                            cfg)
 
 
 def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegral:
@@ -298,7 +274,7 @@ def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegr
     return InfiniteIntegral(integrand, a, spec.taper.origin, variable=x)
 
 
-def _sample_brackets(f, window_f, start, count, point, span, cfg, direction) -> ZResult:
+def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     """Sample the bracket at point(k) for k < count, then classify the sequence.
 
     Each point is computed when its chunk is integrated, so the count costs
@@ -361,7 +337,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg, direction) -> 
             if stopped:
                 break
         prev = points[-1]
-    return _classify_result(samples, values, errors, evals, cfg, failed, direction)
+    return _classify_result(samples, values, errors, evals, cfg, failed)
 
 
 def _read(result) -> tuple[bool, int]:
@@ -394,32 +370,19 @@ def _spread(window) -> float:
     return max(window) - min(window)
 
 
-def _classify_result(samples, values, errors, evals, cfg, failed, direction) -> ZResult:
+def _classify_result(samples, values, errors, evals, cfg, failed) -> ZResult:
     m = cfg.stability_window
     if failed or len(values) < m:
         value = values[-1] if values else math.nan
         return ZResult(value=value, error_estimate=math.inf, status="quad_failure",
                        samples=tuple(samples), evaluations=evals)
     status = classify_sequence(values, m, cfg.tol)
-    quad_err = errors[-1]
-    if status == "converged":
-        return ZResult(value=values[-1], error_estimate=_spread(values[-m:]) + quad_err,
-                       status="converged", samples=tuple(samples), evaluations=evals)
-    if cfg.accelerate and len(values) >= m + 2:
-        noise = max(32.0 * np.finfo(float).eps * max(abs(v) for v in values),
-                    4.0 * max(errors))
-        acc = _aitken_accelerate(values, m, noise)
-        if len(acc) >= m and _spread(acc[-m:]) <= cfg.tol:
-            return ZResult(value=acc[-1],
-                           error_estimate=_spread(acc[-m:]) + quad_err + noise,
-                           status="converged", samples=tuple(samples),
-                           evaluations=evals, accelerated=True)
-        fitted = _model_extrapolate([p for p, _ in samples], values, m, cfg.tol, direction)
-        if fitted is not None:
-            limit, model_err, _ = fitted
-            return ZResult(value=limit, error_estimate=model_err + quad_err,
-                           status="converged", samples=tuple(samples),
-                           evaluations=evals, accelerated=True)
-    value = values[-1]
-    return ZResult(value=value, error_estimate=_spread(values[-m:]) + quad_err,
-                   status=status, samples=tuple(samples), evaluations=evals)
+    fitted = None
+    if status != "converged" and cfg.accelerate:
+        fitted = _extrapolate([p for p, _ in samples], values, errors, m, cfg.tol)
+    if fitted is None:
+        value, error = values[-1], _spread(values[-m:]) + errors[-1]
+    else:
+        (value, error), status = fitted, "converged"
+    return ZResult(value=value, error_estimate=error, status=status, samples=tuple(samples),
+                   evaluations=evals, accelerated=fitted is not None)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from zvar.cli import run_cli
+from zvar.expr import MAX_DEPTH
 from zvar.verify import evaluate_spec, load_corpus, run_suite
 
 
@@ -203,10 +204,28 @@ def test_usage_errors_exit_one():
          "--z", "taper:c=1", "--frobnicate"],                            # unknown flag
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--cov", "rotate:t=1"],                                         # bad cov
+        ["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
+         "--z", "taper:c=1e308"],                                        # span past float range
+        # 1,000 levels deep: parentheses, a sum, a power chain, calls, signs
+        *(["eval", "--type", "inf", f"--f={f}", "--a", "1", "--z", "taper:c=1"]
+          for f in ("(" * 1000 + "x^-2" + ")" * 1000, "+".join(["x^-2"] * 1000),
+                    "^".join(["x"] * 1000), "exp(" * 1000 + "-x" + ")" * 1000,
+                    "-" * 1000 + "x^-2")),
     ):
-        code, _, err = _run(argv)
-        assert code == 1, argv
-        assert err.strip(), argv
+        code, out, err = _run(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("zvar: error:"), argv
+
+
+def test_expression_at_the_depth_bound_evaluates_and_transforms():
+    f = "+".join(["exp(-x)"] * (MAX_DEPTH - 2))     # a tree MAX_DEPTH levels deep
+    spec = ["--type", "inf", "--f", f, "--a", "0", "--z", "taper:c=1"]
+    code, out, err = _run(["eval", *spec])
+    assert (code, err) == (0, "")
+    assert float(out.split("value: ")[1].split()[0]) == pytest.approx(MAX_DEPTH - 2, abs=1e-6)
+    code, out, err = _run(["transform", *spec, "--cov", "exp:d=1,alpha=1"])
+    assert code in (0, 2) and err == ""
+    assert out.startswith("verdict: ")
 
 
 def test_max_evals_is_enforced():

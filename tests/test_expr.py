@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from zvar.expr import (
+    MAX_DEPTH,
     DomainFault,
     ExprAST,
     ParseError,
@@ -64,6 +65,19 @@ def test_parse_errors_carry_offset():
         parse("sin(x")
     with pytest.raises(ParseError):
         parse("1 + ")
+
+
+def _levels(ast):
+    return 1 + max((_levels(child) for child in ast.children), default=0)
+
+
+def test_parse_accepts_trees_up_to_the_depth_bound():
+    power_chain = "^".join(["x"] * MAX_DEPTH)
+    left_sum = "+".join(["x^-2"] * (MAX_DEPTH - 1))
+    assert _levels(parse(power_chain)) == _levels(parse(left_sum)) == MAX_DEPTH
+    for text in (power_chain + "^x", left_sum + "+x^-2"):
+        with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse(text)
 
 
 def test_evaluate_basics():

@@ -192,6 +192,8 @@ def test_invalid_arguments():
             integrate(1.0, 0.0, 1e-10)
         with pytest.raises(ValueError):
             integrate(0.0, math.inf, 1e-10)
+        with pytest.raises(ValueError, match=r"\[1.0, 1e\+308\]"):  # 0.5 * (a + b) overflows
+            integrate(1.0, 1e308, 1e-10)
         with pytest.raises(ValueError):
             integrate(0.0, 1.0, 0.0)
 

@@ -10,6 +10,7 @@ from zvar.expr import DomainFault, parse
 from zvar.quad import integrate_callable
 from zvar.taper import BoundaryTaper, boundary_taper_from_z, make_matched_trig, make_smooth_taper
 from zvar.zeval import (
+    _extrapolate,
     BridgeUnavailable,
     EvalConfig,
     FiniteIntegral,
@@ -147,6 +148,26 @@ def test_log_decay_needs_model_acceleration(smooth):
     plain = eval_infinite(spec, EvalConfig(b_start=1e7, b_step=1e7, b_count=300,
                                            tol=1e-8, quad_tol=1e-11))
     assert plain.status != "converged"
+
+
+def test_extrapolate_fits_a_log_remainder_only_on_a_growing_parameter():
+    # L + A/ln p + B/ln^2 p is the fit's own basis, so it recovers L exactly,
+    # but only for p growing from above 1.5.
+    def bracket(params):
+        return [1.0 - 1.0 / math.log(p) + 0.5 / math.log(p) ** 2 for p in params]
+
+    tol = 1e-8
+    errors = [1e-12] * 40
+    growing = [1e7 * (k + 1) for k in range(40)]
+    limit, error = _extrapolate(growing, bracket(growing), errors, 5, tol)
+    assert abs(limit - 1.0) <= tol and error <= tol
+    shrinking = growing[::-1]
+    assert _extrapolate(shrinking, bracket(shrinking), errors, 5, tol) is None
+    for start in (1.5, 1.2):
+        low = [start + 1e7 * k for k in range(40)]
+        assert _extrapolate(low, bracket(low), errors, 5, tol) is None
+    just_above = [1.5000001 + 1e7 * k for k in range(40)]
+    assert _extrapolate(just_above, bracket(just_above), errors, 5, tol) is not None
 
 
 def test_acceleration_cannot_fabricate_convergence(smooth):
