@@ -6,18 +6,21 @@ evaluation count, as `scipy.integrate.quad_vec` does for the components
 of a vector integrand.  A segment starts as six panels; each round it
 bisects the panels carrying at least half of its error estimate.  The
 Gauss(10)/Kronrod(21) rule is then applied to the children of every live
-segment in one vectorized batch, with one call per integrand, in blocks
-of whole segments of at most 512 panels (a larger segment runs alone).
+segment in one vectorized batch, with one integrand call per group of
+segments sharing an integrand, cut into calls of at most 512 panels.
 Only children are evaluated: every other panel keeps its value and error
 from the round that created it.  The Kronrod nodes are strictly
 interior, so endpoints are never sampled.
 
-A segment's decisions and sums read only its own panels, in the order a
-one-segment run keeps them, and its rule sums take one BLAS call with
-the shape they have when it runs alone, so a segment gets the same
-result, bit for bit, in a batch of any size.  A caller that reads the
-results in order and stops at the first failure can say so, and the
-segments it would never read stop early.
+The frontier is one set of panel columns tagged with a segment index, and
+each round takes every decision for all segments at once with array
+operations.  A segment's decisions and sums read only its own panels, in
+an order its own rounds determine, and every sum is a reduction over one
+row or one segment: a BLAS product's result for a row can depend on how
+many rows share the call, a row reduction's cannot.  So a segment gets
+the same result, bit for bit, in a batch of any size.  A caller that
+reads the results in order and stops at the first failure can say so,
+and the segments it would never read stop early.
 
 A segment stops unconverged, with its best-effort value and error, when
 - its budget is spent.  No evaluation goes beyond max_evals, so a budget
@@ -34,7 +37,6 @@ DomainFault that names the abscissa.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -89,13 +91,11 @@ _WG_HALF = np.array([
 _XK = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF, [0.149445554002916905664936468389821], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
-_WKG = np.column_stack([_WK, _WG])   # one matmul gives the Kronrod and Gauss sums
 
 _EPS = np.finfo(float).eps
 _INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
-_NONE = np.arange(0)
-_BATCH_PANELS = 512  # rule batch bound; a segment with more children runs alone
+_BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
 _MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
 
 # Segments sharing one integrand: (fn, lo, hi, params), see integrate_segments.
@@ -142,68 +142,64 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                        max_evals: int = 10_000_000,
                        read_order: Sequence[int] | None = None
-                       ) -> list[QuadResult | DomainFault | None]:
+                       ) -> list[QuadResult | DomainFault]:
     """Integrate every segment of every group to absolute tolerance abs_tol.
 
     A group (fn, lo, hi, params) holds the segments [lo[i], hi[i]] of fn,
     which is called as fn(x) when params is None and as fn(x, p) otherwise,
     p holding params[i] at every point of segment i.  The results come in
     group order, one per segment: what integrate_callable returns for that
-    segment alone, or the DomainFault it raises.  max_evals caps each
-    segment.
+    segment alone, or the DomainFault it raises.  A DomainFault's
+    `evaluations` attribute holds the evaluations spent before it.
+    max_evals caps each segment.
 
     read_order, one position per segment, is the order in which a caller
     reads the results and stops at the first failure (a DomainFault or
     converged=False).  A segment placed after a failed one is never read,
-    so it stops within a round of that failure; its result is None unless
-    it had finished.
+    so it stops in the round of that failure, unconverged, with its
+    best-effort value and the evaluations it spent, unless it had finished.
     """
-    owner, param, lo, hi = [], [], [], []
-    for g, (_, glo, ghi, gparams) in enumerate(groups):
-        for i, (a, b) in enumerate(zip(glo, ghi, strict=True)):
+    lo, hi, first = [], [], [0]   # first: each group's first segment, then the count
+    for _, glo, ghi, _ in groups:
+        for a, b in zip(glo, ghi, strict=True):
             if not (abs(a) <= _MAX_LIMIT and abs(b) <= _MAX_LIMIT):
                 raise ValueError(f"integration limits [{a!r}, {b!r}] must be finite and "
                                  f"at most {_MAX_LIMIT!r} in magnitude")
             if not a < b:
                 raise ValueError(f"need lo < hi, got [{a!r}, {b!r}]")
-            owner.append(g)
-            param.append(None if gparams is None else gparams[i])
             lo.append(a)
             hi.append(b)
+        first.append(len(lo))
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
     count = len(lo)
     first_batch = _INITIAL_SPLIT * _XK.size
-    if max_evals < first_batch:
+    if count == 0 or max_evals < first_batch:
         return [QuadResult(value=math.nan, error_estimate=math.inf, evaluations=0,
                            converged=False) for _ in range(count)]
-    position = [0] * count if read_order is None else list(read_order)
+    max_evals = min(max_evals, sys.maxsize)   # so budgets fit the int64 counts
+    budget = (max_evals - first_batch) // (2 * _XK.size)   # bisections a segment affords
     cutoff = math.inf   # read position of the first failure so far
-    rule = _Rule([group[0] for group in groups], owner, param)
-    results: list[QuadResult | DomainFault | None] = [None] * count
-    evals = [first_batch] * count
-    frozen_value = [0.0] * count
-    frozen_error = [0.0] * count
-    frozen_abs = [0.0] * count
+    value = np.zeros(count)
+    error = np.zeros(count)
+    spent = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    faults: dict[int, DomainFault] = {}
+    # Per live segment: its id, read position, bisections, and the value,
+    # error and |value| of its frozen panels.
+    ids = np.arange(count)
+    position = np.zeros(count) if read_order is None else np.asarray(read_order, dtype=float)
+    bisections = np.zeros(count, dtype=np.int64)
+    frozen = np.zeros((3, count))
 
-    def finish(s, block, converged, err_sum=None):
-        nonlocal cutoff
-        if err_sum is None:
-            err_sum = float(block[3].sum())
-        results[s] = QuadResult(value=float(block[2].sum()) + frozen_value[s],
-                                error_estimate=err_sum + frozen_error[s],
-                                evaluations=evals[s], converged=converged)
-        if not converged:
-            cutoff = min(cutoff, position[s])
-
-    # The frontier holds one block of columns (a, b, value, error, roundoff
-    # floor) per live segment, in segment order.  A bisected panel's left
-    # child takes its column and the right child is appended to the block,
-    # so each block keeps the panel order, and the sums, of a one-segment
-    # run.  Each round's children are the columns of `kids`; an entry of
-    # `carried` is (segment, block, first and end child column, split): the
-    # first split.size children replace the split columns, the rest are
-    # appended.  The starting panels are children appended to empty blocks.
+    # The frontier is one set of columns (a, b, value, error, roundoff floor)
+    # with a live-segment index each, sorted by index and then by descending
+    # error.  A round bisects the first columns of each segment and merges the
+    # evaluated children in with one stable sort, so equal errors keep the
+    # order that the segment's own rounds gave them.  Every decision is a
+    # segmented reduction over the index, which reads a segment's columns
+    # alone and in that order: a segment's result does not depend on the
+    # batch.  The starting panels are the first children of an empty frontier.
     lo_arr = np.array(lo, dtype=float)
     hi_arr = np.array(hi, dtype=float)
     # np.linspace(lo, hi, _INITIAL_SPLIT + 1) bit for bit, at a third of its cost.
@@ -213,211 +209,172 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     kids[0] = edges[:, :-1]
     kids[1] = edges[:, 1:]
     kids = kids.reshape(5, -1)
-    panels = kids[:, :0]
-    rows = [(s, s * _INITIAL_SPLIT, (s + 1) * _INITIAL_SPLIT) for s in range(count)]
-    carried = [(s, panels, r0, r1, _NONE) for s, r0, r1 in rows]
-    at = _NONE
-    stuck: dict[int, np.ndarray] = {}   # segment -> fresh columns too narrow to bisect
+    kid_seg = np.arange(count).repeat(_INITIAL_SPLIT)
+    panels, seg = kids[:, :0], kid_seg[:0]
+    pick = np.zeros(0, dtype=bool)   # the frontier columns bisected last round
+    small = np.min_scalar_type(count)   # a stable sort by index of this type is a radix sort
+    rule = _Rule(groups, first)
 
-    while carried:
-        faults, narrow = rule.apply(kids, rows)
-        if at.size:
-            panels[1:, at] = _join([kids[1:, r0:(r0 + r1) // 2] for _, r0, r1 in rows], axis=1)
-        for s, fault in faults.items():
-            results[s] = fault
-            cutoff = min(cutoff, position[s])
-        pieces, live, sizes = [], [], []
-        for s, block, r0, r1, split in carried:
-            if s in faults or position[s] > cutoff:
-                continue
-            n = block.shape[1]
-            added = r1 - r0 - split.size
-            if narrow is not None and narrow[r0:r1].any():
-                fresh = np.concatenate([split, n + np.arange(added)])
-                stuck[s] = fresh[narrow[r0:r1]]
-            pieces += (block, kids[:, r1 - added:r1])
-            live.append(s)
-            sizes.append(n + added)
-        if not live:
-            break
-        panels = np.concatenate(pieces, axis=1)
-        del pieces, block   # views that would keep the last frontier alive
+    while True:
+        new_faults, narrow = rule.apply(kids, kid_seg, ids)
+        # Merge the kids in.  Their parents sort past every segment, and are cut.
+        panels = np.concatenate([panels, kids], axis=1)
+        seg = np.concatenate([seg, kid_seg])
+        key = seg.astype(small)
+        key[:pick.size][pick] = ids.size
+        order = np.lexsort((-panels[3], key))[:seg.size - np.count_nonzero(pick)]
+        panels, seg = panels.take(order, axis=1), seg[order]
+        if narrow is not None:   # the fresh panels too narrow to bisect, in frontier order
+            narrow = np.concatenate([np.zeros(key.size - narrow.size, dtype=bool), narrow])[order]
+        starts = np.searchsorted(seg, np.arange(ids.size))
+        value_sum, err, floor_sum = np.add.reduceat(panels[2:], starts, axis=1)
+        allowed = budget - bisections
+        done = err + frozen[1] <= abs_tol
+        floored = floor_sum + frozen[1] > abs_tol   # abs_tol is below roundoff
+        stop = ~done & ((allowed == 0) | floored)
+        if new_faults:
+            lost = np.zeros(ids.size, dtype=bool)
+            lost[list(new_faults)] = True
+            for i, fault in new_faults.items():
+                fault.evaluations = first_batch + 2 * _XK.size * int(bisections[i])
+                faults[int(ids[i])] = fault
+            done &= ~lost
+            stop |= lost
+        go = ~(done | stop)
+        if narrow is not None:
+            # Freeze the fresh panels too narrow to bisect in floating point.  A
+            # panel that passed this test once always passes, so only fresh ones
+            # run it.  A segment that freezes panels bisects none this round,
+            # and its budget is checked in the next.
+            idle = ~done & ~floored & (first_batch + 2 * _XK.size * bisections < max_evals)
+            if new_faults:
+                idle &= ~lost
+            gone = narrow & idle[seg]
+            gone_seg = seg[gone]
+            frozen += [np.bincount(gone_seg, w, ids.size)
+                       for w in (panels[2, gone], panels[3, gone], np.abs(panels[2, gone]))]
+            panels, seg = np.compress(~gone, panels, axis=1), seg[~gone]
+            idle = np.bincount(gone_seg, minlength=ids.size) > 0
+            empty = np.bincount(seg, minlength=ids.size) == 0
+            starts = np.searchsorted(seg, np.arange(ids.size))
+            sums = np.zeros((3, ids.size))
+            sums[:, ~empty] = np.add.reduceat(panels[2:], starts[~empty], axis=1)
+            value_sum, err, floor_sum = sums
+            over = idle & ((frozen[2] > abs_tol) | empty)
+            certified = over & (frozen[2] <= abs_tol) & (frozen[1] <= abs_tol)
+            done |= certified
+            stop = (stop & ~idle) | (over & ~certified)
+            go &= ~idle
+        end = done | stop
+        if np.count_nonzero(end):
+            if np.count_nonzero(stop):
+                cutoff = min(cutoff, position[stop].min())
+                stop |= ~done & (position > cutoff)
+                go &= ~stop
+                end = done | stop
+            out = ids[end]
+            value[out] = value_sum[end] + frozen[0, end]
+            error[out] = err[end] + frozen[1, end]
+            spent[out] = first_batch + 2 * _XK.size * bisections[end]
+            converged[out] = done[end]
+            if np.count_nonzero(end) == end.size:
+                break
+            live = ~end
+            keep = live[seg]
+            panels = np.compress(keep, panels, axis=1)
+            seg = (np.cumsum(live) - 1)[seg[keep]]
+            ids, position, frozen = ids[live], position[live], frozen[:, live]
+            bisections = bisections[live]
+            err, allowed, go = err[live], allowed[live], go[live]
+            starts = np.searchsorted(seg, np.arange(ids.size))
 
-        carried, splits, rows, children = [], [], [], 0
-        end = 0
-        for s, n in zip(live, sizes):
-            start, end = end, end + n
-            if position[s] > cutoff:
-                continue
-            block = panels[:, start:end]
-            gone = stuck.pop(s, None)
-            errs = block[3]
-            err_sum = float(errs.sum())
-            if err_sum + frozen_error[s] <= abs_tol:
-                finish(s, block, True, err_sum)
-            elif evals[s] >= max_evals or float(block[4].sum()) + frozen_error[s] > abs_tol:
-                finish(s, block, False, err_sum)
-            elif gone is not None:
-                # Freeze the panels too narrow to bisect in floating point.  A
-                # panel that passed this test once always passes, so only
-                # fresh ones run it.
-                frozen_value[s] += float(block[2, gone].sum())
-                frozen_error[s] += float(block[3, gone].sum())
-                frozen_abs[s] += float(np.abs(block[2, gone]).sum())
-                keep = np.ones(n, dtype=bool)
-                keep[gone] = False
-                block = block[:, keep]
-                if frozen_abs[s] > abs_tol or block.shape[1] == 0:
-                    converged = frozen_abs[s] <= abs_tol and frozen_error[s] <= abs_tol
-                    finish(s, block, converged)
-                else:
-                    carried.append((s, block, children, children, _NONE))
-            else:
-                # Bisect the subset carrying at least half of the segment's error.
-                order = errs.argsort()[::-1]
-                cum = errs[order].cumsum()
-                split = order[:int(cum.searchsorted(0.5 * err_sum)) + 1]
-                if evals[s] + 2 * split.size * _XK.size > max_evals:
-                    allowed = max(0, (max_evals - evals[s]) // (2 * _XK.size))
-                    if allowed == 0:
-                        finish(s, block, False, err_sum)
-                        continue
-                    split = split[:allowed]
-                k = split.size
-                evals[s] += 2 * k * _XK.size
-                splits.append(split + start)
-                rows.append((s, children, children + 2 * k))
-                carried.append((s, block, children, children + 2 * k, split))
-                children += 2 * k
+        # Bisect the panels carrying at least half of each segment's error: the
+        # first columns of the segment, as many as it takes for their running
+        # sum to reach half.  Each segment's sums run along its own row of a
+        # padded table, so that no other segment's error enters them.
+        rank = np.arange(seg.size) - starts[seg]
+        table = np.zeros((ids.size, rank.max() + 1))
+        table[seg, rank] = panels[3]
+        # The first column to reach half, or 0 if none does (a non-finite
+        # error): a bisecting segment always takes at least one panel.
+        below = (table.cumsum(axis=1) >= 0.5 * err[:, None]).argmax(axis=1)
+        take = np.minimum(below + 1, allowed * go)
+        bisections += take
+        pick = rank < take[seg]
 
-        at = _NONE
-        if splits:
-            at = _join(splits)
-            left = panels[0, at]
-            right = panels[1, at]
-            mid = 0.5 * (left + right)
-            # Segment by segment: the left children, then the right ones.
-            kids = np.empty((5, children))
-            if len(rows) == 1:   # the same columns; a lone segment's rounds are frequent
-                np.concatenate([left, mid], out=kids[0])
-                np.concatenate([mid, right], out=kids[1])
-            else:
-                sides = [slice(r0 // 2, r1 // 2) for _, r0, r1 in rows]
-                np.concatenate([part for i in sides for part in (left[i], mid[i])], out=kids[0])
-                np.concatenate([part for i in sides for part in (mid[i], right[i])], out=kids[1])
-    return results
+        ends = np.compress(pick, panels[:2], axis=1)
+        mid = 0.5 * (ends[0] + ends[1])
+        kids = np.empty((5, 2 * mid.size))   # each picked panel's left, then right child
+        kids[:2] = ends.repeat(2, axis=1)
+        kids[0, 1::2] = mid
+        kids[1, 0::2] = mid
+        kid_seg = seg[pick].repeat(2)
+    return [faults[s] if s in faults else
+            QuadResult(value=v, error_estimate=e, evaluations=n, converged=c)
+            for s, (v, e, n, c) in enumerate(zip(value.tolist(), error.tolist(), spent.tolist(),
+                                                 converged.tolist()))]
 
 
 class _Rule:
     """The 21-point rule over the columns of a panel batch, one call per integrand."""
 
-    def __init__(self, fns, owner, param):
-        self.fns = fns
-        self.owner = owner
-        self.param = param
+    def __init__(self, groups, first):
+        self.fns = [fn for fn, _, _, _ in groups]
+        self.first = np.array(first)
+        self.param = [None if p is None else np.asarray(p, dtype=float)
+                      for _, _, _, p in groups]
 
-    def apply(self, panels, rows):
+    def apply(self, panels, seg, ids):
         """Fill value, error and roundoff floor (rows 2-4) of every panel [a, b].
 
-        rows lists (segment, first column, end column), contiguous and in
-        segment order.  Returns the DomainFault of each segment whose
-        integrand is not finite, and a mask of the panels too narrow to
-        bisect (None when there are none).
+        Segment ids[seg[i]] owns panel i; seg is in ascending order.  Returns
+        the DomainFault of each index in seg whose integrand is not finite, and
+        a mask of the panels too narrow to bisect (None when there are none).
         """
-        faults = {}
-        narrow = None
-        first = 0
-        while first < len(rows):
-            last = first + 1
-            while last < len(rows) and rows[last][2] - rows[first][1] <= _BATCH_PANELS:
-                last += 1
-            r0, r1 = rows[first][1], rows[last - 1][2]
-            local = [(s, q0 - r0, q1 - r0) for s, q0, q1 in rows[first:last]]
-            first = last
-            a = panels[0, r0:r1]
-            b = panels[1, r0:r1]
-            mid = 0.5 * (a + b)
-            tight = (mid <= a) | (mid >= b)
-            if np.count_nonzero(tight):
-                if narrow is None:
-                    narrow = np.zeros(panels.shape[1], dtype=bool)
-                narrow[r0:r1] = tight
-            half = 0.5 * (b - a)
-            faults.update(self._block(panels[2:, r0:r1], mid, half, local))
-        return faults, narrow
-
-    def _block(self, out, mid, half, rows):
-        fx = self._evaluate(mid, half, rows)
-        resabs = _sums(np.abs(fx), _WK, rows)
+        a, b = panels[0], panels[1]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        tight = (mid <= a) | (mid >= b)
+        fx = np.empty((a.size, _XK.size))
+        owner = ids[seg]
+        bounds = np.searchsorted(owner, self.first)
+        for g, fn in enumerate(self.fns):
+            # A group's panels are cut into calls of at most _BATCH_PANELS,
+            # which bounds the integrand's temporaries.
+            for r0 in range(bounds[g], bounds[g + 1], _BATCH_PANELS):
+                r1 = min(r0 + _BATCH_PANELS, bounds[g + 1])
+                x = (mid[r0:r1, None] + half[r0:r1, None] * _XK).ravel()
+                if self.param[g] is None:
+                    fx[r0:r1] = fn(x).reshape(-1, _XK.size)
+                else:
+                    p = np.repeat(self.param[g][owner[r0:r1] - self.first[g]], _XK.size)
+                    fx[r0:r1] = fn(x, p).reshape(-1, _XK.size)
+        # Each sum is a row reduction, whose value for a row does not depend on
+        # the other rows; a BLAS product's can depend on their number.
+        resabs = np.vecdot(np.abs(fx), _WK)
         faults = {}
         if not math.isfinite(resabs.sum()):
             # A non-finite f makes the sum non-finite; only then scan the points.
             # The faulted segments' results are dropped; zeroing their f keeps
-            # the rest of the block's arithmetic finite.
-            fx = fx.copy()
+            # the rest of the arithmetic finite.
             bad = ~np.isfinite(fx)
-            for s, q0, q1 in rows:
-                if bad[q0:q1].any():
-                    r, c = np.argwhere(bad[q0:q1])[0]
-                    where = mid[q0 + r] + half[q0 + r] * _XK[c]
-                    faults[s] = DomainFault(
-                        f"integrand evaluated to a non-finite value at {where!r}")
-                    fx[q0:q1] = 0.0
-                    resabs[q0:q1] = 0.0
-        kg = _sums(fx, _WKG, rows)
-        resk = kg[:, 0]
-        resg = kg[:, 1]
-        dev = fx - 0.5 * resk[:, None]
-        resasc = _sums(np.abs(dev, out=dev), _WK, rows)
+            at = np.flatnonzero(bad)
+            faulted, first = np.unique(seg[at // _XK.size], return_index=True)
+            for s, (r, c) in zip(faulted.tolist(), zip(*np.divmod(at[first], _XK.size))):
+                where = mid[r] + half[r] * _XK[c]
+                faults[s] = DomainFault(f"integrand evaluated to a non-finite value at {where!r}")
+            fx[bad] = 0.0
+            resabs = np.vecdot(np.abs(fx), _WK)
+        resk = np.vecdot(fx, _WK)
+        resg = np.vecdot(fx, _WG)
+        dev = np.subtract(fx, 0.5 * resk[:, None], out=fx)
+        resasc = np.vecdot(np.abs(dev, out=dev), _WK)
         raw = np.abs(resk - resg) * half
         asc = resasc * half
-        err = np.where(
-            (asc != 0.0) & (raw != 0.0),
-            asc * np.minimum(1.0, (200.0 * raw / np.where(asc == 0.0, 1.0, asc)) ** 1.5),
-            raw,
-        )
-        np.multiply(resk, half, out=out[0])
-        floor = np.multiply(10.0 * _EPS * resabs, half, out=out[2])
-        np.maximum(err, floor, out=out[1])
-        return faults
-
-    def _evaluate(self, mid, half, rows):
-        """f at every node, one call per run of rows sharing an integrand.
-
-        A run longer than _BATCH_PANELS rows is cut into calls of that many,
-        which bounds the integrand's temporaries.
-        """
-        s, q0, q1 = rows[0]
-        if len(rows) == 1 and q1 - q0 <= _BATCH_PANELS:   # one call, with less overhead
-            x = (mid[:, None] + half[:, None] * _XK).ravel()
-            fn, p = self.fns[self.owner[s]], self.param[s]
-            return (fn(x) if p is None else fn(x, np.full(x.size, p))).reshape(-1, _XK.size)
-        parts = []
-        for g, run in itertools.groupby(rows, key=lambda row: self.owner[row[0]]):
-            run = list(run)
-            start, end = run[0][1], run[-1][2]
-            params = None
-            if self.param[run[0][0]] is not None:
-                params = np.repeat([self.param[s] for s, _, _ in run],
-                                   [(q1 - q0) * _XK.size for _, q0, q1 in run])
-            for r0 in range(start, end, _BATCH_PANELS):
-                r1 = min(r0 + _BATCH_PANELS, end)
-                x = (mid[r0:r1, None] + half[r0:r1, None] * _XK).ravel()
-                if params is None:
-                    parts.append(self.fns[g](x))
-                else:
-                    p = params[(r0 - start) * _XK.size:(r1 - start) * _XK.size]
-                    parts.append(self.fns[g](x, p))
-        return _join(parts).reshape(-1, _XK.size)
-
-
-def _sums(m, weights, rows):
-    """m @ weights in one BLAS call per segment, with the shape the segment
-    has when it runs alone: BLAS's result for a row can depend on the number
-    of rows in the call."""
-    return _join([m[q0:q1] @ weights for _, q0, q1 in rows])
-
-
-def _join(parts, axis=0):
-    """np.concatenate(parts, axis), without the copy when there is one part."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+        flat = asc == 0.0
+        err = np.where(flat, raw,
+                       asc * np.minimum(1.0, (200.0 * raw / np.where(flat, 1.0, asc)) ** 1.5))
+        np.multiply(resk, half, out=panels[2])
+        floor = np.multiply(10.0 * _EPS * resabs, half, out=panels[4])
+        np.maximum(err, floor, out=panels[3])
+        return faults, (tight if np.count_nonzero(tight) else None)

@@ -290,9 +290,10 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     The points are integrated in chunks, every running segment and window
     of a chunk in one integrate_segments call.  A chunk ends at the first
     point that could stop the sequence, so on success no point past the
-    stopping one is integrated.  The results are read in point order, and
-    the evaluations counted are those of the quadratures read; the
-    quadratures after a failed one stop early, as they are never read.
+    stopping one is integrated.  The results are read in point order; the
+    quadratures after a failed one stop early, as they are never read.  The
+    evaluations counted are those of every quadrature of every chunk,
+    read or not.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -313,21 +314,18 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
             cfg.quad_tol, cfg.max_evals_per_point,
             read_order=[2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
+        evals += sum(result.evaluations for result in results)
         increments = [None] * len(points)   # none where a point repeats the previous one
         for i, inc in zip(moved, results):
             increments[i] = inc
         for p, inc, window in zip(points, increments, results[len(moved):]):
             if inc is not None:
-                converged, spent = _read(inc)
-                evals += spent
-                if not converged:
+                if not _converged(inc):
                     failed = True
                     break
                 running += inc.value
                 running_err += inc.error_estimate
-            converged, spent = _read(window)
-            evals += spent
-            if not converged:
+            if not _converged(window):
                 failed = True
                 break
             values.append(running + window.value)
@@ -340,15 +338,8 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     return _classify_result(samples, values, errors, evals, cfg, failed)
 
 
-def _read(result) -> tuple[bool, int]:
-    """Whether a quadrature converged, and the evaluations it counts.
-
-    A domain fault counts none: raised one call at a time, it stopped the
-    call before its count was known.
-    """
-    if isinstance(result, DomainFault):
-        return False, 0
-    return result.converged, result.evaluations
+def _converged(result) -> bool:
+    return not isinstance(result, DomainFault) and result.converged
 
 
 def _chunk_end(values, size, m, tol) -> int:

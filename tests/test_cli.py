@@ -238,16 +238,17 @@ def test_max_evals_is_enforced():
     assert payload["evaluations"] == 0
 
 
-def test_non_integrable_inner_integral_ends_quad_failure():
+def test_non_integrable_inner_integral_ends_quad_failure(evaluated_points):
     # The window over [1, 2] holds tan's pole at pi/2: its inner quadrature
     # stops unconverged instead of certifying a value, after a few thousand
-    # evaluations rather than a whole budget.
+    # evaluations rather than a whole budget.  The quadratures that ran
+    # beside it are counted too: evaluations are the points evaluated.
     code, out, _ = _run(["eval", "--type", "inf", "--f", "tan(x)", "--a", "0",
                          "--z", "taper:c=1", "--json"])
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == "quad_failure"
-    assert payload["evaluations"] < 10_000
+    assert payload["evaluations"] == sum(evaluated_points) < 10_000
 
 
 def test_max_evals_budget():

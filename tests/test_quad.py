@@ -182,6 +182,7 @@ def test_determinism():
 def test_callable_interface():
     r = integrate_callable(np.cos, 0.0, math.pi / 2, 1e-12)
     assert r.converged and abs(r.value - 1.0) < 1e-12
+    assert integrate_callable(np.cos, 0.0, math.pi / 2, 1e-12, max_evals=10**30) == r
 
 
 def test_invalid_arguments():
@@ -209,9 +210,18 @@ def test_non_integrable_integral_is_not_certified():
 
 def test_segments_match_one_at_a_time():
     # Every segment of a lockstep batch gets, bit for bit, the result it gets
-    # alone: value, error, evaluations and converged, or the same DomainFault.
+    # alone: value, error, evaluations and converged, or the same DomainFault
+    # after the same evaluations.
     def step(x):
         return (x >= 1.0 / 3.0).astype(float)
+
+    def loud(x):
+        # Its error stays 1e13 to 2e14 times that of the ripples: a running sum
+        # of errors carried over from loud into a ripple loses the ripple's
+        # bits, and moves the cut at half its error.
+        return 1e3 * np.sin(1000.0 * x)
+
+    ripples = [lambda x: 1e-11 * np.sin(50.0 * x), lambda x: 1e-10 * np.sin(20.0 * x)]
 
     def chirp(x):
         return np.sin(1.0 / x) / x**2
@@ -240,30 +250,38 @@ def test_segments_match_one_at_a_time():
     hi_p = lo_p + rng.uniform(0.5, 3.0, 12)
     freqs = rng.uniform(1.0, 40.0, 12)
     kinks = rng.uniform(0.1, 0.9, 24)
-    budget = 3000
 
-    def alone(fn, lo, hi, tol):
+    def alone(fn, lo, hi, tol, budget):
         try:
             return integrate_callable(fn, lo, hi, tol, budget)
         except DomainFault as fault:
             return fault
 
     outcomes = set()
-    for tol in (3e-17, 1e-10):
+    # The last run's sin segment bisects more than _BATCH_PANELS / 2 panels in
+    # one round, so its children take more than one integrand call.
+    for tol, budget, wide in ((3e-17, 3000, []), (1e-10, 3000, []), (1e-10, 100_000, [20000.0])):
         batch = integrate_segments(
-            [(damped, lo_p, hi_p, freqs),
+            [(loud, [0.0], [30.0], None),
+             *[(fn, [0.0], [30.0], None) for fn in ripples],
+             (damped, lo_p, hi_p, freqs),
              (np.cos, [], [], None),                     # no segments
              (kink, np.zeros(kinks.size), np.ones(kinks.size), kinks),
-             *[(fn, [lo], [hi], None) for fn, lo, hi in plain]],
+             *[(fn, [lo], [hi], None) for fn, lo, hi in plain],
+             (np.sin, [0.0] * len(wide), wide, None)],
             tol, budget)
-        expected = [alone(lambda x, p=p: damped(x, p), lo, hi, tol)
-                    for lo, hi, p in zip(lo_p, hi_p, freqs)]
-        expected += [alone(lambda x, c=c: kink(x, c), 0.0, 1.0, tol) for c in kinks]
-        expected += [alone(fn, lo, hi, tol) for fn, lo, hi in plain]
+        expected = [alone(loud, 0.0, 30.0, tol, budget)]
+        expected += [alone(fn, 0.0, 30.0, tol, budget) for fn in ripples]
+        expected += [alone(lambda x, p=p: damped(x, p), lo, hi, tol, budget)
+                     for lo, hi, p in zip(lo_p, hi_p, freqs)]
+        expected += [alone(lambda x, c=c: kink(x, c), 0.0, 1.0, tol, budget) for c in kinks]
+        expected += [alone(fn, lo, hi, tol, budget) for fn, lo, hi in plain]
+        expected += [alone(np.sin, 0.0, hi, tol, budget) for hi in wide]
         assert len(batch) == len(expected)
         for got, want in zip(batch, expected):
             if isinstance(want, DomainFault):
                 assert isinstance(got, DomainFault) and str(got) == str(want)
+                assert got.evaluations == want.evaluations
                 outcomes.add("fault")
             else:
                 assert got == want
@@ -277,8 +295,9 @@ def test_segments_match_one_at_a_time():
 
 def test_segments_after_a_failure_in_read_order_stop_early():
     # Read in read_order, the results after the first failure (tan's) are
-    # never read: the chirp stops within a round of it, with None.  The exp
-    # segment placed after tan had already converged and keeps its result.
+    # never read: the chirp stops in the round of it, unconverged, and
+    # reports the evaluations it spent.  The exp segment placed after tan
+    # had already converged and keeps its result.
     spent = []
 
     def chirp(x):
@@ -293,8 +312,8 @@ def test_segments_after_a_failure_in_read_order_stop_early():
              integrate_callable(np.exp, 1.0, 2.0, 1e-10),
              integrate_callable(np.tan, 1.0, 2.0, 1e-10)]
     assert got[:3] == alone and not alone[2].converged
-    assert got[3] is None
     cut = sum(spent)
+    assert not got[3].converged and got[3].evaluations == cut
     spent.clear()
     full = integrate_segments(groups, 1e-10)[3]     # no read order: the chirp runs on
     assert cut < sum(spent) == full.evaluations

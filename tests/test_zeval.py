@@ -285,20 +285,24 @@ def test_converging_evaluation_integrates_no_point_past_its_last_sample(smooth, 
     assert r.evaluations == evals
 
 
-def test_domain_fault_inside_a_chunk_keeps_the_samples_before_it(smooth, monkeypatch):
+def test_domain_fault_inside_a_chunk_keeps_the_samples_before_it(smooth, monkeypatch,
+                                                                 evaluated_points):
     # ln(3.3 - x) faults past x = 3.3: the window of the third point, [2.4, 3.4],
     # is the first integral to reach there, inside the first five-point chunk.
+    # The evaluations count every quadrature of the chunk, the faulted one and
+    # those after it included: they are the points evaluated.
     calls = _record_quadrature(monkeypatch)
     cfg = EvalConfig()
     r = eval_infinite(InfiniteIntegral(parse("ln(3.3 - x)"), 0.0, smooth), cfg)
     assert r.status == "quad_failure"
+    assert r.evaluations == sum(evaluated_points)
     assert [p for p, _ in r.samples] == [1.0, 1.7]
     assert len(calls) == 1 and len(calls[0][1][3]) == 5
     f, window_f = calls[0][0][0], calls[0][1][0]
     grid = [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
     values, evals = _one_at_a_time(f, window_f, 0.0, grid, lambda b: (b, b + smooth.width), cfg)
     assert [v for _, v in r.samples] == values
-    assert r.evaluations == evals
+    assert r.evaluations > evals   # more than the quadratures read
 
 
 def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
