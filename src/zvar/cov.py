@@ -31,7 +31,6 @@ from .expr import (
     differentiate,
     evaluate,
     parse,
-    serialize,
     simplify,
     substitute,
     var,
@@ -73,10 +72,6 @@ class ChangeOfVariable:
     @property
     def inverse_var(self) -> str:
         return _VARS[self.kind][1]
-
-    def describe(self) -> str:
-        return (f"{self.kind}: {self.forward_var} -> {serialize(self.forward)}, "
-                f"inverse {serialize(self.inverse)}")
 
 
 @dataclass(frozen=True)

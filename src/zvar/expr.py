@@ -154,20 +154,12 @@ def cos(a):
     return _fn("cos", _coerce(a))
 
 
-def tan(a):
-    return _fn("tan", _coerce(a))
-
-
 def exp(a):
     return _fn("exp", _coerce(a))
 
 
 def ln(a):
     return _fn("ln", _coerce(a))
-
-
-def sqrt(a):
-    return _fn("sqrt", _coerce(a))
 
 
 def absval(a):

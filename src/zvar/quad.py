@@ -22,15 +22,16 @@ the same result, bit for bit, in a batch of any size.  A caller that
 reads the results in order and stops at the first failure can say so,
 and the segments it would never read stop early.
 
-A segment stops unconverged, with its best-effort value and error, when
+A panel too narrow to bisect in floating point is frozen when it is
+made: its value and error still count, but its value can no longer be
+checked.  A segment stops unconverged, with its best-effort value and
+error, when
 - its budget is spent.  No evaluation goes beyond max_evals, so a budget
   smaller than the first batch returns after zero evaluations;
 - abs_tol is below roundoff.  Once the panels' roundoff floors (10 eps
   times the integral of |f| over each) and the frozen panels' errors
   exceed abs_tol together, no refinement can meet it (QUADPACK's ier=2);
-- the frozen panels hold more than abs_tol in absolute value.  A panel
-  too narrow to bisect in floating point is frozen: its value and error
-  still count, but its value can no longer be checked (ier=5).
+- the frozen panels hold more than abs_tol in absolute value (ier=5).
 A non-finite integrand value fails its own segment only, with a
 DomainFault that names the abscissa.
 """
@@ -139,6 +140,7 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                        max_evals: int = 10_000_000,
                        read_order: Sequence[int] | None = None
@@ -158,6 +160,10 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     converged=False).  A segment placed after a failed one is never read,
     so it stops in the round of that failure, unconverged, with its
     best-effort value and the evaluations it spent, unless it had finished.
+
+    Overflow and invalid operations raise no warning, in fn too: a
+    non-finite value of fn fails its segment with a DomainFault, and a sum
+    past the float range leaves its segment unconverged.
     """
     lo, hi, first = [], [], [0]   # first: each group's first segment, then the count
     for _, glo, ghi, _ in groups:
@@ -217,6 +223,12 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
 
     while True:
         new_faults, narrow = rule.apply(kids, kid_seg, ids)
+        if narrow is not None:
+            # Freeze the children too narrow to bisect in floating point: their
+            # value, error and |value| move to their segment's frozen sums.
+            frozen += [np.bincount(kid_seg[narrow], w, ids.size)
+                       for w in (kids[2, narrow], kids[3, narrow], np.abs(kids[2, narrow]))]
+            kids, kid_seg = np.compress(~narrow, kids, axis=1), kid_seg[~narrow]
         # Merge the kids in.  Their parents sort past every segment, and are cut.
         panels = np.concatenate([panels, kids], axis=1)
         seg = np.concatenate([seg, kid_seg])
@@ -224,14 +236,20 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         key[:pick.size][pick] = ids.size
         order = np.lexsort((-panels[3], key))[:seg.size - np.count_nonzero(pick)]
         panels, seg = panels.take(order, axis=1), seg[order]
-        if narrow is not None:   # the fresh panels too narrow to bisect, in frontier order
-            narrow = np.concatenate([np.zeros(key.size - narrow.size, dtype=bool), narrow])[order]
         starts = np.searchsorted(seg, np.arange(ids.size))
-        value_sum, err, floor_sum = np.add.reduceat(panels[2:], starts, axis=1)
+        if narrow is None:
+            value_sum, err, floor_sum = np.add.reduceat(panels[2:], starts, axis=1)
+        else:   # reduceat cannot sum a segment whose panels all froze
+            sums = np.zeros((3, ids.size))
+            full = np.bincount(seg, minlength=ids.size) > 0
+            sums[:, full] = np.add.reduceat(panels[2:], starts[full], axis=1)
+            value_sum, err, floor_sum = sums
         allowed = budget - bisections
         done = err + frozen[1] <= abs_tol
-        floored = floor_sum + frozen[1] > abs_tol   # abs_tol is below roundoff
-        stop = ~done & ((allowed == 0) | floored)
+        # A frozen error that is not a number stops its segment too, so a
+        # segment left with no panels always ends here.
+        stop = ~done & ((allowed == 0) | ~(floor_sum + frozen[1] <= abs_tol)
+                        | (frozen[2] > abs_tol))
         if new_faults:
             lost = np.zeros(ids.size, dtype=bool)
             lost[list(new_faults)] = True
@@ -240,37 +258,11 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                 faults[int(ids[i])] = fault
             done &= ~lost
             stop |= lost
-        go = ~(done | stop)
-        if narrow is not None:
-            # Freeze the fresh panels too narrow to bisect in floating point.  A
-            # panel that passed this test once always passes, so only fresh ones
-            # run it.  A segment that freezes panels bisects none this round,
-            # and its budget is checked in the next.
-            idle = ~done & ~floored & (first_batch + 2 * _XK.size * bisections < max_evals)
-            if new_faults:
-                idle &= ~lost
-            gone = narrow & idle[seg]
-            gone_seg = seg[gone]
-            frozen += [np.bincount(gone_seg, w, ids.size)
-                       for w in (panels[2, gone], panels[3, gone], np.abs(panels[2, gone]))]
-            panels, seg = np.compress(~gone, panels, axis=1), seg[~gone]
-            idle = np.bincount(gone_seg, minlength=ids.size) > 0
-            empty = np.bincount(seg, minlength=ids.size) == 0
-            starts = np.searchsorted(seg, np.arange(ids.size))
-            sums = np.zeros((3, ids.size))
-            sums[:, ~empty] = np.add.reduceat(panels[2:], starts[~empty], axis=1)
-            value_sum, err, floor_sum = sums
-            over = idle & ((frozen[2] > abs_tol) | empty)
-            certified = over & (frozen[2] <= abs_tol) & (frozen[1] <= abs_tol)
-            done |= certified
-            stop = (stop & ~idle) | (over & ~certified)
-            go &= ~idle
         end = done | stop
         if np.count_nonzero(end):
             if np.count_nonzero(stop):
                 cutoff = min(cutoff, position[stop].min())
                 stop |= ~done & (position > cutoff)
-                go &= ~stop
                 end = done | stop
             out = ids[end]
             value[out] = value_sum[end] + frozen[0, end]
@@ -285,7 +277,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             seg = (np.cumsum(live) - 1)[seg[keep]]
             ids, position, frozen = ids[live], position[live], frozen[:, live]
             bisections = bisections[live]
-            err, allowed, go = err[live], allowed[live], go[live]
+            err, allowed = err[live], allowed[live]
             starts = np.searchsorted(seg, np.arange(ids.size))
 
         # Bisect the panels carrying at least half of each segment's error: the
@@ -298,7 +290,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         # The first column to reach half, or 0 if none does (a non-finite
         # error): a bisecting segment always takes at least one panel.
         below = (table.cumsum(axis=1) >= 0.5 * err[:, None]).argmax(axis=1)
-        take = np.minimum(below + 1, allowed * go)
+        take = np.minimum(below + 1, allowed)
         bisections += take
         pick = rank < take[seg]
 

@@ -251,6 +251,15 @@ def test_non_integrable_inner_integral_ends_quad_failure(evaluated_points):
     assert payload["evaluations"] == sum(evaluated_points) < 10_000
 
 
+def test_overflowing_inner_sums_end_quad_failure():
+    # Every value of 1e308*sin(x) is finite, but the rule's sums over a panel
+    # pass the float range: no warning, and the quadrature is not certified.
+    code, out, _ = _run(["eval", "--type", "inf", "--f", "1e308*sin(x)", "--a", "0",
+                         "--z", "taper:c=1", "--json"])
+    assert code == 2
+    assert json.loads(out)["status"] == "quad_failure"
+
+
 def test_max_evals_budget():
     code, out, _ = _run(["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
                          "--z", "taper:c=1", "--b-start", "2e6", "--b-step", "1",

@@ -208,6 +208,23 @@ def test_non_integrable_integral_is_not_certified():
     assert r.evaluations == 2268
 
 
+def test_error_past_the_float_range_is_not_certified():
+    # Panel values of opposite infinite sign: their sum is nan, with no warning.
+    r = integrate_callable(lambda x: np.where(x < 3.0, 1e308, -1e308), 0.0, 6.0, 1e-6)
+    assert not r.converged and r.evaluations == 126
+    # On six one-ulp panels the error formula's ratio overflows: no warning,
+    # and the huge frozen values stop the run unconverged.
+    hi = 1.0 + 6 * np.spacing(1.0)
+    r = integrate_callable(lambda x: 1e300 * np.sin(1e16 * x), 1.0, hi, 1e-30)
+    assert not r.converged and r.evaluations == 126
+    # Here the error of every frozen panel is nan while their values stay
+    # below abs_tol: the segment, left with no panels, still ends.
+    tiny = 5e-324
+    r = integrate_callable(lambda x: np.where(x / tiny % 2 < 1, 1.7e308, -1.7e308),
+                           0.0, 6 * tiny, 1e-10)
+    assert not r.converged and r.evaluations == 126
+
+
 def test_segments_match_one_at_a_time():
     # Every segment of a lockstep batch gets, bit for bit, the result it gets
     # alone: value, error, evaluations and converged, or the same DomainFault
@@ -246,6 +263,11 @@ def test_segments_match_one_at_a_time():
     plain += [(np.exp, lo, lo + w)
               for lo, w in zip(rng.uniform(-3, 0, 4), rng.uniform(0.01, 0.1, 4))]
     plain = [plain[i] for i in rng.permutation(len(plain))]
+    # On [1, 1 + 6 ulp] all six starting panels are one ulp wide: every panel
+    # freezes in the first round and leaves its segment with none.
+    ulp = np.spacing(1.0)
+    plain += [(lambda x: (x >= 1.0 + 3 * ulp).astype(float), 1.0, 1.0 + 6 * ulp),  # converges
+              (lambda x: 1e20 * np.sin(1e16 * x), 1.0, 1.0 + 6 * ulp)]            # frozen |value|
     lo_p = rng.uniform(0.0, 1.0, 12)
     hi_p = lo_p + rng.uniform(0.5, 3.0, 12)
     freqs = rng.uniform(1.0, 40.0, 12)
@@ -286,6 +308,10 @@ def test_segments_match_one_at_a_time():
             else:
                 assert got == want
                 outcomes.add((tol, got.converged, got.evaluations))
+        narrow_step, narrow_sin = batch[-2 - len(wide):][:2]
+        assert narrow_step.converged and narrow_step.value == 6.661338147750939e-16
+        assert not narrow_sin.converged
+        assert narrow_step.evaluations == narrow_sin.evaluations == 126
     assert "fault" in outcomes
     assert (3e-17, True, 2184) in outcomes      # the frozen step still converges
     assert (3e-17, False, 126) in outcomes      # below roundoff
