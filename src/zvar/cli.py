@@ -17,9 +17,9 @@ from .expr import ExprError, serialize
 from .taper import TaperError
 from .verify import (CorpusError, build_spec, compare_pair, demo_existence_asymmetry,
                      derive_right, evaluate_spec, run_suite, spec_object, strict_json)
-from .zeval import BridgeUnavailable, EvalConfig, InfiniteIntegral, ZResult
+from .zeval import EvalConfig, InfiniteIntegral, ZResult
 
-_USAGE_ERRORS = (ExprError, TaperError, CovError, CorpusError, BridgeUnavailable, ValueError)
+_USAGE_ERRORS = (ExprError, TaperError, CovError, CorpusError, ValueError)
 
 
 class _CliError(Exception):

@@ -36,8 +36,7 @@ from .expr import (
     var,
 )
 from .taper import boundary_taper_from_z, split_spec
-from .zeval import (BridgeUnavailable, FiniteIntegral, InfiniteIntegral, ZIntegralSpec,
-                    bridge_image)
+from .zeval import FiniteIntegral, InfiniteIntegral, ZIntegralSpec, bridge_image
 
 __all__ = [
     "CovError", "ChangeOfVariable", "CheckResult", "ValidationReport",
@@ -60,7 +59,6 @@ class ChangeOfVariable:
     kind: str                        # infinite_cov | finite_cov | bridge
     forward: ExprAST                 # P (or psi) in the source variable
     inverse: ExprAST                 # Q (or psi^-1) in the target variable
-    forward_derivative: ExprAST      # auto-derived from forward
     domain: tuple[float, float]      # sampling range used for checks
     params: dict[str, float] = field(default_factory=dict)
     analytic: bool = False           # certified specialization
@@ -160,7 +158,6 @@ def _analytic(kind: str, forward: ExprAST, inverse: ExprAST, domain: tuple[float
         kind=kind,
         forward=simplify(forward),
         inverse=simplify(inverse),
-        forward_derivative=differentiate(forward, _VARS[kind][0]),
         domain=domain,
         params=params,
         analytic=True,
@@ -185,7 +182,6 @@ def make_custom_cov(kind: str, forward_text: str, inverse_text: str,
         kind=kind,
         forward=forward,
         inverse=inverse,
-        forward_derivative=differentiate(forward, fv),
         domain=(lo, hi),
         analytic=False,
     )
@@ -267,7 +263,7 @@ def _conditions(kind: str) -> tuple[str, ...]:
 def _sampled_checks(cov: ChangeOfVariable) -> list[CheckResult]:
     fv, _ = _VARS[cov.kind]
     fwd = compile_expr(cov.forward, (fv,))
-    dfwd = compile_expr(cov.forward_derivative, (fv,))
+    dfwd = compile_expr(differentiate(cov.forward, fv), (fv,))
     lo, hi = cov.domain
     checks: list[CheckResult] = []
 
@@ -370,10 +366,7 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
             "allow_inconclusive=True to apply it anyway"
         )
     if bridge and isinstance(spec, FiniteIntegral):
-        try:
-            return bridge_image(spec, cov.params["d"], cov.params["alpha"])
-        except BridgeUnavailable as err:
-            raise CovError(str(err)) from None
+        return bridge_image(spec, cov.params["d"], cov.params["alpha"])
 
     iv = cov.inverse_var
     dq = differentiate(cov.inverse, iv)

@@ -140,7 +140,7 @@ def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: fl
     return result
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                        max_evals: int = 10_000_000,
                        read_order: Sequence[int] | None = None
@@ -161,9 +161,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     so it stops in the round of that failure, unconverged, with its
     best-effort value and the evaluations it spent, unless it had finished.
 
-    Overflow and invalid operations raise no warning, in fn too: a
-    non-finite value of fn fails its segment with a DomainFault, and a sum
-    past the float range leaves its segment unconverged.
+    Overflow, invalid operations and divides by zero raise no warning, in
+    fn too: a non-finite value of fn fails its segment with a DomainFault,
+    and a sum past the float range leaves its segment unconverged.
     """
     lo, hi, first = [], [], [0]   # first: each group's first segment, then the count
     for _, glo, ghi, _ in groups:
@@ -353,7 +353,7 @@ class _Rule:
             at = np.flatnonzero(bad)
             faulted, first = np.unique(seg[at // _XK.size], return_index=True)
             for s, (r, c) in zip(faulted.tolist(), zip(*np.divmod(at[first], _XK.size))):
-                where = mid[r] + half[r] * _XK[c]
+                where = float(mid[r] + half[r] * _XK[c])
                 faults[s] = DomainFault(f"integrand evaluated to a non-finite value at {where!r}")
             fx[bad] = 0.0
             resabs = np.vecdot(np.abs(fx), _WK)

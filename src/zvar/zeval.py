@@ -7,7 +7,9 @@ prefix integral.  The finite-limit form (critical point fixed at 0)
 samples
     G(d) = integral_{v0 d}^{d} g(u) w(u/d) du + integral_d^{beta} g du
 along a geometric sequence d_k = beta * shrink^k, where v0 is the taper's
-support floor.  Either way the sample sequence is classified as
+support floor.  Each evaluation compiles the integrand and z once, and the
+window integrand composes the two: f(x) z(x - b), or g(u) z(-ln(u/d)),
+which is g(u) w(u/d).  Either way the sample sequence is classified as
 converged / oscillatory / drifting from its last windows.  Optional
 acceleration then tries to certify a limit the window misses: iterated
 Aitken first, then, on a growing b, a least-squares fit of a 1/ln b
@@ -34,15 +36,11 @@ from .taper import BoundaryTaper, TerminationFunction
 
 __all__ = [
     "InfiniteIntegral", "FiniteIntegral", "ZIntegralSpec", "EvalConfig",
-    "ZResult", "BridgeUnavailable", "TooFewSamples",
+    "ZResult", "TooFewSamples",
     "eval_infinite", "eval_finite", "bridge_image", "classify_sequence",
 ]
 
 DELTA_FLOOR = 1e-8   # direct finite-limit sampling never shrinks delta below this
-
-
-class BridgeUnavailable(ValueError):
-    """Bridge mode needs a boundary taper with a termination-function origin."""
 
 
 class TooFewSamples(ValueError):
@@ -228,15 +226,16 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     """Sample and classify the infinite-limit bracket sequence."""
     z = spec.taper
     a = spec.lower_limit
-    x = spec.variable
     b0 = (a + 1.0) if cfg.b_start is None else float(cfg.b_start)
     if b0 < a:
         raise ValueError(f"b_start {b0!r} lies below the lower limit {a!r}")
-    shift = "bwin" if x != "bwin" else "bwin2"
-    tail_expr = simplify(spec.integrand * substitute(z.body, "s", var(x) - var(shift)))
-    f = compile_expr(spec.integrand, (x,))
-    tail_f = compile_expr(tail_expr, (x, shift))
-    return _sample_brackets(f, tail_f, a, cfg.b_count, lambda k: b0 + k * cfg.b_step,
+    f = compile_expr(spec.integrand, (spec.variable,))
+    zc = compile_expr(z.body, ("s",))
+
+    def window_f(t, b):
+        return f(t) * zc(t - b)
+
+    return _sample_brackets(f, window_f, a, cfg.b_count, lambda k: b0 + k * cfg.b_step,
                             lambda b: (b, b + z.width), cfg)
 
 
@@ -248,25 +247,23 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
         raise ValueError(f"unknown mode {mode!r} (expected 'direct' or 'bridge')")
     w = spec.taper
     beta = spec.upper_limit
-    u = spec.variable
-    shrinkvar = "dwin" if u != "dwin" else "dwin2"
-    head_expr = simplify(spec.integrand * substitute(w.body, "v", var(u) / var(shrinkvar)))
-    g = compile_expr(spec.integrand, (u,))
-    head_g = compile_expr(head_expr, (u, shrinkvar))
+    g = compile_expr(spec.integrand, (spec.variable,))
+    zc = compile_expr(w.origin.body, ("s",))
+
+    def window_g(t, d):
+        return g(t) * zc(-np.log(t / d))
 
     def delta(k):
         return beta * cfg.delta_shrink ** k
 
     # the deltas decrease, so those at or above the floor come first
     count = bisect.bisect_left(range(cfg.delta_count), True, key=lambda k: delta(k) < DELTA_FLOOR)
-    return _sample_brackets(g, head_g, beta, count, delta, lambda d: (w.support_floor * d, d),
+    return _sample_brackets(g, window_g, beta, count, delta, lambda d: (w.support_floor * d, d),
                             cfg)
 
 
 def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegral:
     """The u = d e^(-alpha x) image of a finite-limit spec; z is the taper's origin."""
-    if spec.taper.origin is None:
-        raise BridgeUnavailable("bridge needs a boundary taper built from a termination function")
     x = "x" if spec.variable != "x" else "xb"
     decay = const(d) * expr_exp(-(const(alpha) * var(x)))
     integrand = simplify(substitute(spec.integrand, spec.variable, decay) * const(alpha) * decay)
@@ -278,7 +275,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     """Sample the bracket at point(k) for k < count, then classify the sequence.
 
     Each point is computed when its chunk is integrated, so the count costs
-    nothing until it is reached.  f and window_f are compiled once per
+    nothing until it is reached.  f and window_f are built once per
     evaluation.  The bracket at point p
     is the running integral of f between `start` and p plus the window
     integral of window_f(t, p) over span(p); each point adds the running

@@ -5,19 +5,21 @@ import pytest
 
 @pytest.fixture
 def evaluated_points(monkeypatch):
-    """The sizes of the point arrays at which zeval's compiled integrands run."""
+    """The sizes of the point arrays at which zeval's quadratures call their integrands."""
     import zvar.zeval as zeval
 
     points = []
-    compile_expr = zeval.compile_expr
+    integrate_segments = zeval.integrate_segments
 
-    def counting(expr, names):
-        fn = compile_expr(expr, names)
-
-        def counted(x, *args):
+    def counted(fn):
+        def call(x, *args):
             points.append(x.size)
             return fn(x, *args)
-        return counted
+        return call
 
-    monkeypatch.setattr(zeval, "compile_expr", counting)
+    def counting(groups, *args, **kwargs):
+        return integrate_segments([(counted(fn), *rest) for fn, *rest in groups],
+                                  *args, **kwargs)
+
+    monkeypatch.setattr(zeval, "integrate_segments", counting)
     return points

@@ -119,6 +119,10 @@ def test_transform_print_spec():
     for y in (1.0, 4.0, 9.0):
         want = math.sin(math.sqrt(y)) / (2.0 * math.sqrt(y))
         assert evaluate(got, {"y": y}) == pytest.approx(want, rel=1e-12)
+    code, out, _ = _run(["transform", "--type", "fin", "--g", "u^-0.5", "--beta", "1",
+                         "--cov", "finpower:d=1,r=2", "--print-spec"])
+    assert code == 0
+    assert out.splitlines()[1] == "upper_limit: 1.0"
 
 
 def test_transform_evaluates_pair():
@@ -173,6 +177,12 @@ def test_verify_shipped_corpus():
     payload = json.loads(out)
     assert payload["all_expected"] is True
     assert len(payload["cases"]) >= 12
+    code, out, _ = _run(["verify"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header.split()[:4] == ["case", "verdict", "expected", "ok"]
+    assert len(rows) == len(payload["cases"]) == 13
+    assert all(row.split()[3] == "yes" for row in rows)
 
 
 def test_verify_bad_corpus_exit_one(tmp_path):
@@ -196,6 +206,11 @@ def test_usage_errors_exit_one():
         ["eval", "--type", "inf", "--a", "1", "--z", "taper:c=1"],       # no --f
         ["eval", "--type", "inf", "--f", "x^-2", "--z", "taper:c=1"],    # no --a
         ["eval", "--type", "inf", "--f", "x^-2", "--a", "1"],            # no --z
+        ["eval", "--type", "fin", "--beta", "1", "--w", "wfromz:taper:c=1"],   # no --g
+        ["eval", "--type", "fin", "--g", "1/u", "--w", "wfromz:taper:c=1"],   # no --beta
+        ["eval", "--type", "fin", "--g", "1/u", "--beta", "1"],          # no --w
+        ["eval", "--type", "fin", "--g", "1/u", "--beta", "1",
+         "--w", "wfromz:taper:c=1e-300"],                                # e^-c rounds to 1
         ["eval", "--type", "fin", "--g", "1/u", "--beta", "1",
          "--w", "mystery:c=1"],                                          # bad taper
         ["eval", "--type", "inf", "--f", "2*q", "--a", "1",
@@ -204,6 +219,9 @@ def test_usage_errors_exit_one():
          "--z", "taper:c=1", "--frobnicate"],                            # unknown flag
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--cov", "rotate:t=1"],                                         # bad cov
+        ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
+         "--cov", "custom:kind=infinite_cov,forward=-x,inverse=-y,lo=1,hi=100",
+         "--allow-inconclusive"],                                        # cov fails validation
         ["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--z", "taper:c=1e308"],                                        # span past float range
         # 1,000 levels deep: parentheses, a sum, a power chain, calls, signs

@@ -170,6 +170,12 @@ def test_tolerance_below_roundoff_stops_early():
 def test_domain_fault_raised_with_location():
     with pytest.raises(DomainFault):
         integrate_proper(parse("ln(x)"), "x", -1.0, 1.0, 1e-10)
+    # A divide by zero in the integrand raises no warning either: a node of
+    # a one-ulp panel rounds below lo, where ln(x - 1) is -inf or nan.
+    hi = 1.0 + 6 * np.spacing(1.0)
+    with pytest.raises(DomainFault, match=r"value at 0\.9999999999999999$") as fault:
+        integrate_callable(lambda x: np.log(x - 1.0), 1.0, hi, 1e-10)
+    assert fault.value.evaluations == 126
 
 
 def test_determinism():

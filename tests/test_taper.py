@@ -13,7 +13,6 @@ import pytest
 from zvar.expr import evaluate
 from zvar.quad import integrate_proper
 from zvar.taper import (
-    BoundaryTaper,
     TaperError,
     boundary_taper_from_z,
     check_moments,
@@ -172,6 +171,3 @@ def test_spec_strings_write_what_the_parser_reads():
         assert repr(again.body) == repr(z.body)
     w = parse_boundary_spec("wfromz:taper:c=1")
     assert w.spec_string() == "wfromz:taper:c=1.0"
-    orphan = BoundaryTaper(body=w.body, support_floor=w.support_floor, kind=w.kind)
-    with pytest.raises(ValueError, match="origin"):
-        orphan.spec_string()

@@ -144,11 +144,43 @@ def test_unknown_taper_kind_names_field(tmp_path):
         load_corpus(bad)
 
 
-def test_unknown_case_field_rejected(tmp_path):
+_GOOD_SPEC = {"type": "infinite", "integrand": "x^-2", "a": 1.0, "taper": "taper:c=1"}
+_GOOD_CASE = {"id": "x", "left_spec": _GOOD_SPEC, "right_spec": _GOOD_SPEC,
+              "expected_verdict": "equal_within_tol", "tol": 1e-5}
+_FINITE_SPEC = {"type": "finite", "integrand": "1/u", "beta": 1.0, "taper": "wfromz:taper:c=1"}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("case, match", [
+    pytest.param(None, "cannot read corpus .*bad.jsonl", id="unreadable-path"),
+    pytest.param([1, 2], "bad.jsonl:1: case must be a json object", id="not-an-object"),
+    pytest.param({**_GOOD_CASE, "surprise": 1}, "bad.jsonl:1: unknown case fields: surprise",
+                 id="unknown-case-field"),
+    pytest.param(_without(_GOOD_CASE, "tol"), "bad.jsonl:1: case is missing field 'tol'",
+                 id="no-tol"),
+    pytest.param({**_GOOD_CASE, "expected_verdict": "maybe"},
+                 "bad.jsonl:1: unknown expected_verdict 'maybe'", id="unknown-verdict"),
+    pytest.param({**_GOOD_CASE, "tol": 0.0}, "bad.jsonl:1: tol must be positive", id="tol-zero"),
+    pytest.param({**_GOOD_CASE, "left_spec": _without(_GOOD_SPEC, "type")},
+                 "bad.jsonl:1: left_spec: integral spec needs a 'type'", id="no-type"),
+    pytest.param({**_GOOD_CASE, "left_spec": {**_GOOD_SPEC, "type": "sideways"}},
+                 "bad.jsonl:1: left_spec.type: unknown integral type 'sideways'",
+                 id="unknown-type"),
+    pytest.param({**_GOOD_CASE, "left_spec": {**_GOOD_SPEC, "surprise": 1}},
+                 "bad.jsonl:1: left_spec: unknown fields: surprise", id="unknown-spec-field"),
+    pytest.param({**_GOOD_CASE, "left_spec": _without(_GOOD_SPEC, "integrand")},
+                 "bad.jsonl:1: left_spec: missing field 'integrand'", id="no-integrand"),
+    pytest.param({**_GOOD_CASE, "left_spec": {**_FINITE_SPEC, "mode": "sideways"}},
+                 "bad.jsonl:1: left_spec.mode: unknown mode 'sideways'", id="unknown-mode"),
+])
+def test_malformed_corpus_rejected(tmp_path, case, match):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps({"id": "x", "left_spec": {}, "expected_verdict":
-                               "mismatch", "tol": 1e-5, "surprise": 1}) + "\n")
-    with pytest.raises(CorpusError, match="surprise"):
+    if case is not None:
+        bad.write_text(json.dumps(case) + "\n")
+    with pytest.raises(CorpusError, match=match):
         load_corpus(bad)
 
 

@@ -8,10 +8,9 @@ import pytest
 from abel_oracle import ORACLE_TOL, abel_limit
 from zvar.expr import DomainFault, parse
 from zvar.quad import integrate_callable
-from zvar.taper import BoundaryTaper, boundary_taper_from_z, make_matched_trig, make_smooth_taper
+from zvar.taper import boundary_taper_from_z, make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _extrapolate,
-    BridgeUnavailable,
     EvalConfig,
     FiniteIntegral,
     InfiniteIntegral,
@@ -447,13 +446,6 @@ def test_logarithmic_divergence_direct_and_bridge(smooth):
     bridge = eval_finite(spec, EvalConfig(), mode="bridge")
     assert direct.status == "drifting"
     assert bridge.status == "drifting"
-
-
-def test_bridge_requires_taper_origin():
-    w = BoundaryTaper(body=parse("1 + 0*v"), support_floor=0.0, kind="adhoc", origin=None)
-    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
-    with pytest.raises(BridgeUnavailable):
-        eval_finite(spec, EvalConfig(), mode="bridge")
 
 
 def test_unknown_mode_rejected(smooth):
