@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .cov import CovError
@@ -31,6 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache   # built on first use, then shared: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zvar", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -212,7 +212,7 @@ def _check_roundtrip(cov: ChangeOfVariable) -> None:
     if bad.any():
         worst = pts[bad][int(np.argmax(np.where(np.isfinite(rel[bad]), rel[bad], np.inf)))]
         raise CovError(
-            f"inverse round-trip failed: Q(P(s)) != s near s={worst!r} "
+            f"inverse round-trip failed: Q(P(s)) != s near s={float(worst)!r} "
             f"(the map may not be injective on [{cov.domain[0]!r}, {cov.domain[1]!r}])"
         )
 
@@ -325,7 +325,7 @@ def _refined_min(fn, pts: np.ndarray, rounds: int = 8) -> tuple[float, float]:
     vals = fn(pts)
     if not np.isfinite(vals).all():
         bad = pts[~np.isfinite(vals)][0]
-        raise DomainFault(f"non-finite value at {bad!r}")
+        raise DomainFault(f"non-finite value at {float(bad)!r}")
     i = int(np.argmin(vals))
     best, where = float(vals[i]), float(pts[i])
     lo = pts[max(i - 1, 0)]
@@ -335,7 +335,7 @@ def _refined_min(fn, pts: np.ndarray, rounds: int = 8) -> tuple[float, float]:
         gvals = fn(grid)
         if not np.isfinite(gvals).all():
             bad = grid[~np.isfinite(gvals)][0]
-            raise DomainFault(f"non-finite value at {bad!r}")
+            raise DomainFault(f"non-finite value at {float(bad)!r}")
         j = int(np.argmin(gvals))
         if gvals[j] < best:
             best, where = float(gvals[j]), float(grid[j])

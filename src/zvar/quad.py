@@ -10,7 +10,9 @@ segment in one vectorized batch, with one integrand call per group of
 segments sharing an integrand, cut into calls of at most 512 panels.
 Only children are evaluated: every other panel keeps its value and error
 from the round that created it.  The Kronrod nodes are strictly
-interior, so endpoints are never sampled.
+interior, so a panel's endpoints are not sampled unless the panel is a
+few ulps wide: there a node mid + half*x_k can round onto an endpoint,
+or past it.
 
 The frontier is one set of panel columns tagged with a segment index, and
 each round takes every decision for all segments at once with array

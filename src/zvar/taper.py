@@ -16,14 +16,15 @@ correspond exactly under the exponential bridge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
-from .expr import ExprAST, compile_expr, const, differentiate, evaluate, var
-from .quad import integrate_proper
+from .expr import DomainFault, ExprAST, compile_expr, const, differentiate, evaluate, var
+from .quad import integrate_segments
 
 __all__ = [
     "TaperError", "TerminationFunction", "BoundaryTaper",
@@ -83,12 +84,21 @@ class BoundaryTaper:
 
 
 def make_smooth_taper(c: float) -> TerminationFunction:
-    """Quintic smoothstep from z(0)=1 to z(c)=0 with z'=z''=0 at both ends."""
+    """Quintic smoothstep from z(0)=1 to z(c)=0 with z'=z''=0 at both ends.
+
+    The result is immutable, so it is built and validated once per width
+    and then shared: make_smooth_taper(1) is make_smooth_taper(1.0).
+    """
     if not c > 0.0:
         raise TaperError(f"taper width must be positive, got {c!r}")
-    t = var("s") / const(float(c))
+    return _smooth_taper(float(c))
+
+
+@functools.lru_cache
+def _smooth_taper(c: float) -> TerminationFunction:
+    t = var("s") / const(c)
     body = const(1.0) - t ** 3 * (const(10.0) - const(15.0) * t + const(6.0) * t * t)
-    z = TerminationFunction(body=expr.simplify(body), width=float(c), kind="smooth_taper")
+    z = TerminationFunction(body=expr.simplify(body), width=c, kind="smooth_taper")
     _validate(z)
     return z
 
@@ -112,10 +122,8 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
         expr.sin(const(4.0 * math.pi / c) * s),
     ]
 
-    (c1, s1), (c2, s2), (c0, s0) = (
-        _tone_moments(body, omega, c)
-        for body in (base.body * harmonics[0], base.body * harmonics[1], base.body)
-    )
+    (c1, s1), (c2, s2), (c0, s0) = _tone_moments(
+        (base.body * harmonics[0], base.body * harmonics[1], base.body), omega, c)
     m = np.array([[c1, c2], [s1, s2]])
     rhs = np.array([-c0, 1.0 / omega - s0])
     cond = float(np.linalg.cond(m))
@@ -150,20 +158,30 @@ def check_moments(z: TerminationFunction, omega: float) -> tuple[float, float]:
     """
     if not omega > 0.0:
         raise TaperError(f"tone frequency must be positive, got {omega!r}")
-    cos_moment, sin_moment = _tone_moments(z.body, omega, z.width)
+    (cos_moment, sin_moment), = _tone_moments((z.body,), omega, z.width)
     return cos_moment, sin_moment - 1.0 / omega
 
 
-def _tone_moments(body: ExprAST, omega: float, c: float) -> tuple[float, float]:
-    """(integral_0^c cos(w s) body ds, integral_0^c sin(w s) body ds) at w = omega."""
+def _tone_moments(bodies: tuple[ExprAST, ...], omega: float,
+                  c: float) -> list[tuple[float, float]]:
+    """(integral_0^c cos(w s) body ds, integral_0^c sin(w s) body ds) at w = omega, per body.
+
+    Every (kernel, body) pair is one segment of one lockstep quadrature,
+    which gives each the result it gets alone; the first failure in pair
+    order is raised.
+    """
     s = var("s")
-    out = []
-    for kernel in (expr.cos(const(omega) * s), expr.sin(const(omega) * s)):
-        r = integrate_proper(kernel * body, "s", 0.0, c, MOMENT_TOL)
+    kernels = (expr.cos(const(omega) * s), expr.sin(const(omega) * s))
+    groups = [(compile_expr(kernel * body, ("s",)), (0.0,), (c,), None)
+              for body in bodies for kernel in kernels]
+    results = integrate_segments(groups, MOMENT_TOL, read_order=range(len(groups)))
+    for r in results:
+        if isinstance(r, DomainFault):
+            raise r
         if not r.converged:
             raise TaperError("moment quadrature failed to converge")
-        out.append(r.value)
-    return out[0], out[1]
+    values = [r.value for r in results]
+    return list(zip(values[0::2], values[1::2]))
 
 
 def _validate(z: TerminationFunction) -> None:

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from zvar.cli import run_cli
+from zvar import taper
+from zvar.cli import _build_parser, run_cli
 from zvar.expr import MAX_DEPTH
 from zvar.verify import evaluate_spec, load_corpus, run_suite
 
@@ -17,11 +18,28 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _first_run(argv):
+    """What argv prints as the first request of a process: nothing built yet."""
+    _build_parser.cache_clear()
+    taper._smooth_taper.cache_clear()
+    return _run(argv)
+
+
 def test_eval_infinite_json():
-    code, out, err = _run(["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
-                           "--z", "taper:c=1", "--b-start", "2e6", "--b-step", "1",
-                           "--b-count", "30", "--json"])
+    argv = ["eval", "--type", "inf", "--f", "x^-2", "--a", "1", "--z", "taper:c=1",
+            "--b-start", "2e6", "--b-step", "1", "--b-count", "30", "--json"]
+    first = _first_run(argv)
+    code, out, err = first
     assert code == 0, err
+    # One parser serves every request of a process.  Neither a request that
+    # fails parsing after setting a flag, nor a flag given to the request
+    # before, carries over: the second call prints what it prints first.
+    code, _, err = _first_run(["eval", "--type", "inf", "--accelerate", "--b-count", "many"])
+    assert code == 1 and "invalid int value: 'many'" in err
+    assert _run(argv) == first
+    code, accelerated, _ = _first_run([*argv, "--accelerate"])
+    assert code == 0 and json.loads(accelerated)["spec_echo"]["config"]["accelerate"] is True
+    assert _run(argv) == first
     payload = json.loads(out)
     assert payload["status"] == "converged"
     assert abs(payload["value"] - 1.0) < 1e-6
@@ -222,6 +240,9 @@ def test_usage_errors_exit_one():
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--cov", "custom:kind=infinite_cov,forward=-x,inverse=-y,lo=1,hi=100",
          "--allow-inconclusive"],                                        # cov fails validation
+        # a wrong inverse: the message names the abscissa where it fails
+        ["transform", "--type", "fin", "--g", "1/u", "--beta", "1",
+         "--cov", "custom:kind=finite_cov,forward=u*ln(u)^2+u,inverse=t,lo=1e-9,hi=1"],
         ["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--z", "taper:c=1e308"],                                        # span past float range
         # 1,000 levels deep: parentheses, a sum, a power chain, calls, signs
@@ -233,6 +254,7 @@ def test_usage_errors_exit_one():
         code, out, err = _run(argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("zvar: error:"), argv
+        assert "np.float64(" not in err, err   # abscissae print as plain floats
 
 
 def test_expression_at_the_depth_bound_evaluates_and_transforms():

@@ -10,10 +10,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from zvar.expr import evaluate
+from zvar.expr import DomainFault, const, cos, evaluate, parse, simplify, sin, var
 from zvar.quad import integrate_proper
 from zvar.taper import (
+    MOMENT_TOL,
     TaperError,
+    TerminationFunction,
     boundary_taper_from_z,
     check_moments,
     make_matched_trig,
@@ -50,10 +52,58 @@ def test_smooth_taper_scaling():
 
 
 def test_smooth_taper_rejects_bad_width():
-    with pytest.raises(TaperError):
-        make_smooth_taper(0.0)
-    with pytest.raises(TaperError):
-        make_smooth_taper(-1.0)
+    for _ in range(2):   # a width that fails is not kept: it fails on every call
+        with pytest.raises(TaperError):
+            make_smooth_taper(0.0)
+        with pytest.raises(TaperError):
+            make_smooth_taper(-1.0)
+
+
+def test_smooth_taper_is_built_once_per_width():
+    z = make_smooth_taper(1)
+    assert z is make_smooth_taper(1.0)
+    assert z.width == 1.0 and type(z.width) is float
+    assert make_smooth_taper(2.0) is not z
+
+
+def _moments_one_at_a_time(body, omega, c):
+    # (cos, sin) tone moments of body, one integrate_proper call each, or
+    # None if either does not converge
+    s = var("s")
+    results = [integrate_proper(kernel * body, "s", 0.0, c, MOMENT_TOL)
+               for kernel in (cos(const(omega) * s), sin(const(omega) * s))]
+    return tuple(r.value for r in results) if all(r.converged for r in results) else None
+
+
+@pytest.mark.parametrize("omega,c", [(1.0, 1.0), (0.5, 1.0), (2.7, 1.0), (3.9, 2.0)])
+def test_matched_trig_equals_one_quadrature_at_a_time(omega, c):
+    # The six moments run as one lockstep call; each must be what its own
+    # integrate_proper call gives, so the body and residuals are bit for bit
+    # those of the construction with six separate calls.
+    z = make_matched_trig(omega, c)
+    base = make_smooth_taper(c).body
+    s = var("s")
+    harmonics = [sin(const(2.0 * math.pi / c) * s), sin(const(4.0 * math.pi / c) * s)]
+    (c1, s1), (c2, s2), (c0, s0) = (
+        _moments_one_at_a_time(body, omega, c)
+        for body in (base * harmonics[0], base * harmonics[1], base))
+    a1, a2 = (float(v) for v in np.linalg.solve(np.array([[c1, c2], [s1, s2]]),
+                                                 np.array([-c0, 1.0 / omega - s0])))
+    assert z.body == simplify(base * (const(1.0) + const(a1) * harmonics[0]
+                                      + const(a2) * harmonics[1]))
+    moments = _moments_one_at_a_time(z.body, omega, c)
+    if moments is None:   # a slow tone's large correction leaves MOMENT_TOL out of reach
+        with pytest.raises(TaperError, match="failed to converge"):
+            check_moments(z, omega)
+    else:
+        cos_m, sin_m = moments
+        assert check_moments(z, omega) == (cos_m, sin_m - 1.0 / omega)
+
+
+def test_moment_quadrature_raises_a_domain_fault_as_itself():
+    z = TerminationFunction(body=parse("ln(s - 0.5)"), width=1.0, kind="smooth_taper")
+    with pytest.raises(DomainFault, match="non-finite value"):
+        check_moments(z, 1.0)
 
 
 def test_matched_trig_moment_residuals():
