@@ -4,7 +4,11 @@ One engine integrates S segments in lockstep, each by QUADPACK's QAG
 scheme (Piessens et al. 1983) with its own frontier, error budget and
 evaluation count, as `scipy.integrate.quad_vec` does for the components
 of a vector integrand.  A segment starts as six panels; each round it
-bisects the panels carrying at least half of its error estimate.  The
+bisects its largest-error panels, the fewest after which the error left
+is within what abs_tol still allows (quad_vec's loop leaves abs_tol/8
+instead).  Only panels of at least 1/32 of the segment's largest error
+are taken, and at least one, so panels whose error is rounding noise that
+bisection cannot shrink (near a pole) are not all split every round.  The
 Gauss(10)/Kronrod(21) rule is then applied to the children of every live
 segment in one vectorized batch, with one integrand call per group of
 segments sharing an integrand, cut into calls of at most 512 panels.
@@ -282,17 +286,23 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             err, allowed = err[live], allowed[live]
             starts = np.searchsorted(seg, np.arange(ids.size))
 
-        # Bisect the panels carrying at least half of each segment's error: the
-        # first columns of the segment, as many as it takes for their running
-        # sum to reach half.  Each segment's sums run along its own row of a
+        # Bisect each segment's largest-error panels, its first columns: the
+        # fewest after which the error left is within what the tolerance still
+        # allows, abs_tol less the frozen error, so the panels left could pass
+        # the done test as they are.  Only panels of at least 1/32 of the
+        # largest error count: near a pole, panels carry rounding noise that
+        # bisection does not shrink, and taking them all would double their
+        # number every round.  Each segment's sums run along its own row of a
         # padded table, so that no other segment's error enters them.
         rank = np.arange(seg.size) - starts[seg]
         table = np.zeros((ids.size, rank.max() + 1))
         table[seg, rank] = panels[3]
-        # The first column to reach half, or 0 if none does (a non-finite
-        # error): a bisecting segment always takes at least one panel.
-        below = (table.cumsum(axis=1) >= 0.5 * err[:, None]).argmax(axis=1)
-        take = np.minimum(below + 1, allowed)
+        # Columns before the first whose running sum leaves at most the
+        # allowance; a non-finite error leaves none.  A bisecting segment
+        # always takes at least one panel.
+        need = (table.cumsum(axis=1) < (err + frozen[1] - abs_tol)[:, None]).sum(axis=1)
+        large = (table >= table[:, :1] / 32).sum(axis=1)
+        take = np.clip(np.minimum(need + 1, large), 1, allowed)
         bisections += take
         pick = rank < take[seg]
 

@@ -123,7 +123,7 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
     ]
 
     (c1, s1), (c2, s2), (c0, s0) = _tone_moments(
-        (base.body * harmonics[0], base.body * harmonics[1], base.body), omega, c)
+        (base.body * harmonics[0], base.body * harmonics[1], base.body), omega, c, MOMENT_TOL)
     m = np.array([[c1, c2], [s1, s2]])
     rhs = np.array([-c0, 1.0 / omega - s0])
     cond = float(np.linalg.cond(m))
@@ -154,16 +154,30 @@ def check_moments(z: TerminationFunction, omega: float) -> tuple[float, float]:
     """Residuals of the tone-moment conditions at frequency omega.
 
     Returns (integral cos(w s) z ds, integral sin(w s) z ds - 1/w); both
-    vanish exactly when z makes sin(w x) terminate cleanly.
+    vanish exactly when z makes sin(w x) terminate cleanly.  The moments
+    are integrated to _moment_tol(z), MOMENT_TOL relative to max |z|.
     """
     if not omega > 0.0:
         raise TaperError(f"tone frequency must be positive, got {omega!r}")
-    (cos_moment, sin_moment), = _tone_moments((z.body,), omega, z.width)
+    (cos_moment, sin_moment), = _tone_moments((z.body,), omega, z.width, _moment_tol(z))
     return cos_moment, sin_moment - 1.0 / omega
 
 
-def _tone_moments(bodies: tuple[ExprAST, ...], omega: float,
-                  c: float) -> list[tuple[float, float]]:
+def _moment_tol(z: TerminationFunction) -> float:
+    """MOMENT_TOL times max(1, max |z|), the peak taken over the validation grid.
+
+    A slow tone's matched taper overshoots 1 by a factor of hundreds, and the
+    roundoff floor of its moments grows with it: at omega=0.5, c=1 the cos
+    moment's floor is 2.35e-13, beyond MOMENT_TOL itself.  Non-finite samples
+    are left to the quadrature, which fails on them if it meets them.
+    """
+    _, vals = _samples(z)
+    finite = np.abs(vals[np.isfinite(vals)])
+    return MOMENT_TOL * max(1.0, float(finite.max(initial=0.0)))
+
+
+def _tone_moments(bodies: tuple[ExprAST, ...], omega: float, c: float,
+                  tol: float) -> list[tuple[float, float]]:
     """(integral_0^c cos(w s) body ds, integral_0^c sin(w s) body ds) at w = omega, per body.
 
     Every (kernel, body) pair is one segment of one lockstep quadrature,
@@ -174,7 +188,7 @@ def _tone_moments(bodies: tuple[ExprAST, ...], omega: float,
     kernels = (expr.cos(const(omega) * s), expr.sin(const(omega) * s))
     groups = [(compile_expr(kernel * body, ("s",)), (0.0,), (c,), None)
               for body in bodies for kernel in kernels]
-    results = integrate_segments(groups, MOMENT_TOL, read_order=range(len(groups)))
+    results = integrate_segments(groups, tol, read_order=range(len(groups)))
     for r in results:
         if isinstance(r, DomainFault):
             raise r
@@ -189,8 +203,7 @@ def _validate(z: TerminationFunction) -> None:
         raise TaperError(f"termination function must satisfy z(0)=1, got {z(0.0)!r}")
     if abs(z(z.width)) > _ENDPOINT_TOL:
         raise TaperError(f"termination function must satisfy z(c)=0, got {z(z.width)!r}")
-    grid = np.linspace(0.0, z.width, _CONTINUITY_SAMPLES + 1)
-    vals = compile_expr(z.body, ("s",))(grid)
+    grid, vals = _samples(z)
     if not np.isfinite(vals).all():
         raise TaperError("termination function is not finite on [0, c]")
     if np.abs(vals).max() > _BOUND_LIMIT:
@@ -203,6 +216,12 @@ def _validate(z: TerminationFunction) -> None:
     scale = np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
     if (residual > 1e-6 * scale).any():
         raise TaperError("termination function fails the continuity check")
+
+
+def _samples(z: TerminationFunction) -> tuple[np.ndarray, np.ndarray]:
+    """z on the validation grid: _CONTINUITY_SAMPLES equal steps over [0, c]."""
+    grid = np.linspace(0.0, z.width, _CONTINUITY_SAMPLES + 1)
+    return grid, compile_expr(z.body, ("s",))(grid)
 
 
 # --------------------------------------------------------------------------
