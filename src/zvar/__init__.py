@@ -29,7 +29,7 @@ from .taper import (
     make_matched_trig,
     make_smooth_taper,
 )
-from .verify import VerificationOutcome, compare_pair, demo_existence_asymmetry, run_suite
+from .verify import VerificationOutcome, compare_pair, run_suite
 from .zeval import (
     EvalConfig,
     FiniteIntegral,
@@ -52,7 +52,7 @@ __all__ = [
     "BoundaryTaper", "TaperError", "TerminationFunction",
     "boundary_taper_from_z", "check_moments", "make_matched_trig",
     "make_smooth_taper",
-    "VerificationOutcome", "compare_pair", "demo_existence_asymmetry", "run_suite",
+    "VerificationOutcome", "compare_pair", "run_suite",
     "EvalConfig", "FiniteIntegral", "InfiniteIntegral", "ZResult",
     "classify_sequence", "eval_finite", "eval_infinite",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: evaluate, transform, verify, demo.
+"""Command-line front end: evaluate, transform, verify.
 
 Exit codes: 0 for converged evaluations and expected/equal verdicts, 2 for
 non-convergence or verdict mismatches, 1 for usage or evaluation errors.
@@ -16,8 +16,8 @@ import sys
 from .cov import CovError
 from .expr import ExprError, serialize
 from .taper import TaperError
-from .verify import (CorpusError, build_spec, compare_pair, demo_existence_asymmetry,
-                     derive_right, evaluate_spec, run_suite, spec_object, strict_json)
+from .verify import (CorpusError, build_spec, compare_pair, derive_right, evaluate_spec,
+                     run_suite, spec_object, strict_json)
 from .zeval import EvalConfig, InfiniteIntegral, ZResult
 
 _USAGE_ERRORS = (ExprError, TaperError, CovError, CorpusError, ValueError)
@@ -84,9 +84,6 @@ def _build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run a corpus of comparison cases")
     p_ver.add_argument("--corpus", help="jsonl corpus path (default: shipped corpus)")
     p_ver.add_argument("--json", action="store_true")
-
-    p_demo = sub.add_parser("demo", help="existence-asymmetry demonstration")
-    p_demo.add_argument("--json", action="store_true")
     return parser
 
 
@@ -201,13 +198,6 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.all_expected else 2
 
 
-def _cmd_demo(args, out) -> int:
-    report = demo_existence_asymmetry()
-    print(report.to_json() if args.json else report.to_text(), file=out)
-    statuses = sorted(t.result.status for t in report.traces)
-    return 0 if statuses == ["converged", "oscillatory", "oscillatory"] else 2
-
-
 def run_cli(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -218,9 +208,7 @@ def run_cli(argv: list[str], out=None, err=None) -> int:
             return _cmd_eval(args, out)
         if args.subcommand == "transform":
             return _cmd_transform(args, out)
-        if args.subcommand == "verify":
-            return _cmd_verify(args, out)
-        return _cmd_demo(args, out)
+        return _cmd_verify(args, out)
     except (_CliError, *_USAGE_ERRORS) as e:
         print(f"zvar: error: {e}", file=err)
         return 1

@@ -37,8 +37,7 @@ from .zeval import (
 __all__ = [
     "CorpusError", "VerificationOutcome", "CaseReport", "SuiteReport",
     "compare_pair", "evaluate_spec", "pair_verdict", "build_spec", "spec_object", "derive_right",
-    "run_suite", "demo_existence_asymmetry", "load_corpus", "shipped_corpus_path",
-    "strict_json",
+    "run_suite", "load_corpus", "shipped_corpus_path", "strict_json",
 ]
 
 
@@ -189,7 +188,7 @@ def load_corpus(path: str | Path | None = None) -> list[Case]:
         text = source.read_text(encoding="utf-8")
     except OSError as err:
         raise CorpusError(f"cannot read corpus {source}: {err}") from None
-    cases = []
+    cases = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -198,12 +197,15 @@ def load_corpus(path: str | Path | None = None) -> list[Case]:
         except json.JSONDecodeError as err:
             raise CorpusError(f"{source}:{lineno}: invalid json: {err}") from None
         try:
-            cases.append(_build_case(obj))
+            case = _build_case(obj)
         except (CorpusError, TaperError, CovError, ExprError, ValueError, TypeError) as err:
             raise CorpusError(f"{source}:{lineno}: {err}") from None
+        if case.case_id in cases:
+            raise CorpusError(f"{source}:{lineno}: duplicate case id {case.case_id!r}")
+        cases[case.case_id] = case
     if not cases:
         raise CorpusError(f"no cases in corpus {source}")
-    return cases
+    return list(cases.values())
 
 
 def _build_case(obj: dict) -> Case:
@@ -220,6 +222,9 @@ def _build_case(obj: dict) -> Case:
     tol = float(obj["tol"])
     if not (math.isfinite(tol) and tol > 0.0):
         raise CorpusError(f"tol must be positive and finite, got {obj['tol']!r}")
+    allow_inconclusive = obj.get("allow_inconclusive", False)
+    if type(allow_inconclusive) is not bool:
+        raise CorpusError("allow_inconclusive must be true or false")
     cfg = EvalConfig(**obj.get("config", {}))
     left, left_mode = build_spec(obj["left_spec"], field="left_spec")
 
@@ -228,8 +233,7 @@ def _build_case(obj: dict) -> Case:
     if "right_spec" in obj:
         right, right_mode = build_spec(obj["right_spec"], field="right_spec")
     else:
-        right, right_mode = derive_right(left, left_mode, obj["cov"],
-                                         bool(obj.get("allow_inconclusive", False)))
+        right, right_mode = derive_right(left, left_mode, obj["cov"], allow_inconclusive)
     return Case(case_id=str(obj["id"]), left=left, left_mode=left_mode,
                 right=right, right_mode=right_mode,
                 expected_verdict=obj["expected_verdict"], tol=tol, config=cfg)
@@ -308,75 +312,3 @@ def run_suite(path: str | Path | None = None) -> SuiteReport:
         ))
     reports.sort(key=lambda r: r.case_id)
     return SuiteReport(cases=tuple(reports), all_expected=all(r.as_expected for r in reports))
-
-
-# --------------------------------------------------------------------------
-# Existence-asymmetry demonstration.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DemoTrace:
-    name: str
-    description: str
-    result: ZResult
-    window_spread: float
-
-
-@dataclass(frozen=True)
-class DemoReport:
-    traces: tuple[DemoTrace, ...]
-
-    def to_json(self) -> str:
-        return strict_json({
-            "traces": [{
-                "name": t.name,
-                "description": t.description,
-                "status": t.result.status,
-                "value": t.result.value,
-                "window_spread": t.window_spread,
-                "samples": list(map(list, t.result.samples)),
-            } for t in self.traces]
-        }, indent=2)
-
-    def to_text(self) -> str:
-        lines = []
-        for t in self.traces:
-            lines.append(f"--- {t.name}: {t.description}")
-            lines.append(f"    status={t.result.status}  value={t.result.value:.9g}"
-                         f"  last-window spread={t.window_spread:.3g}")
-            tail = t.result.samples[-6:]
-            lines.append("    tail samples: " +
-                         ", ".join(f"({p:.4g}, {v:.6g})" for p, v in tail))
-        return "\n".join(lines)
-
-
-def demo_existence_asymmetry() -> DemoReport:
-    """Same tone, three treatments: the value exists only when z matches it.
-
-    The third trace is the image of the second convergent case under the
-    admissible map y = x^2; a valid change of variable does not transport
-    existence, which is exactly what the verdict vocabulary records.
-    """
-    from .taper import make_matched_trig, make_smooth_taper
-
-    matched = make_matched_trig(1.0, 1.0)
-    smooth = make_smooth_taper(1.0)
-    cfg = EvalConfig()
-    cfg_image = EvalConfig(b_start=1.0, b_count=35)
-    traces = []
-    for name, description, spec, config in (
-        ("tone_matched", "sin(x) from 0 with a moment-matched taper",
-         InfiniteIntegral(parse("sin(x)"), 0.0, matched), cfg),
-        ("tone_smooth", "sin(x) from 0 with a plain smooth taper",
-         InfiniteIntegral(parse("sin(x)"), 0.0, smooth), cfg),
-        ("tone_power_image", "y = x^2 image of sin(x) from 1, matched taper carried over",
-         InfiniteIntegral(parse("sin(y^(1/2))/(2*y^(1/2))"), 1.0, matched, variable="y"),
-         cfg_image),
-    ):
-        result = eval_infinite(spec, config)
-        values = [v for _, v in result.samples]
-        m = config.stability_window
-        spread = max(values[-m:]) - min(values[-m:]) if len(values) >= m else math.inf
-        traces.append(DemoTrace(name=name, description=description,
-                                result=result, window_spread=spread))
-    return DemoReport(traces=tuple(traces))

@@ -104,6 +104,12 @@ class EvalConfig:
     accelerate: bool = False
 
     def __post_init__(self):
+        # a corpus config is JSON: 17.0 or "no" must not reach a range() or an if
+        for name in ("b_count", "delta_count", "stability_window", "max_evals_per_point"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
+        if type(self.accelerate) is not bool:
+            raise ValueError("accelerate must be true or false")
         if self.stability_window < 3:
             raise ValueError("stability window must be at least 3")
         if self.b_count < self.stability_window or self.delta_count < self.stability_window:

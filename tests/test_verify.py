@@ -1,4 +1,4 @@
-"""Verification harness tests: verdicts, corpus schema, suite, demo."""
+"""Verification harness tests: verdicts, corpus schema, suite, spec objects."""
 
 import json
 import math
@@ -18,7 +18,6 @@ from zvar.verify import (
     CorpusError,
     build_spec,
     compare_pair,
-    demo_existence_asymmetry,
     evaluate_spec,
     load_corpus,
     pair_verdict,
@@ -52,16 +51,34 @@ def test_compare_linear_rescale_pair(matched):
     assert out.left.value == pytest.approx(math.cos(1.0), abs=1e-6)
 
 
+def _last_window_spread(result, cfg):
+    values = [v for _, v in result.samples[-cfg.stability_window:]]
+    return max(values) - min(values)
+
+
 def test_compare_power_image_asymmetry(matched):
     left = InfiniteIntegral(parse("sin(x)"), 1.0, matched)
     right = apply_cov(left, make_power_cov(1.0, 2.0, 1.0))
-    out = compare_pair(left, right, EvalConfig(b_start=1.0, b_count=35), 1e-5)
+    cfg = EvalConfig(b_start=1.0, b_count=35)
+    out = compare_pair(left, right, cfg, 1e-5)
     assert out.verdict == "existence_asymmetry"
     assert out.left.status == "converged"
     assert out.right.status == "oscillatory"
+    assert _last_window_spread(out.right, cfg) > 0.1
     # symmetry: swapping the sides keeps the verdict class
-    swapped = compare_pair(right, left, EvalConfig(b_start=1.0, b_count=35), 1e-5)
+    swapped = compare_pair(right, left, cfg, 1e-5)
     assert swapped.verdict == "existence_asymmetry"
+
+
+def test_taper_choice_asymmetry_row():
+    # the same tone exists under a matched taper and oscillates under a smooth one
+    (case,) = [c for c in load_corpus() if c.case_id == "tone_taper_choice_asymmetry"]
+    left = evaluate_spec(case.left, case.config, case.left_mode)
+    right = evaluate_spec(case.right, case.config, case.right_mode)
+    assert left.status == "converged"
+    assert abs(left.value - 1.0) < 1e-6
+    assert right.status == "oscillatory"
+    assert _last_window_spread(right, case.config) > 0.1
 
 
 def test_verdict_table_is_total():
@@ -175,6 +192,20 @@ def _without(obj, key):
                  "bad.jsonl:1: left_spec: missing field 'integrand'", id="no-integrand"),
     pytest.param({**_GOOD_CASE, "left_spec": {**_FINITE_SPEC, "mode": "sideways"}},
                  "bad.jsonl:1: left_spec.mode: unknown mode 'sideways'", id="unknown-mode"),
+    pytest.param({**_GOOD_CASE, "config": {"stability_window": 5.0}},
+                 "bad.jsonl:1: stability_window must be an integer", id="float-window"),
+    pytest.param({**_GOOD_CASE, "left_spec": _FINITE_SPEC, "right_spec": _FINITE_SPEC,
+                  "config": {"delta_count": 17.0}},
+                 "bad.jsonl:1: delta_count must be an integer", id="float-delta-count"),
+    pytest.param({**_GOOD_CASE, "config": {"b_count": True}},
+                 "bad.jsonl:1: b_count must be an integer", id="bool-b-count"),
+    pytest.param({**_GOOD_CASE, "config": {"max_evals_per_point": 1e7}},
+                 "bad.jsonl:1: max_evals_per_point must be an integer", id="float-max-evals"),
+    pytest.param({**_GOOD_CASE, "config": {"accelerate": "no"}},
+                 "bad.jsonl:1: accelerate must be true or false", id="string-accelerate"),
+    pytest.param({**_GOOD_CASE, "allow_inconclusive": "no"},
+                 "bad.jsonl:1: allow_inconclusive must be true or false",
+                 id="string-allow-inconclusive"),
 ])
 def test_malformed_corpus_rejected(tmp_path, case, match):
     bad = tmp_path / "bad.jsonl"
@@ -188,6 +219,13 @@ def test_malformed_json_reports_line(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x",\n')
     with pytest.raises(CorpusError, match=":1:"):
+        load_corpus(bad)
+
+
+def test_duplicate_case_id_rejected(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(_GOOD_CASE) + "\n" + json.dumps(_GOOD_CASE) + "\n")
+    with pytest.raises(CorpusError, match="bad.jsonl:2: duplicate case id 'x'"):
         load_corpus(bad)
 
 
@@ -208,7 +246,7 @@ def test_right_spec_and_cov_conflict(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# demo
+# spec objects
 # ---------------------------------------------------------------------------
 
 def test_spec_object_stands_in_for_every_shipped_cov():
@@ -240,18 +278,3 @@ def test_spec_object_inverts_build_spec():
                  "taper": "wfromz:taper:c=1.0", "var": "u", "mode": "bridge"}):
         assert spec_object(*build_spec(obj, field="spec")) == obj
 
-
-def test_demo_existence_asymmetry():
-    report = demo_existence_asymmetry()
-    statuses = [t.result.status for t in report.traces]
-    assert statuses.count("converged") == 1
-    assert statuses.count("oscillatory") == 2
-    converged = [t for t in report.traces if t.result.status == "converged"][0]
-    assert abs(converged.result.value - 1.0) < 1e-6
-    for trace in report.traces:
-        if trace.result.status == "oscillatory":
-            assert trace.window_spread > 0.1
-    text = report.to_text()
-    assert "tone_matched" in text and "tone_power_image" in text
-    parsed = json.loads(report.to_json())
-    assert len(parsed["traces"]) == 3
