@@ -32,6 +32,7 @@ from .zeval import (
     ZResult,
     eval_finite,
     eval_infinite,
+    is_number,
 )
 
 __all__ = [
@@ -219,6 +220,8 @@ def _build_case(obj: dict) -> Case:
             raise CorpusError(f"case is missing field {required!r}")
     if obj["expected_verdict"] not in _VERDICTS:
         raise CorpusError(f"unknown expected_verdict {obj['expected_verdict']!r}")
+    if not is_number(obj["tol"]):
+        raise CorpusError("tol must be a number")
     tol = float(obj["tol"])
     if not (math.isfinite(tol) and tol > 0.0):
         raise CorpusError(f"tol must be positive and finite, got {obj['tol']!r}")
@@ -273,6 +276,8 @@ def build_spec(obj: dict, field: str) -> tuple[ZIntegralSpec, str]:
         taper = form.parse_taper(obj["taper"])
     except TaperError as err:
         raise CorpusError(f"{field}.taper: {err}") from None
+    if not is_number(obj[form.limit]):
+        raise CorpusError(f"{field}.{form.limit} must be a number")
     spec = form.cls(parse(obj["integrand"], variables=(variable,)), float(obj[form.limit]),
                     taper, variable=variable)
     return spec, mode

@@ -43,6 +43,11 @@ __all__ = [
 DELTA_FLOOR = 1e-8   # direct finite-limit sampling never shrinks delta below this
 
 
+def is_number(value) -> bool:
+    """Whether value is a number as JSON has them: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class TooFewSamples(ValueError):
     """Classification needs at least the stability window of samples."""
 
@@ -108,6 +113,10 @@ class EvalConfig:
         for name in ("b_count", "delta_count", "stability_window", "max_evals_per_point"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
+        for name in ("b_start", "b_step", "delta_shrink", "tol", "quad_tol"):
+            value = getattr(self, name)
+            if not (is_number(value) or (name == "b_start" and value is None)):
+                raise ValueError(f"{name} must be a number")
         if type(self.accelerate) is not bool:
             raise ValueError("accelerate must be true or false")
         if self.stability_window < 3:

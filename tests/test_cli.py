@@ -211,6 +211,19 @@ def test_verify_bad_corpus_exit_one(tmp_path):
     assert err.strip()
 
 
+def test_verify_non_number_config_exit_one(tmp_path):
+    # {"tol": true} once read as 1.0: x^-2 from 1 came out equal_within_tol
+    # with both sides converged at 0.811, exit 0.  Now the load fails.
+    spec = {"type": "infinite", "integrand": "x^-2", "a": 1.0, "taper": "taper:c=1"}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"id": "x", "left_spec": spec, "right_spec": spec,
+                               "expected_verdict": "equal_within_tol", "tol": 1e-5,
+                               "config": {"tol": True}}) + "\n")
+    code, out, err = _run(["verify", "--corpus", str(bad)])
+    assert code == 1 and not out
+    assert f"{bad}:1: tol must be a number" in err
+
+
 def test_usage_errors_exit_one():
     for argv in (
         ["eval", "--type", "inf", "--a", "1", "--z", "taper:c=1"],       # no --f

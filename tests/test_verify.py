@@ -206,6 +206,20 @@ def _without(obj, key):
     pytest.param({**_GOOD_CASE, "allow_inconclusive": "no"},
                  "bad.jsonl:1: allow_inconclusive must be true or false",
                  id="string-allow-inconclusive"),
+    # A float field takes a JSON number, not a bool or a string: {"tol": true}
+    # once read as 1.0 and gave a wrong equal_within_tol.
+    *[pytest.param({**_GOOD_CASE, "config": {name: value}}, f"bad.jsonl:1: {name} must be a number",
+                   id=f"config-{kind}-{name.replace('_', '-')}")
+      for name, value, kind in (("tol", True, "bool"), ("b_start", "1", "string"),
+                                ("b_step", "0.7", "string"), ("delta_shrink", False, "bool"),
+                                ("quad_tol", "1e-10", "string"))],
+    pytest.param({**_GOOD_CASE, "tol": True}, "bad.jsonl:1: tol must be a number", id="bool-tol"),
+    pytest.param({**_GOOD_CASE, "tol": "1e-5"}, "bad.jsonl:1: tol must be a number",
+                 id="string-tol"),
+    pytest.param({**_GOOD_CASE, "left_spec": {**_GOOD_SPEC, "a": True}},
+                 r"bad.jsonl:1: left_spec\.a must be a number", id="bool-a"),
+    pytest.param({**_GOOD_CASE, "right_spec": {**_FINITE_SPEC, "beta": "1"}},
+                 r"bad.jsonl:1: right_spec\.beta must be a number", id="string-beta"),
 ])
 def test_malformed_corpus_rejected(tmp_path, case, match):
     bad = tmp_path / "bad.jsonl"
