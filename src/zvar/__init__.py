@@ -19,12 +19,9 @@ from .cov import (
     validate_cov,
 )
 from .expr import DomainFault, ExprAST, ParseError, differentiate, evaluate, parse, serialize, substitute
-from .quad import QuadResult, integrate_proper
 from .taper import (
-    BoundaryTaper,
     TaperError,
     TerminationFunction,
-    boundary_taper_from_z,
     check_moments,
     make_matched_trig,
     make_smooth_taper,
@@ -48,9 +45,7 @@ __all__ = [
     "make_exp_cov", "make_finite_power_cov", "make_power_cov", "validate_cov",
     "DomainFault", "ExprAST", "ParseError", "differentiate", "evaluate",
     "parse", "serialize", "substitute",
-    "QuadResult", "integrate_proper",
-    "BoundaryTaper", "TaperError", "TerminationFunction",
-    "boundary_taper_from_z", "check_moments", "make_matched_trig",
+    "TaperError", "TerminationFunction", "check_moments", "make_matched_trig",
     "make_smooth_taper",
     "VerificationOutcome", "compare_pair", "run_suite",
     "EvalConfig", "FiniteIntegral", "InfiniteIntegral", "ZResult",

@@ -10,8 +10,9 @@ Shipped specializations (power, exponential, bridge) are certified
 analytically; custom transforms are validated by dense sampling with local
 refinement, which can refute but never certify the strict global conditions,
 so their best verdict is "inconclusive" and applying them requires an
-explicit override.  The termination taper is carried over unchanged (the
-bridge swaps z and the boundary taper derived from it) -- existence on the
+explicit override.  Every transform, the bridge included, carries the
+termination function z over unchanged, since a finite-limit integral holds
+z too, as its boundary taper read through u = e^-x -- existence on the
 transformed side is a genuinely separate question, which the verification
 harness probes.
 """
@@ -35,7 +36,7 @@ from .expr import (
     substitute,
     var,
 )
-from .taper import boundary_taper_from_z, split_spec
+from .taper import split_spec
 from .zeval import FiniteIntegral, InfiniteIntegral, ZIntegralSpec, bridge_image
 
 __all__ = [
@@ -373,14 +374,11 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
     if bridge:
         dq = -dq  # psi decreases, so the limits swap
     new_integrand = simplify(substitute(spec.integrand, spec.variable, cov.inverse) * dq)
-    if isinstance(spec, InfiniteIntegral):
-        new_limit = evaluate(cov.forward, {cov.forward_var: spec.lower_limit})
-        if bridge:
-            return FiniteIntegral(new_integrand, new_limit, boundary_taper_from_z(spec.taper),
-                                  variable=iv)
-        return InfiniteIntegral(new_integrand, new_limit, spec.taper, variable=iv)
-    new_limit = evaluate(cov.forward, {cov.forward_var: spec.upper_limit})
-    return FiniteIntegral(new_integrand, new_limit, spec.taper, variable=iv)
+    infinite = isinstance(spec, InfiniteIntegral)
+    limit = spec.lower_limit if infinite else spec.upper_limit
+    form = InfiniteIntegral if infinite and not bridge else FiniteIntegral
+    return form(new_integrand, evaluate(cov.forward, {cov.forward_var: limit}), spec.taper,
+                variable=iv)
 
 
 # --------------------------------------------------------------------------

@@ -203,8 +203,6 @@ class _Tokens:
                     break
                 off = pos + len(rest) - len(rest.lstrip())
                 raise ParseError(f"unexpected character {text[off]!r}", off)
-            if m.end() == m.start():
-                break
             for group in ("num", "name", "op"):
                 lex = m.group(group)
                 if lex is not None:

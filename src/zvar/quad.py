@@ -13,6 +13,8 @@ not all split every round.  A taken panel is bisected, unless its error
 is still more than 1/32 of its parent's: that bisection did not resolve
 it, so it is cut into the quarters two bisections give, at their cost,
 and the level between is never evaluated (QAG and quad_vec only bisect).
+A panel a few ulps wide, whose quarter points would coincide, is only
+bisected.
 At an endpoint singularity no split resolves the end panel, so there the
 quarters cost a little: ln x on [0, 1] at 1e-11 takes 1,596 evaluations,
 where bisection alone took 1,554.  The Gauss(10)/Kronrod(21) rule is
@@ -53,13 +55,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .expr import DomainFault, ExprAST, compile_expr
+from .expr import DomainFault
 
-__all__ = ["QuadResult", "integrate_proper", "integrate_callable", "integrate_segments"]
+__all__ = ["QuadResult", "integrate_segments"]
 
 # Gauss-Kronrod 10-21 pair (QUADPACK's QK21), nodes sorted ascending.  WG is
 # aligned with the Kronrod nodes and zero where the node is Kronrod-only,
@@ -124,34 +126,6 @@ class QuadResult:
     converged: bool
 
 
-def integrate_proper(f: ExprAST, var: str, lo: float, hi: float, abs_tol: float,
-                     max_evals: int = 10_000_000,
-                     params: Mapping[str, float] | None = None) -> QuadResult:
-    """Integrate the expression f over [lo, hi] to absolute tolerance abs_tol.
-
-    params binds free variables of f other than the integration variable.
-    The expression is compiled on every call; a caller integrating one
-    expression many times compiles it once and uses integrate_callable.
-    """
-    names = (var,) + tuple(params.keys() if params else ())
-    compiled = compile_expr(f, names)
-    extra = tuple(float(v) for v in (params.values() if params else ()))
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return compiled(x, *extra)
-
-    return integrate_callable(fn, lo, hi, abs_tol, max_evals)
-
-
-def integrate_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                       abs_tol: float, max_evals: int = 10_000_000) -> QuadResult:
-    """Integrate a vectorized callable (x-array -> f-array) over [lo, hi]."""
-    result, = integrate_segments([(fn, (lo,), (hi,), None)], abs_tol, max_evals)
-    if isinstance(result, DomainFault):
-        raise result
-    return result
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                        max_evals: int = 10_000_000,
@@ -162,10 +136,10 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     A group (fn, lo, hi, params) holds the segments [lo[i], hi[i]] of fn,
     which is called as fn(x) when params is None and as fn(x, p) otherwise,
     p holding params[i] at every point of segment i.  The results come in
-    group order, one per segment: what integrate_callable returns for that
-    segment alone, or the DomainFault it raises.  A DomainFault's
-    `evaluations` attribute holds the evaluations spent before it.
-    max_evals caps each segment.
+    group order, one per segment: a QuadResult, or the DomainFault of a
+    segment where fn is not finite, whose `evaluations` attribute holds the
+    evaluations spent before it.  Each is, bit for bit, what the segment
+    gets alone in a call of its own.  max_evals caps each segment.
 
     read_order, one position per segment, is the order in which a caller
     reads the results and stops at the first failure (a DomainFault or
@@ -311,16 +285,17 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         run_end = np.cumsum(take)
         pick = np.arange(run_end[-1]) + (starts + take - run_end).repeat(take)
         # A picked panel its last bisection left unresolved is cut in four, if
-        # its segment can afford that for all such panels.
+        # its quarters are distinct floats and its segment can afford that for
+        # all such panels.
         chosen, owner = panels[:, pick], seg[pick]
-        four = chosen[3] > chosen[5] / 32
+        a, b = chosen[:2]
+        mid = 0.5 * (a + b)
+        cuts = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T   # a panel per row
+        four = (chosen[3] > chosen[5] / 32) & (cuts[:, 1:] > cuts[:, :-1]).all(axis=1)
         extra = np.bincount(owner[four], minlength=ids.size)
         extra *= take + extra <= allowed
         four &= extra[owner] > 0
         bisections += take + extra
-        a, b = chosen[:2]
-        mid = 0.5 * (a + b)
-        cuts = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T   # a panel per row
         slots = four[:, None] | [True, False, True, False, True]   # the cuts each panel keeps
         pieces = 2 + 2 * four
         kids = np.empty((6, pieces.sum()))   # each picked panel's children, left to right

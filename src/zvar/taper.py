@@ -1,4 +1,4 @@
-"""Termination functions z(s) on [0, c] and boundary tapers w(v) on [0, 1].
+"""Termination functions z(s) on [0, c].
 
 Admissibility here means bounded, continuous, z(0) = 1, z(c) = 0; every
 constructor validates those properties numerically at build time.  The
@@ -8,10 +8,11 @@ which makes the terminal bracket of a pure tone sin(w x) constant in the
 window position (the mechanism this library uses to give oscillatory
 integrals a well-defined value).
 
-A boundary taper is its termination function z read through u = e^-x:
-w(v) = z(-ln v) above the support floor e^-c, 0 at and below it.  It
-holds z and nothing else, so finite-limit and infinite-limit evaluations
-correspond exactly under the exponential bridge.
+A finite-limit integral's boundary taper is its termination function z
+read through u = e^-x: w(v) = z(-ln v) above the support floor e^-c, 0 at
+and below it.  So a finite-limit integral holds z itself, and finite-limit
+and infinite-limit evaluations correspond exactly under the exponential
+bridge.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .expr import DomainFault, ExprAST, compile_expr, const, differentiate, eval
 from .quad import integrate_segments
 
 __all__ = [
-    "TaperError", "TerminationFunction", "BoundaryTaper",
-    "make_smooth_taper", "make_matched_trig", "boundary_taper_from_z",
+    "TaperError", "TerminationFunction",
+    "make_smooth_taper", "make_matched_trig",
     "check_moments", "parse_taper_spec", "parse_boundary_spec", "split_spec",
 ]
 
@@ -62,25 +63,6 @@ class TerminationFunction:
         if self.kind == "matched_trig":
             return f"matched:omega={self.omega!r},c={self.width!r}"
         return f"taper:c={self.width!r}"
-
-
-@dataclass(frozen=True)
-class BoundaryTaper:
-    """w(v) = z(-ln v) on [0, 1] for its termination function z, 0 at and below e^-c."""
-
-    origin: TerminationFunction
-
-    @property
-    def support_floor(self) -> float:
-        return math.exp(-self.origin.width)
-
-    def __call__(self, v: float) -> float:
-        if v <= self.support_floor:
-            return 0.0
-        return self.origin(-math.log(v))
-
-    def spec_string(self) -> str:
-        return f"wfromz:{self.origin.spec_string()}"
 
 
 def make_smooth_taper(c: float) -> TerminationFunction:
@@ -138,16 +120,6 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
                             kind="matched_trig", omega=float(omega))
     _validate(z)
     return z
-
-
-def boundary_taper_from_z(z: TerminationFunction) -> BoundaryTaper:
-    """w(v) = z(-ln v) for v in (e^-c, 1], zero at and below the floor e^-c."""
-    if not math.exp(-z.width) < 1.0:
-        raise TaperError(
-            f"taper width c={z.width!r} is too small for a boundary taper: "
-            f"e^-c rounds to 1, leaving w no support"
-        )
-    return BoundaryTaper(z)
 
 
 def check_moments(z: TerminationFunction, omega: float) -> tuple[float, float]:
@@ -238,11 +210,12 @@ def parse_taper_spec(text: str) -> TerminationFunction:
     return make_matched_trig(fields["omega"], fields["c"])
 
 
-def parse_boundary_spec(text: str) -> BoundaryTaper:
+def parse_boundary_spec(text: str) -> TerminationFunction:
+    """The termination function z of a boundary taper spec "wfromz:<taper spec>"."""
     head, _, payload = text.strip().partition(":")
     if head != "wfromz":
         raise TaperError(f"unknown boundary taper kind {head!r} (expected 'wfromz:<taper>')")
-    return boundary_taper_from_z(parse_taper_spec(payload))
+    return parse_taper_spec(payload)
 
 
 def split_spec(text: str, kinds: dict[str, tuple[str, ...]], noun: str,

@@ -109,11 +109,13 @@ class _Form(NamedTuple):
     parse_taper: Callable
     var: str                            # default integration variable
     has_mode: bool = False              # takes a "mode": "direct" | "bridge" key
+    taper_prefix: str = ""              # written before the taper's spec string
 
 
 _FORMS = {
     "infinite": _Form(InfiniteIntegral, "a", "lower_limit", parse_taper_spec, "x"),
-    "finite": _Form(FiniteIntegral, "beta", "upper_limit", parse_boundary_spec, "u", True),
+    "finite": _Form(FiniteIntegral, "beta", "upper_limit", parse_boundary_spec, "u", True,
+                    "wfromz:"),
 }
 _VERDICTS = {"equal_within_tol", "mismatch", "existence_asymmetry", "both_nonconverged"}
 
@@ -272,14 +274,14 @@ def build_spec(obj: dict, field: str) -> tuple[ZIntegralSpec, str]:
     if mode not in ("direct", "bridge"):
         raise CorpusError(f"{field}.mode: unknown mode {mode!r}")
     variable = obj.get("var", form.var)
-    try:
-        taper = form.parse_taper(obj["taper"])
-    except TaperError as err:
-        raise CorpusError(f"{field}.taper: {err}") from None
     if not is_number(obj[form.limit]):
         raise CorpusError(f"{field}.{form.limit} must be a number")
-    spec = form.cls(parse(obj["integrand"], variables=(variable,)), float(obj[form.limit]),
-                    taper, variable=variable)
+    try:   # a finite integral checks that its taper leaves w some support
+        taper = form.parse_taper(obj["taper"])
+        spec = form.cls(parse(obj["integrand"], variables=(variable,)), float(obj[form.limit]),
+                        taper, variable=variable)
+    except TaperError as err:
+        raise CorpusError(f"{field}.taper: {err}") from None
     return spec, mode
 
 
@@ -287,8 +289,8 @@ def spec_object(spec: ZIntegralSpec, mode: str = "direct") -> dict:
     """The corpus spec object of `spec` evaluated in `mode`: the inverse of build_spec."""
     kind, form = next((kind, form) for kind, form in _FORMS.items() if isinstance(spec, form.cls))
     obj = {"type": kind, "integrand": serialize(spec.integrand),
-           form.limit: getattr(spec, form.attr), "taper": spec.taper.spec_string(),
-           "var": spec.variable}
+           form.limit: getattr(spec, form.attr),
+           "taper": form.taper_prefix + spec.taper.spec_string(), "var": spec.variable}
     if form.has_mode:
         obj["mode"] = mode
     return obj

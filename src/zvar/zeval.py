@@ -6,19 +6,19 @@ along an arithmetic sequence b_k = b_start + k*step, reusing the running
 prefix integral.  The finite-limit form (critical point fixed at 0)
 samples
     G(d) = integral_{v0 d}^{d} g(u) w(u/d) du + integral_d^{beta} g du
-along a geometric sequence d_k = beta * shrink^k, where v0 is the taper's
-support floor.  Each evaluation compiles the integrand and z once, and the
-window integrand composes the two: f(x) z(x - b), or g(u) z(-ln(u/d)),
-which is g(u) w(u/d).  Either way the sample sequence is classified as
-converged / oscillatory / drifting from its last windows.  Optional
-acceleration then tries to certify a limit the window misses: iterated
-Aitken first, then, on a growing b, a least-squares fit of a 1/ln b
-remainder, which Aitken cannot accelerate.
+along a geometric sequence d_k = beta * shrink^k, where v0 = e^-c is the
+taper's support floor.  Each evaluation compiles the integrand and z once,
+and the window integrand composes the two: f(x) z(x - b), or
+g(u) z(-ln(u/d)), which is g(u) w(u/d).  Either way the sample sequence
+is classified as converged / oscillatory / drifting from its last
+windows.  Optional acceleration then tries to certify a limit the window
+misses: iterated Aitken first, then, on a growing b, a least-squares fit
+of a 1/ln b remainder, which Aitken cannot accelerate.
 
 Bridge mode rewrites a finite-limit problem through u = e^-x into the
 infinite-limit form with integrand g(e^-x) e^-x and lower limit -ln(beta);
-because w was derived from z through the same substitution, the two
-bracket sequences coincide sample for sample.
+because w is z read through the same substitution, the two bracket
+sequences coincide sample for sample.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .expr import (DomainFault, ExprAST, compile_expr, const, exp as expr_exp,
                    free_variables, simplify, substitute, var)
 from .quad import integrate_segments
-from .taper import BoundaryTaper, TerminationFunction
+from .taper import TaperError, TerminationFunction
 
 __all__ = [
     "InfiniteIntegral", "FiniteIntegral", "ZIntegralSpec", "EvalConfig",
@@ -71,16 +71,23 @@ class InfiniteIntegral:
 
 @dataclass(frozen=True)
 class FiniteIntegral:
-    """Z-integral of g over (0, beta] with critical point 0 under taper w."""
+    """Z-integral of g over (0, beta] with critical point 0.
+
+    Its boundary taper is w(v) = z(-ln v) above the support floor e^-c and 0
+    at and below it, for the termination function z it holds as `taper`.
+    """
 
     integrand: ExprAST
     upper_limit: float
-    taper: BoundaryTaper
+    taper: TerminationFunction
     variable: str = "u"
 
     def __post_init__(self):
         if not (math.isfinite(self.upper_limit) and self.upper_limit > 0.0):
             raise ValueError("upper limit must be finite and positive")
+        if not math.exp(-self.taper.width) < 1.0:
+            raise TaperError(f"taper width c={self.taper.width!r} is too small for a boundary "
+                             f"taper: e^-c rounds to 1, leaving w no support")
         extra = free_variables(self.integrand) - {self.variable}
         if extra:
             raise ValueError(f"integrand has unexpected free variables {sorted(extra)}")
@@ -117,6 +124,8 @@ class EvalConfig:
             value = getattr(self, name)
             if not (is_number(value) or (name == "b_start" and value is None)):
                 raise ValueError(f"{name} must be a number")
+            if value is not None and not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if type(self.accelerate) is not bool:
             raise ValueError("accelerate must be true or false")
         if self.stability_window < 3:
@@ -260,10 +269,10 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
         return eval_infinite(bridge_image(spec, 1.0, 1.0), cfg)
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r} (expected 'direct' or 'bridge')")
-    w = spec.taper
+    z = spec.taper
     beta = spec.upper_limit
     g = compile_expr(spec.integrand, (spec.variable,))
-    zc = compile_expr(w.origin.body, ("s",))
+    zc = compile_expr(z.body, ("s",))
 
     def window_g(t, d):
         return g(t) * zc(-np.log(t / d))
@@ -273,17 +282,17 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
 
     # the deltas decrease, so those at or above the floor come first
     count = bisect.bisect_left(range(cfg.delta_count), True, key=lambda k: delta(k) < DELTA_FLOOR)
-    return _sample_brackets(g, window_g, beta, count, delta, lambda d: (w.support_floor * d, d),
+    return _sample_brackets(g, window_g, beta, count, delta, lambda d: (math.exp(-z.width) * d, d),
                             cfg)
 
 
 def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegral:
-    """The u = d e^(-alpha x) image of a finite-limit spec; z is the taper's origin."""
+    """The u = d e^(-alpha x) image of a finite-limit spec, under the same z."""
     x = "x" if spec.variable != "x" else "xb"
     decay = const(d) * expr_exp(-(const(alpha) * var(x)))
     integrand = simplify(substitute(spec.integrand, spec.variable, decay) * const(alpha) * decay)
     a = -math.log(spec.upper_limit / d) / alpha
-    return InfiniteIntegral(integrand, a, spec.taper.origin, variable=x)
+    return InfiniteIntegral(integrand, a, spec.taper, variable=x)
 
 
 def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:

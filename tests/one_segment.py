@@ -1,0 +1,18 @@
+"""One interval through the lockstep quadrature, the way the tests integrate it.
+
+integrate_segments is the quadrature's only entry point.  The tests integrate
+single intervals, and run a batch's segments one at a time as its reference,
+through integrate_one.
+"""
+
+from zvar.expr import DomainFault
+from zvar.quad import QuadResult, integrate_segments
+
+
+def integrate_one(fn, lo: float, hi: float, abs_tol: float,
+                  max_evals: int = 10_000_000) -> QuadResult:
+    """The one segment [lo, hi] of fn(x), alone in a call; raises its DomainFault."""
+    result, = integrate_segments([(fn, (lo,), (hi,), None)], abs_tol, max_evals, read_order=[0])
+    if isinstance(result, DomainFault):
+        raise result
+    return result

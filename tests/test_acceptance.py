@@ -16,7 +16,7 @@ from abel_oracle import ORACLE_TOL, abel_limit
 from zvar.cov import (CovError, apply_cov, make_bridge_cov, make_exp_cov, make_finite_power_cov,
                       make_power_cov)
 from zvar.expr import evaluate, parse
-from zvar.taper import boundary_taper_from_z, check_moments, make_matched_trig, make_smooth_taper
+from zvar.taper import check_moments, make_matched_trig, make_smooth_taper
 from zvar.verify import compare_pair, run_suite
 from zvar.zeval import EvalConfig, FiniteIntegral, InfiniteIntegral, eval_finite, eval_infinite
 
@@ -137,7 +137,7 @@ def test_criterion_07_existence_asymmetry(matched):
 
 
 def test_criterion_08_bridge_value_and_direct_agreement(smooth):
-    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, boundary_taper_from_z(smooth))
+    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth)
     t0 = time.monotonic()
     bridge = eval_finite(spec, EvalConfig(b_start=1.0, b_count=14, tol=1e-5,
                                           quad_tol=1e-9), mode="bridge")
@@ -160,7 +160,7 @@ def test_criterion_08_bridge_value_and_direct_agreement(smooth):
 
 def test_criterion_09_bridge_equivalence_both_directions(smooth):
     # finite -> infinite: the bridged image evaluates identically
-    fin = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, boundary_taper_from_z(smooth))
+    fin = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth)
     cfg = EvalConfig(b_start=1.0, b_count=14, tol=1e-5, quad_tol=1e-9)
     via_bridge = eval_finite(fin, cfg, mode="bridge")
     explicit = apply_cov(fin, make_bridge_cov(1.0, 1.0))
@@ -180,7 +180,7 @@ def test_criterion_09_bridge_equivalence_both_directions(smooth):
                 and abs(r_inf.value - 1.0) < 1e-5 and abs(r_fin.value - 1.0) < 1e-5)
 
     # divergence transfers too: statuses match with neither converged
-    div = FiniteIntegral(parse("1/u"), 1.0, boundary_taper_from_z(smooth))
+    div = FiniteIntegral(parse("1/u"), 1.0, smooth)
     d_direct = eval_finite(div, EvalConfig(), mode="direct")
     d_bridge = eval_finite(div, EvalConfig(), mode="bridge")
     pair_three = (d_direct.status == d_bridge.status != "converged")
@@ -192,10 +192,9 @@ def test_criterion_09_bridge_equivalence_both_directions(smooth):
 
 
 def test_criterion_10_finite_limit_power_map(smooth):
-    w = boundary_taper_from_z(smooth)
     cov = make_finite_power_cov(1.0, 2.0)
 
-    sqrt_spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
+    sqrt_spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, smooth)
     sqrt_image = apply_cov(sqrt_spec, cov)
     cfg = EvalConfig(accelerate=True)
     r1 = eval_finite(sqrt_spec, cfg)
@@ -203,7 +202,7 @@ def test_criterion_10_finite_limit_power_map(smooth):
     first = (r1.status == r2.status == "converged"
              and abs(r1.value - 2.0) < 1e-6 and abs(r2.value - 2.0) < 1e-6)
 
-    osc_spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, w)
+    osc_spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth)
     osc_image = apply_cov(osc_spec, cov)
     cfg_osc = EvalConfig(delta_count=10, tol=1e-3, quad_tol=1e-8)
     r3 = eval_finite(osc_spec, cfg_osc)

@@ -261,6 +261,14 @@ def test_usage_errors_exit_one():
         assert (code, out) == (1, ""), argv
         assert err.startswith("zvar: error:"), argv
         assert "np.float64(" not in err, err   # abscissae print as plain floats
+    # A non-finite config value is named: --tol inf once certified the
+    # divergent integral of x as converged, and the others failed naming no flag.
+    for name, value in (("tol", "inf"), ("b_step", "inf"), ("b_start", "nan"),
+                        ("quad_tol", "nan")):
+        code, out, err = _run(["eval", "--type", "inf", "--f", "x", "--a", "0",
+                               "--z", "taper:c=1", "--" + name.replace("_", "-"), value])
+        assert (code, out) == (1, "")
+        assert err == f"zvar: error: {name} must be finite, got {float(value)!r}\n"
 
 
 def test_expression_at_the_depth_bound_evaluates_and_transforms():

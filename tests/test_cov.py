@@ -18,7 +18,7 @@ from zvar.cov import (
     validate_cov,
 )
 from zvar.expr import differentiate, evaluate, parse
-from zvar.taper import boundary_taper_from_z, make_matched_trig, make_smooth_taper
+from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import FiniteIntegral, InfiniteIntegral
 
 
@@ -178,8 +178,7 @@ def test_apply_kind_mismatch(smooth_z):
 
 
 def test_apply_finite_power_to_inverse_sqrt(smooth_z):
-    w = boundary_taper_from_z(smooth_z)
-    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
+    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, smooth_z)
     out = apply_cov(spec, make_finite_power_cov(1.0, 2.0))
     assert isinstance(out, FiniteIntegral)
     assert out.upper_limit == pytest.approx(1.0)
@@ -207,8 +206,7 @@ def test_argument_level_round_trip(matched_z):
 # ---------------------------------------------------------------------------
 
 def test_bridge_finite_to_infinite(smooth_z):
-    w = boundary_taper_from_z(smooth_z)
-    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, w)
+    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth_z)
     out = apply_cov(spec, make_bridge_cov(1.0, 1.0))
     assert isinstance(out, InfiniteIntegral)
     assert out.lower_limit == pytest.approx(0.0)
@@ -224,14 +222,13 @@ def test_bridge_infinite_to_finite(smooth_z):
     out = apply_cov(spec, make_bridge_cov(1.0, 1.0))
     assert isinstance(out, FiniteIntegral)
     assert out.upper_limit == pytest.approx(1.0)
-    assert out.taper.origin is smooth_z
+    assert out.taper is smooth_z
     for u in (0.2, 0.5, 1.0):
         assert evaluate(out.integrand, {"u": u}) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bridge_round_trip_pointwise(smooth_z):
-    w = boundary_taper_from_z(smooth_z)
-    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, w)
+    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth_z)
     bridge = make_bridge_cov(1.0, 1.0)
     back = apply_cov(apply_cov(spec, bridge), bridge)
     assert isinstance(back, FiniteIntegral)
@@ -243,8 +240,7 @@ def test_bridge_round_trip_pointwise(smooth_z):
 
 
 def test_bridge_scale_family(smooth_z):
-    w = boundary_taper_from_z(smooth_z)
-    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
+    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, smooth_z)
     out = apply_cov(spec, make_bridge_cov(2.0, 0.5))
     assert out.lower_limit == pytest.approx(-math.log(1.0 / 2.0) / 0.5)
     for x in (2.0, 3.0, 5.0):
@@ -257,8 +253,7 @@ def test_bridge_general_scale_preserves_value(smooth_z):
     # the exponential family works for any d > 0, alpha > 0, not just (1, 1)
     from zvar.zeval import EvalConfig, eval_finite, eval_infinite
 
-    w = boundary_taper_from_z(smooth_z)
-    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, w)
+    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, smooth_z)
     base = eval_finite(spec, EvalConfig(accelerate=True))
     for d, alpha in ((1.0, 2.0), (2.0, 0.5), (3.0, 1.0)):
         image = apply_cov(spec, make_bridge_cov(d, alpha))
@@ -273,7 +268,7 @@ def test_bridge_infinite_to_finite_scale_family(smooth_z):
     out = apply_cov(spec, make_bridge_cov(d, alpha))
     assert isinstance(out, FiniteIntegral)
     assert out.upper_limit == d * math.exp(-alpha)
-    assert out.taper.origin is smooth_z
+    assert out.taper is smooth_z
     for u in (0.01, 0.05, 0.09):
         x = -math.log(u / d) / alpha
         want = x ** -2 / (alpha * u)
@@ -303,7 +298,7 @@ def test_custom_finite_cov_sampled_checks(smooth_z):
     assert {c.condition for c in report.checks if not c.passed} == {
         "forward_vanishes_at_zero", "analytic_certificate"}
 
-    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, boundary_taper_from_z(smooth_z))
+    spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, smooth_z)
     out = apply_cov(spec, sqrt_map, allow_inconclusive=True)
     assert isinstance(out, FiniteIntegral)
     assert out.upper_limit == pytest.approx(1.0)

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from zvar.expr import DomainFault, compile_expr, parse
-from zvar.quad import (_INITIAL_SPLIT, _WG, _WK, _XK, integrate_callable, integrate_proper,
-                       integrate_segments)
+from zvar.quad import _INITIAL_SPLIT, _WG, _WK, _XK, integrate_segments
+
+from one_segment import integrate_one
 
 FIRST_BATCH = _INITIAL_SPLIT * _XK.size   # evaluations before the first decision
 BISECTION = 2 * _XK.size                  # evaluations per bisected panel
+
+
+def _fx(text):
+    """The compiled integrand of an expression in x."""
+    return compile_expr(parse(text), ("x",))
 
 
 def test_rule_constants():
@@ -48,13 +54,13 @@ def test_first_batch_is_no_coarser_than_eight_gk15_panels():
 
 
 def test_basic_values():
-    r = integrate_proper(parse("x^2"), "x", 0.0, 1.0, 1e-12)
+    r = integrate_one(_fx("x^2"), 0.0, 1.0, 1e-12)
     assert r.converged and abs(r.value - 1.0 / 3.0) < 1e-12
 
-    r = integrate_proper(parse("sin(x)"), "x", 0.0, math.pi, 1e-12)
+    r = integrate_one(_fx("sin(x)"), 0.0, math.pi, 1e-12)
     assert r.converged and abs(r.value - 2.0) < 1e-12
 
-    r = integrate_proper(parse("exp(x)"), "x", 0.0, 1.0, 1e-12)
+    r = integrate_one(_fx("exp(x)"), 0.0, 1.0, 1e-12)
     assert r.converged and abs(r.value - (math.e - 1.0)) < 1e-12
 
 
@@ -64,14 +70,14 @@ def test_polynomial_exactness_degree_10():
         coeffs = [float(c) for c in rng.uniform(-3.0, 3.0, size=11)]
         text = " + ".join(f"{c!r}*x^{k}" for k, c in enumerate(coeffs))
         exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
-        r = integrate_proper(parse(text), "x", 0.0, 1.0, 1e-12)
+        r = integrate_one(_fx(text), 0.0, 1.0, 1e-12)
         assert r.converged
         assert abs(r.value - exact) < 1e-12
 
 
 def test_oscillation_stress():
     hi = 2.0 * math.pi * 1000.0
-    r = integrate_proper(parse("sin(x)"), "x", 0.0, hi, 1e-9, max_evals=10_000_000)
+    r = integrate_one(_fx("sin(x)"), 0.0, hi, 1e-9, max_evals=10_000_000)
     assert r.converged
     assert abs(r.value) < 1e-8
     # Golden counts here and below pin the refinement rule (which panels
@@ -83,7 +89,7 @@ def test_oscillation_stress():
 
     # Fresnel integral: error spread over many panels, so the count depends
     # on how many of them each round bisects.
-    r = integrate_proper(parse("sin(x^2)"), "x", 0.0, 30.0, 1e-10)
+    r = integrate_one(_fx("sin(x^2)"), 0.0, 30.0, 1e-10)
     exact = float(mpmath.sqrt(mpmath.pi / 2) * mpmath.fresnels(30.0 * mpmath.sqrt(2 / mpmath.pi)))
     assert r.converged and abs(r.value - exact) < 1e-10
     assert r.evaluations == 3528
@@ -93,24 +99,26 @@ def test_open_endpoint_singularities():
     # integral_0^1 ln(x) dx = -1; the rule must never touch x=0.  No split
     # resolves the panel at 0, so it is cut in four, which here costs one
     # bisection more than bisecting alone did (1,554 and 2,814).
-    r = integrate_proper(parse("ln(x)"), "x", 0.0, 1.0, 1e-11)
+    r = integrate_one(_fx("ln(x)"), 0.0, 1.0, 1e-11)
     assert r.converged and abs(r.value - (-1.0)) < 1e-10
     assert r.evaluations == 1596
 
     # integral_0^1 x^(-1/2) dx = 2
-    r = integrate_proper(parse("x^(-1/2)"), "x", 0.0, 1.0, 1e-10)
+    r = integrate_one(_fx("x^(-1/2)"), 0.0, 1.0, 1e-10)
     assert r.converged and abs(r.value - 2.0) < 1e-9
     assert r.evaluations == 2856
 
 
 def test_params_binding():
     # integral_0^1 (x + b) dx = 1/2 + b
-    r = integrate_proper(parse("x + b"), "x", 0.0, 1.0, 1e-12, params={"b": 3.0})
+    # params bind every free variable but x, one value per segment
+    r, = integrate_segments([(compile_expr(parse("x + b"), ("x", "b")), [0.0], [1.0], [3.0])],
+                            1e-12)
     assert r.converged and abs(r.value - 3.5) < 1e-12
 
 
 def test_budget_exhaustion_is_soft():
-    r = integrate_proper(parse("x^(-1/2)"), "x", 0.0, 1.0, 1e-13, max_evals=300)
+    r = integrate_one(_fx("x^(-1/2)"), 0.0, 1.0, 1e-13, max_evals=300)
     assert not r.converged
     assert r.error_estimate > 0.0
     assert abs(r.value - 2.0) <= 10.0 * r.error_estimate
@@ -123,34 +131,34 @@ def test_budget_is_never_overspent():
     # count of bisections covers every budget up to convergence; a panel
     # cut in four costs two.
     chirp = compile_expr(parse("sin(1/x)/x^2"), ("x",))
-    full = integrate_callable(chirp, 2e-4, 1.0, 1e-10)
+    full = integrate_one(chirp, 2e-4, 1.0, 1e-10)
     for budget in range(FIRST_BATCH, full.evaluations + 1, BISECTION):
-        r = integrate_callable(chirp, 2e-4, 1.0, 1e-10, max_evals=budget)
+        r = integrate_one(chirp, 2e-4, 1.0, 1e-10, max_evals=budget)
         assert r.evaluations <= budget
         assert (r.evaluations - FIRST_BATCH) % BISECTION == 0
         assert r.converged == (budget == full.evaluations)
-    f = parse("x^(-1/2)")
+    f = _fx("x^(-1/2)")
     for budget in (1, FIRST_BATCH - 1, FIRST_BATCH, FIRST_BATCH + 1,
                    FIRST_BATCH + BISECTION - 1, FIRST_BATCH + BISECTION,
                    FIRST_BATCH + BISECTION + 1, FIRST_BATCH + 6 * BISECTION - 1):
-        r = integrate_proper(f, "x", 0.0, 1.0, 1e-13, max_evals=budget)
+        r = integrate_one(f, 0.0, 1.0, 1e-13, max_evals=budget)
         assert not r.converged
         assert r.evaluations <= budget
-    r = integrate_callable(np.cos, 0.0, 1.0, 1e-12, max_evals=FIRST_BATCH - 1)
+    r = integrate_one(np.cos, 0.0, 1.0, 1e-12, max_evals=FIRST_BATCH - 1)
     assert r.evaluations == 0
     assert not r.converged and r.error_estimate == math.inf
 
 
 def test_monotone_budget_on_regression_corpus():
     cases = [
-        (parse("sin(x)"), 0.0, 2.0 * math.pi * 50.0),
-        (parse("x^(-1/2)"), 0.0, 1.0),
-        (parse("exp(-x)*sin(10*x)"), 0.0, 20.0),
+        (_fx("sin(x)"), 0.0, 2.0 * math.pi * 50.0),
+        (_fx("x^(-1/2)"), 0.0, 1.0),
+        (_fx("exp(-x)*sin(10*x)"), 0.0, 20.0),
     ]
     for f, lo, hi in cases:
         budgets = [600, 1200, 2400, 4800, 9600]
         errors = [
-            integrate_proper(f, "x", lo, hi, 1e-14, max_evals=n).error_estimate
+            integrate_one(f, lo, hi, 1e-14, max_evals=n).error_estimate
             for n in budgets
         ]
         for small, big in zip(errors, errors[1:]):
@@ -163,7 +171,7 @@ def test_float_resolution_panels_are_frozen():
     def step(x):
         return (x >= 1.0 / 3.0).astype(float)
 
-    r = integrate_callable(step, 0.0, 0.34, 3e-17)
+    r = integrate_one(step, 0.0, 0.34, 3e-17)
     assert r.converged
     assert abs(r.value - (0.34 - 1.0 / 3.0)) <= 3e-17
     assert r.evaluations == 2184
@@ -177,56 +185,52 @@ def test_tolerance_below_roundoff_stops_early():
         return (x >= 1.0 / 3.0).astype(float)
 
     for fn, lo, hi, tol in ((step, 0.0, 0.34, 1e-17), (np.sin, 0.0, 1000.0, 1e-14)):
-        r = integrate_callable(fn, lo, hi, tol, max_evals=1_000_000)
+        r = integrate_one(fn, lo, hi, tol, max_evals=1_000_000)
         assert not r.converged
         assert r.evaluations <= FIRST_BATCH
 
 
 def test_domain_fault_raised_with_location():
     with pytest.raises(DomainFault):
-        integrate_proper(parse("ln(x)"), "x", -1.0, 1.0, 1e-10)
+        integrate_one(_fx("ln(x)"), -1.0, 1.0, 1e-10)
     # A divide by zero in the integrand raises no warning either: a node of
     # a one-ulp panel rounds below lo, where ln(x - 1) is -inf or nan.
     hi = 1.0 + 6 * np.spacing(1.0)
     with pytest.raises(DomainFault, match=r"value at 0\.9999999999999999$") as fault:
-        integrate_callable(lambda x: np.log(x - 1.0), 1.0, hi, 1e-10)
+        integrate_one(lambda x: np.log(x - 1.0), 1.0, hi, 1e-10)
     assert fault.value.evaluations == 126
 
 
 def test_determinism():
-    f = parse("sin(1/x)/x")
-    r1 = integrate_proper(f, "x", 0.01, 2.0, 1e-11)
-    r2 = integrate_proper(f, "x", 0.01, 2.0, 1e-11)
+    r1 = integrate_one(_fx("sin(1/x)/x"), 0.01, 2.0, 1e-11)
+    r2 = integrate_one(_fx("sin(1/x)/x"), 0.01, 2.0, 1e-11)
     assert r1 == r2
 
 
 def test_callable_interface():
-    r = integrate_callable(np.cos, 0.0, math.pi / 2, 1e-12)
+    r = integrate_one(np.cos, 0.0, math.pi / 2, 1e-12)
     assert r.converged and abs(r.value - 1.0) < 1e-12
-    assert integrate_callable(np.cos, 0.0, math.pi / 2, 1e-12, max_evals=10**30) == r
+    assert integrate_one(np.cos, 0.0, math.pi / 2, 1e-12, max_evals=10**30) == r
 
 
 def test_invalid_arguments():
-    f = parse("x")
-    for integrate in (lambda *args: integrate_proper(f, "x", *args),
-                      lambda *args: integrate_callable(np.cos, *args)):
-        with pytest.raises(ValueError):
-            integrate(1.0, 0.0, 1e-10)
-        with pytest.raises(ValueError):
-            integrate(0.0, math.inf, 1e-10)
-        with pytest.raises(ValueError, match=r"\[1.0, 1e\+308\]"):  # 0.5 * (a + b) overflows
-            integrate(1.0, 1e308, 1e-10)
-        with pytest.raises(ValueError):
-            integrate(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate_one(np.cos, 1.0, 0.0, 1e-10)
+    with pytest.raises(ValueError):
+        integrate_one(np.cos, 0.0, math.inf, 1e-10)
+    with pytest.raises(ValueError, match=r"\[1.0, 1e\+308\]"):  # 0.5 * (a + b) overflows
+        integrate_one(np.cos, 1.0, 1e308, 1e-10)
+    with pytest.raises(ValueError):
+        integrate_one(np.cos, 0.0, 1.0, 0.0)
 
 
 def test_non_integrable_integral_is_not_certified():
     # tan has a pole at pi/2.  Bisection closes in on it until panels are
     # one ulp wide and frozen; their values cannot be checked, so once they
     # add up to more than abs_tol the run stops unconverged (QUADPACK's ier=5).
-    r = integrate_proper(parse("tan(x)"), "x", 1.0, 2.0, 1e-10)
+    r = integrate_one(_fx("tan(x)"), 1.0, 2.0, 1e-10)
     assert not r.converged
-    assert r.evaluations == 2898
+    assert r.evaluations == 2814
 
 
 def test_rounding_noise_near_a_pole_is_not_bisected_wholesale():
@@ -234,17 +238,22 @@ def test_rounding_noise_near_a_pole_is_not_bisected_wholesale():
     # of its abscissae, which bisection does not shrink.  A cut that took
     # every such panel each round would double their number every round;
     # the cut takes only panels of at least 1/32 of the largest error.  The
-    # largest call, 24 panels, is the last: there panels a few ulps wide,
-    # unresolved, are cut in four.
-    panels = []
+    # largest call, 20 panels, is the last.  An unresolved panel a few ulps
+    # wide is only bisected, since its quarter points would coincide, so few
+    # panels of that call have all 21 abscissae on one float: 7, where
+    # cutting such panels in four made 12 (and 2,898 evaluations).
+    calls = []
 
     def tan(x):
-        panels.append(x.size // _XK.size)
+        calls.append(x)
         return np.tan(x)
 
-    r = integrate_callable(tan, 1.0, 2.0, 1e-10)
-    assert not r.converged and r.evaluations == 2898
-    assert max(panels) == panels[-1] == 24 and len(panels) == 27
+    r = integrate_one(tan, 1.0, 2.0, 1e-10)
+    assert not r.converged and r.evaluations == 2814
+    panels = [x.size // _XK.size for x in calls]
+    assert max(panels) == panels[-1] == 20 and len(panels) == 27
+    last = calls[-1].reshape(-1, _XK.size)
+    assert np.count_nonzero(last.min(axis=1) == last.max(axis=1)) == 7
 
 
 def _split_in_four(calls):
@@ -280,7 +289,7 @@ def test_unresolved_panels_are_split_in_four():
         return np.sin(1.0 / x) / x**2
 
     lo = 2e-4
-    r = integrate_callable(chirp, lo, 1.0, 1e-10)
+    r = integrate_one(chirp, lo, 1.0, 1e-10)
     assert r.converged and abs(r.value - (math.cos(1.0) - math.cos(1.0 / lo))) <= 1e-10
     assert len(calls) == 19
     assert r.evaluations == sum(x.size for x in calls) == 24738
@@ -291,17 +300,17 @@ def test_unresolved_panels_are_split_in_four():
 
 def test_error_past_the_float_range_is_not_certified():
     # Panel values of opposite infinite sign: their sum is nan, with no warning.
-    r = integrate_callable(lambda x: np.where(x < 3.0, 1e308, -1e308), 0.0, 6.0, 1e-6)
+    r = integrate_one(lambda x: np.where(x < 3.0, 1e308, -1e308), 0.0, 6.0, 1e-6)
     assert not r.converged and r.evaluations == 126
     # On six one-ulp panels the error formula's ratio overflows: no warning,
     # and the huge frozen values stop the run unconverged.
     hi = 1.0 + 6 * np.spacing(1.0)
-    r = integrate_callable(lambda x: 1e300 * np.sin(1e16 * x), 1.0, hi, 1e-30)
+    r = integrate_one(lambda x: 1e300 * np.sin(1e16 * x), 1.0, hi, 1e-30)
     assert not r.converged and r.evaluations == 126
     # Here the error of every frozen panel is nan while their values stay
     # below abs_tol: the segment, left with no panels, still ends.
     tiny = 5e-324
-    r = integrate_callable(lambda x: np.where(x / tiny % 2 < 1, 1.7e308, -1.7e308),
+    r = integrate_one(lambda x: np.where(x / tiny % 2 < 1, 1.7e308, -1.7e308),
                            0.0, 6 * tiny, 1e-10)
     assert not r.converged and r.evaluations == 126
 
@@ -363,7 +372,7 @@ def test_segments_match_one_at_a_time():
 
     def alone(fn, lo, hi, tol, budget):
         try:
-            return integrate_callable(fn, lo, hi, tol, budget)
+            return integrate_one(fn, lo, hi, tol, budget)
         except DomainFault as fault:
             return fault
 
@@ -409,7 +418,7 @@ def test_segments_match_one_at_a_time():
     assert (3e-17, True, 2184) in outcomes      # the frozen step still converges
     assert (3e-17, False, 126) in outcomes      # below roundoff
     assert (1e-10, False, 2982) in outcomes     # budget spent: 68 bisections
-    assert (1e-10, False, 2898) in outcomes     # tan: frozen panels hold too much
+    assert (1e-10, False, 2814) in outcomes     # tan: frozen panels hold too much
 
 
 def test_segments_after_a_failure_in_read_order_stop_early():
@@ -427,13 +436,13 @@ def test_segments_after_a_failure_in_read_order_stop_early():
               (np.tan, [1.0], [2.0], None),
               (cusp, [0.0], [1.0], None)]
     got = integrate_segments(groups, 1e-10, read_order=[0, 3, 1, 2])
-    alone = [integrate_callable(np.exp, 0.0, 1.0, 1e-10),
-             integrate_callable(np.exp, 1.0, 2.0, 1e-10),
-             integrate_callable(np.tan, 1.0, 2.0, 1e-10)]
+    alone = [integrate_one(np.exp, 0.0, 1.0, 1e-10),
+             integrate_one(np.exp, 1.0, 2.0, 1e-10),
+             integrate_one(np.tan, 1.0, 2.0, 1e-10)]
     assert got[:3] == alone and not alone[2].converged
     cut = sum(spent)
     assert not got[3].converged and got[3].evaluations == cut == 2268
     spent.clear()
     full = integrate_segments(groups, 1e-10)[3]     # no read order: x^-0.9 runs on
     assert cut < sum(spent) == full.evaluations == 15036
-    assert full.converged and full == integrate_callable(cusp, 0.0, 1.0, 1e-10)
+    assert full.converged and full == integrate_one(cusp, 0.0, 1.0, 1e-10)

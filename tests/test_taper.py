@@ -10,13 +10,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from zvar.expr import DomainFault, const, cos, evaluate, parse, simplify, sin, var
-from zvar.quad import integrate_proper
+from zvar.expr import DomainFault, compile_expr, const, cos, evaluate, parse, simplify, sin, var
 from zvar.taper import (
     MOMENT_TOL,
     TaperError,
     TerminationFunction,
-    boundary_taper_from_z,
     check_moments,
     make_matched_trig,
     make_smooth_taper,
@@ -24,6 +22,10 @@ from zvar.taper import (
     parse_taper_spec,
 )
 from zvar.taper import _moment_tol
+from zvar.verify import spec_object
+from zvar.zeval import FiniteIntegral
+
+from one_segment import integrate_one
 
 
 def _mp_moment(z, omega, trig):
@@ -68,9 +70,9 @@ def test_smooth_taper_is_built_once_per_width():
 
 
 def _moments_one_at_a_time(body, omega, c, tol=MOMENT_TOL):
-    # (cos, sin) tone moments of body, one integrate_proper call each
+    # (cos, sin) tone moments of body, one quadrature call each
     s = var("s")
-    results = [integrate_proper(kernel * body, "s", 0.0, c, tol)
+    results = [integrate_one(compile_expr(kernel * body, ("s",)), 0.0, c, tol)
                for kernel in (cos(const(omega) * s), sin(const(omega) * s))]
     assert all(r.converged for r in results)
     return tuple(r.value for r in results)
@@ -79,7 +81,7 @@ def _moments_one_at_a_time(body, omega, c, tol=MOMENT_TOL):
 @pytest.mark.parametrize("omega,c", [(1.0, 1.0), (0.5, 1.0), (2.7, 1.0), (3.9, 2.0)])
 def test_matched_trig_equals_one_quadrature_at_a_time(omega, c):
     # The six moments run as one lockstep call; each must be what its own
-    # integrate_proper call gives, so the body and residuals are bit for bit
+    # quadrature call gives, so the body and residuals are bit for bit
     # those of the construction with six separate calls.
     z = make_matched_trig(omega, c)
     base = make_smooth_taper(c).body
@@ -147,14 +149,15 @@ def test_matched_trig_bracket_constant_in_window_position():
         z = make_matched_trig(omega, 1.0)
         f = substitute(parse("sin(om*x)"), "om", const(omega))
         zx = substitute(z.body, "s", var("x") - var("b"))
+        prefix_fn = compile_expr(f, ("x",))
+        tail_fn = compile_expr(f * zx, ("x", "b"))
         for a in (0.0, 1.0):
             expected = math.cos(omega * a) / omega
             brackets = []
             for k in range(11):
                 b = a + 0.7 * k
-                prefix = integrate_proper(f, "x", a, b, 1e-12) if b > a else None
-                tail = integrate_proper(f * zx, "x", b, b + 1.0, 1e-12,
-                                        params={"b": b})
+                prefix = integrate_one(prefix_fn, a, b, 1e-12) if b > a else None
+                tail = integrate_one(lambda x, b=b: tail_fn(x, b), b, b + 1.0, 1e-12)
                 assert tail.converged and (prefix is None or prefix.converged)
                 brackets.append((prefix.value if prefix else 0.0) + tail.value)
             assert all(abs(v - brackets[0]) < 1e-8 for v in brackets)
@@ -168,26 +171,13 @@ def test_matched_trig_rejects_bad_parameters():
         make_matched_trig(1.0, -2.0)
 
 
-def test_boundary_taper_from_smooth():
-    z = make_smooth_taper(1.0)
-    w = boundary_taper_from_z(z)
-    assert abs(w(1.0) - 1.0) < 1e-12
-    assert w.support_floor == pytest.approx(math.exp(-1.0))
-    assert w(w.support_floor) == 0.0
-    assert w(0.1) == 0.0
-    assert w(0.5) == pytest.approx(z(math.log(2.0)), abs=1e-14)
-
-
 def test_boundary_taper_rejects_width_below_float_resolution():
+    # A finite-limit integral reads z as w(v) = z(-ln v) above e^-c, which
+    # must leave w some support however the integral is built.
+    z = parse_boundary_spec("wfromz:taper:c=1e-300")
+    assert z is make_smooth_taper(1e-300)
     with pytest.raises(TaperError, match=r"c=1e-300 .* e\^-c rounds to 1"):
-        parse_boundary_spec("wfromz:taper:c=1e-300")
-
-
-def test_boundary_taper_from_matched():
-    z = make_matched_trig(1.0, 1.0)
-    w = boundary_taper_from_z(z)
-    assert abs(w(1.0) - 1.0) < 1e-12
-    assert w.origin is z
+        FiniteIntegral(parse("1", variables=("u",)), 1.0, z)
 
 
 def test_taper_spec_strings():
@@ -195,8 +185,8 @@ def test_taper_spec_strings():
     assert z.kind == "smooth_taper" and z.width == 1.0
     z = parse_taper_spec("matched:omega=2,c=1")
     assert z.kind == "matched_trig" and z.omega == 2.0
-    w = parse_boundary_spec("wfromz:taper:c=1")
-    assert w.origin is not None and w.origin.kind == "smooth_taper"
+    assert parse_boundary_spec("wfromz:taper:c=1") is make_smooth_taper(1)
+    assert parse_boundary_spec("wfromz:matched:omega=2,c=1").kind == "matched_trig"
 
     with pytest.raises(TaperError, match="unknown taper kind"):
         parse_taper_spec("bogus:c=1")
@@ -221,5 +211,7 @@ def test_spec_strings_write_what_the_parser_reads():
         assert z.spec_string() == canonical
         again = parse_taper_spec(canonical)
         assert repr(again.body) == repr(z.body)
-    w = parse_boundary_spec("wfromz:taper:c=1")
-    assert w.spec_string() == "wfromz:taper:c=1.0"
+    # a finite-limit integral's taper is written back with its wfromz: prefix
+    fin = FiniteIntegral(parse("1/u", variables=("u",)), 1.0,
+                         parse_boundary_spec("wfromz:taper:c=1"))
+    assert spec_object(fin)["taper"] == "wfromz:taper:c=1.0"

@@ -213,6 +213,12 @@ def _without(obj, key):
       for name, value, kind in (("tol", True, "bool"), ("b_start", "1", "string"),
                                 ("b_step", "0.7", "string"), ("delta_shrink", False, "bool"),
                                 ("quad_tol", "1e-10", "string"))],
+    # ... and a finite one: {"tol": Infinity} once made both divergent sides converged.
+    *[pytest.param({**_GOOD_CASE, "config": {name: value}},
+                   f"bad.jsonl:1: {name} must be finite, got {value!r}",
+                   id=f"config-{kind}-{name.replace('_', '-')}")
+      for name, value, kind in (("tol", math.inf, "inf"), ("b_step", math.inf, "inf"),
+                                ("b_start", math.nan, "nan"), ("quad_tol", -math.inf, "-inf"))],
     pytest.param({**_GOOD_CASE, "tol": True}, "bad.jsonl:1: tol must be a number", id="bool-tol"),
     pytest.param({**_GOOD_CASE, "tol": "1e-5"}, "bad.jsonl:1: tol must be a number",
                  id="string-tol"),
@@ -220,6 +226,9 @@ def _without(obj, key):
                  r"bad.jsonl:1: left_spec\.a must be a number", id="bool-a"),
     pytest.param({**_GOOD_CASE, "right_spec": {**_FINITE_SPEC, "beta": "1"}},
                  r"bad.jsonl:1: right_spec\.beta must be a number", id="string-beta"),
+    pytest.param({**_GOOD_CASE, "right_spec": {**_FINITE_SPEC, "taper": "wfromz:taper:c=1e-300"}},
+                 r"bad.jsonl:1: right_spec\.taper: taper width c=1e-300 .* e\^-c rounds to 1",
+                 id="finite-taper-without-support"),
 ])
 def test_malformed_corpus_rejected(tmp_path, case, match):
     bad = tmp_path / "bad.jsonl"

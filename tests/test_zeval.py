@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from abel_oracle import ORACLE_TOL, abel_limit
+from one_segment import integrate_one
 from zvar.expr import DomainFault, parse
-from zvar.quad import integrate_callable
-from zvar.taper import boundary_taper_from_z, make_matched_trig, make_smooth_taper
+from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _extrapolate,
     EvalConfig,
@@ -118,7 +118,7 @@ def test_conventional_agreement_both_taper_kinds(smooth, matched):
             r = eval_infinite(InfiniteIntegral(integrand, a, z, variable=variable), cfg)
             assert r.status == "converged", (variable, z.kind)
             assert abs(r.value - closed_form) < 1e-6, (z.kind, r.value)
-        spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, boundary_taper_from_z(z))
+        spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, z)
         r = eval_finite(spec, EvalConfig(accelerate=True))
         assert r.status == "converged"
         assert abs(r.value - 2.0) < 1e-6
@@ -204,8 +204,7 @@ def test_integrands_compiled_once_per_evaluation(smooth, monkeypatch):
     monkeypatch.setattr(zeval, "compile_expr", counting)
     cfg = EvalConfig(b_count=8, delta_count=8)
     inf_spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth)
-    fin_spec = FiniteIntegral(parse("u^(-1/2)", variables=("u",)), 1.0,
-                              boundary_taper_from_z(smooth))
+    fin_spec = FiniteIntegral(parse("u^(-1/2)", variables=("u",)), 1.0, smooth)
     for run in (lambda: eval_infinite(inf_spec, cfg),
                 lambda: eval_finite(fin_spec, cfg, mode="direct"),
                 lambda: eval_finite(fin_spec, cfg, mode="bridge")):
@@ -237,16 +236,16 @@ def _one_at_a_time(f, window_f, start, grid, span, cfg):
     for p in grid:
         try:
             if p != prev:
-                inc = integrate_callable(f, min(prev, p), max(prev, p), cfg.quad_tol,
-                                         cfg.max_evals_per_point)
+                inc = integrate_one(f, min(prev, p), max(prev, p), cfg.quad_tol,
+                                    cfg.max_evals_per_point)
                 evals += inc.evaluations
                 if not inc.converged:
                     break
                 running += inc.value
                 prev = p
             lo, hi = span(p)
-            window = integrate_callable(lambda t: window_f(t, p), lo, hi, cfg.quad_tol,
-                                        cfg.max_evals_per_point)
+            window = integrate_one(lambda t: window_f(t, p), lo, hi, cfg.quad_tol,
+                                   cfg.max_evals_per_point)
         except DomainFault:
             break
         evals += window.evaluations
@@ -268,10 +267,9 @@ def test_converging_evaluation_integrates_no_point_past_its_last_sample(smooth, 
         start, grid = 0.0, [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
         span = lambda b: (b, b + smooth.width)  # noqa: E731
     else:
-        w = boundary_taper_from_z(smooth)
-        r = eval_finite(FiniteIntegral(parse("u", variables=("u",)), 1.0, w), cfg)
+        r = eval_finite(FiniteIntegral(parse("u", variables=("u",)), 1.0, smooth), cfg)
         start, grid = 1.0, [cfg.delta_shrink ** k for k in range(cfg.delta_count)]
-        span = lambda d: (w.support_floor * d, d)  # noqa: E731
+        span = lambda d: (math.exp(-smooth.width) * d, d)  # noqa: E731
     assert r.status == "converged"
     points = [p for call in calls for p in call[1][3]]
     # Every integrated point is a sample: none past the stopping one.
@@ -347,10 +345,9 @@ def test_sample_counts_cost_nothing_until_reached(smooth):
     # allocated or walked, and a converging evaluation ends as it does with
     # the default count.
     huge = EvalConfig(b_count=10**12, delta_count=10**12)
-    w = boundary_taper_from_z(smooth)
     for run in (lambda cfg: eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), cfg),
                 lambda cfg: eval_finite(FiniteIntegral(parse("cos(u)", variables=("u",)),
-                                                       1.0, w), cfg)):
+                                                       1.0, smooth), cfg)):
         default = run(EvalConfig())
         assert default.status == "converged"
         assert run(huge) == default
@@ -358,8 +355,7 @@ def test_sample_counts_cost_nothing_until_reached(smooth):
 
 def test_finite_sampling_stops_at_the_delta_floor(smooth, monkeypatch):
     calls = _record_quadrature(monkeypatch)
-    w = boundary_taper_from_z(smooth)
-    r = eval_finite(FiniteIntegral(parse("1/u", variables=("u",)), 1.0, w),
+    r = eval_finite(FiniteIntegral(parse("1/u", variables=("u",)), 1.0, smooth),
                     EvalConfig(delta_count=10**12))
     points = [p for call in calls for p in call[1][3]]
     assert points == [0.5 ** k for k in range(27)]   # 0.5^27 < 1e-8 <= 0.5^26
@@ -385,14 +381,14 @@ def test_determinism(matched):
 
 def test_inverse_sqrt_direct_both_tapers(smooth, matched):
     for z in (smooth, matched):
-        spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, boundary_taper_from_z(z))
+        spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, z)
         r = eval_finite(spec, EvalConfig(accelerate=True))
         assert r.status == "converged"
         assert abs(r.value - 2.0) < 1e-6
 
 
 def test_oscillatory_singularity_bridge_mode(smooth):
-    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, boundary_taper_from_z(smooth))
+    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth)
     cfg = EvalConfig(b_start=1.0, b_count=14, tol=1e-5, quad_tol=1e-9)
     r = eval_finite(spec, cfg, mode="bridge")
     assert r.status == "converged"
@@ -402,7 +398,7 @@ def test_oscillatory_singularity_bridge_mode(smooth):
 
 
 def test_oscillatory_singularity_direct_agrees_with_bridge(smooth):
-    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, boundary_taper_from_z(smooth))
+    spec = FiniteIntegral(parse("sin(1/u)/u^2"), 1.0, smooth)
     bridge = eval_finite(spec, EvalConfig(b_start=1.0, b_count=14, tol=1e-5,
                                           quad_tol=1e-9), mode="bridge")
     direct = eval_finite(spec, EvalConfig(delta_count=17, tol=1e-3, quad_tol=1e-8),
@@ -415,14 +411,13 @@ def test_oscillatory_singularity_direct_agrees_with_bridge(smooth):
 def test_boundary_taper_bridge_agreement(smooth):
     # w derived from z through u = e^-x makes direct finite evaluation and
     # the bridged infinite evaluation agree to 1e-6 on convergent cases
-    w = boundary_taper_from_z(smooth)
     cases = [
         (parse("u^(-1/2)"), EvalConfig(accelerate=True)),
         (parse("sin(1/u)/u^2"), EvalConfig(delta_count=17, tol=1e-3, quad_tol=1e-8,
                                            b_start=1.0, b_count=14)),
     ]
     for integrand, cfg in cases:
-        spec = FiniteIntegral(integrand, 1.0, w)
+        spec = FiniteIntegral(integrand, 1.0, smooth)
         direct = eval_finite(spec, cfg, mode="direct")
         bridged = eval_finite(spec, cfg, mode="bridge")
         assert direct.status == bridged.status == "converged"
@@ -432,7 +427,7 @@ def test_boundary_taper_bridge_agreement(smooth):
 def test_nonunit_upper_limit_both_routes(smooth):
     # Z integral_0^2 u^(-1/2) du = 2 sqrt(2); beta != 1 exercises the
     # -ln(beta) lower limit on the bridged side
-    spec = FiniteIntegral(parse("u^(-1/2)"), 2.0, boundary_taper_from_z(smooth))
+    spec = FiniteIntegral(parse("u^(-1/2)"), 2.0, smooth)
     expected = 2.0 * math.sqrt(2.0)
     for mode in ("direct", "bridge"):
         r = eval_finite(spec, EvalConfig(accelerate=True), mode=mode)
@@ -441,7 +436,7 @@ def test_nonunit_upper_limit_both_routes(smooth):
 
 
 def test_logarithmic_divergence_direct_and_bridge(smooth):
-    spec = FiniteIntegral(parse("1/u"), 1.0, boundary_taper_from_z(smooth))
+    spec = FiniteIntegral(parse("1/u"), 1.0, smooth)
     direct = eval_finite(spec, EvalConfig(), mode="direct")
     bridge = eval_finite(spec, EvalConfig(), mode="bridge")
     assert direct.status == "drifting"
@@ -449,7 +444,7 @@ def test_logarithmic_divergence_direct_and_bridge(smooth):
 
 
 def test_unknown_mode_rejected(smooth):
-    spec = FiniteIntegral(parse("1/u"), 1.0, boundary_taper_from_z(smooth))
+    spec = FiniteIntegral(parse("1/u"), 1.0, smooth)
     with pytest.raises(ValueError):
         eval_finite(spec, EvalConfig(), mode="sideways")
 
@@ -475,6 +470,6 @@ def test_spec_validation(smooth):
     with pytest.raises(ValueError):
         InfiniteIntegral(parse("x + y"), 0.0, smooth)
     with pytest.raises(ValueError):
-        FiniteIntegral(parse("1/u"), -1.0, boundary_taper_from_z(smooth))
+        FiniteIntegral(parse("1/u"), -1.0, smooth)
     with pytest.raises(ValueError):
         InfiniteIntegral(parse("x"), math.inf, smooth)
