@@ -55,12 +55,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--b-start", type=float, dest="b_start")
         p.add_argument("--b-step", type=float, dest="b_step")
         p.add_argument("--b-count", type=int, dest="b_count")
-        p.add_argument("--delta-shrink", type=float, dest="delta_shrink")
         p.add_argument("--delta-count", type=int, dest="delta_count")
-        p.add_argument("--window", type=int, dest="stability_window")
         p.add_argument("--tol", type=float, dest="tol")
         p.add_argument("--quad-tol", type=float, dest="quad_tol")
-        p.add_argument("--max-evals", type=int, dest="max_evals_per_point")
         p.add_argument("--accelerate", action="store_true", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate one integral")

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 DELTA_FLOOR = 1e-8   # direct finite-limit sampling never shrinks delta below this
+DELTA_SHRINK = 0.5   # ratio of consecutive deltas
+STABILITY_WINDOW = 5   # samples per classification window
+MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
 
 
 def is_number(value) -> bool:
@@ -102,25 +105,25 @@ class EvalConfig:
 
     b_start=None resolves to lower_limit + 1.  tol gates classification;
     quad_tol is the absolute tolerance handed to every inner quadrature.
+    The finite form's deltas shrink by DELTA_SHRINK, the classifier reads
+    windows of STABILITY_WINDOW samples, and MAX_EVALS caps the integrand
+    evaluations of the whole evaluation.
     """
 
     b_start: float | None = None
     b_step: float = 0.7
     b_count: int = 40
-    delta_shrink: float = 0.5
     delta_count: int = 40
-    stability_window: int = 5
     tol: float = 1e-6
     quad_tol: float = 1e-10
-    max_evals_per_point: int = 10_000_000
     accelerate: bool = False
 
     def __post_init__(self):
         # a corpus config is JSON: 17.0 or "no" must not reach a range() or an if
-        for name in ("b_count", "delta_count", "stability_window", "max_evals_per_point"):
+        for name in ("b_count", "delta_count"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
-        for name in ("b_start", "b_step", "delta_shrink", "tol", "quad_tol"):
+        for name in ("b_start", "b_step", "tol", "quad_tol"):
             value = getattr(self, name)
             if not (is_number(value) or (name == "b_start" and value is None)):
                 raise ValueError(f"{name} must be a number")
@@ -128,18 +131,12 @@ class EvalConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if type(self.accelerate) is not bool:
             raise ValueError("accelerate must be true or false")
-        if self.stability_window < 3:
-            raise ValueError("stability window must be at least 3")
-        if self.b_count < self.stability_window or self.delta_count < self.stability_window:
+        if self.b_count < STABILITY_WINDOW or self.delta_count < STABILITY_WINDOW:
             raise ValueError("sample counts must be at least the stability window")
         if not self.b_step > 0.0:
             raise ValueError("b_step must be positive")
-        if not 0.0 < self.delta_shrink < 1.0:
-            raise ValueError("delta_shrink must lie in (0, 1)")
         if not self.tol > self.quad_tol > 0.0:
             raise ValueError("need tol > quad_tol > 0")
-        if self.max_evals_per_point <= 0:
-            raise ValueError("max_evals_per_point must be positive")
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
         return g(t) * zc(-np.log(t / d))
 
     def delta(k):
-        return beta * cfg.delta_shrink ** k
+        return beta * DELTA_SHRINK ** k
 
     # the deltas decrease, so those at or above the floor come first
     count = bisect.bisect_left(range(cfg.delta_count), True, key=lambda k: delta(k) < DELTA_FLOOR)
@@ -304,7 +301,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     is the running integral of f between `start` and p plus the window
     integral of window_f(t, p) over span(p); each point adds the running
     segment between the previous point and itself.  Sampling stops once the
-    last stability_window values agree within tol.  An inner quadrature that
+    last STABILITY_WINDOW values agree within tol.  An inner quadrature that
     fails to converge or meets a domain fault ends it as quad_failure,
     keeping the samples before it.
 
@@ -314,7 +311,9 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     stopping one is integrated.  The results are read in point order; the
     quadratures after a failed one stop early, as they are never read.  The
     evaluations counted are those of every quadrature of every chunk,
-    read or not.
+    read or not, and MAX_EVALS caps their sum: each quadrature of a chunk
+    may spend an equal share of what the evaluation has left, so a chunk
+    that cannot pay for its first batch ends as quad_failure.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -324,7 +323,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     running_err = 0.0
     prev = start
     failed = stopped = False
-    m = cfg.stability_window
+    m = STABILITY_WINDOW
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         ends = list(zip([prev, *points], points))
@@ -333,7 +332,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
         results = integrate_segments(
             [(f, [min(ends[i]) for i in moved], [max(ends[i]) for i in moved], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
-            cfg.quad_tol, cfg.max_evals_per_point,
+            cfg.quad_tol, (MAX_EVALS - evals) // (len(moved) + len(points)),
             read_order=[2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
         evals += sum(result.evaluations for result in results)
         increments = [None] * len(points)   # none where a point repeats the previous one
@@ -383,7 +382,7 @@ def _spread(window) -> float:
 
 
 def _classify_result(samples, values, errors, evals, cfg, failed) -> ZResult:
-    m = cfg.stability_window
+    m = STABILITY_WINDOW
     if failed or len(values) < m:
         value = values[-1] if values else math.nan
         return ZResult(value=value, error_estimate=math.inf, status="quad_failure",

@@ -18,7 +18,8 @@ from zvar.cov import (CovError, apply_cov, make_bridge_cov, make_exp_cov, make_f
 from zvar.expr import evaluate, parse
 from zvar.taper import check_moments, make_matched_trig, make_smooth_taper
 from zvar.verify import compare_pair, run_suite
-from zvar.zeval import EvalConfig, FiniteIntegral, InfiniteIntegral, eval_finite, eval_infinite
+from zvar.zeval import (DELTA_SHRINK, EvalConfig, FiniteIntegral, InfiniteIntegral, eval_finite,
+                        eval_infinite)
 
 COS1 = math.cos(1.0)
 
@@ -144,7 +145,7 @@ def test_criterion_08_bridge_value_and_direct_agreement(smooth):
     bridge_time = time.monotonic() - t0
     direct_cfg = EvalConfig(delta_count=17, tol=1e-3, quad_tol=1e-8)
     # configured floor beta * shrink^(K-1) sits at the 1e-5 scale
-    floor = 1.0 * direct_cfg.delta_shrink ** (direct_cfg.delta_count - 1)
+    floor = 1.0 * DELTA_SHRINK ** (direct_cfg.delta_count - 1)
     assert 1e-5 <= floor < 2e-5
     direct = eval_finite(spec, direct_cfg, mode="direct")
     delta_min = min(d for d, _ in direct.samples)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from zvar import taper
+from zvar import taper, zeval
 from zvar.cli import _build_parser, run_cli
 from zvar.expr import MAX_DEPTH
 from zvar.verify import evaluate_spec, load_corpus, run_suite
@@ -47,9 +47,8 @@ def test_eval_infinite_json():
     assert payload["spec_echo"]["spec"] == {"type": "infinite", "integrand": "x^-2.0", "a": 1.0,
                                             "taper": "taper:c=1.0", "var": "x"}
     assert payload["spec_echo"]["config"] == {
-        "b_start": 2e6, "b_step": 1.0, "b_count": 30, "delta_shrink": 0.5, "delta_count": 40,
-        "stability_window": 5, "tol": 1e-6, "quad_tol": 1e-10,
-        "max_evals_per_point": 10_000_000, "accelerate": False}
+        "b_start": 2e6, "b_step": 1.0, "b_count": 30, "delta_count": 40, "tol": 1e-6,
+        "quad_tol": 1e-10, "accelerate": False}
 
 
 def test_eval_text_mode_and_exit_two_on_oscillation():
@@ -113,11 +112,11 @@ def test_spec_echo_round_trips_identically(tmp_path):
     ["--type", "inf", "--f", "sin(0.7*y)", "--var", "y", "--a", "0.3",
      "--z", "matched:omega=0.7,c=1"],
     ["--type", "inf", "--f", "x^-1.7", "--a", "1.5", "--z", "taper:c=1", "--b-start", "2e4",
-     "--b-step", "3", "--window", "4"],
+     "--b-step", "3"],
     ["--type", "fin", "--g", "u^-0.4", "--beta", "1.3", "--w", "wfromz:taper:c=1",
      "--mode", "bridge", "--accelerate"],
     ["--type", "fin", "--g", "ln(u)", "--beta", "0.8", "--w", "wfromz:taper:c=1",
-     "--accelerate", "--delta-shrink", "0.6", "--tol", "1e-5"],
+     "--accelerate", "--tol", "1e-5"],
     ["--type", "inf", "--f", "sin(x)", "--a", "0", "--z", "taper:c=1"],
 ], ids=["matched-var-y", "power-tail", "bridge", "finite-direct", "oscillatory"])
 def test_spec_echo_round_trips_for_every_form(tmp_path, argv):
@@ -240,6 +239,9 @@ def test_usage_errors_exit_one():
          "--z", "taper:c=1"],                                            # unknown name
         ["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--z", "taper:c=1", "--frobnicate"],                            # unknown flag
+        # flags of the removed window, delta-shrink and budget settings
+        *(["eval", "--type", "inf", "--f", "x^-2", "--a", "1", "--z", "taper:c=1", *flag]
+          for flag in (("--max-evals", "1"), ("--window", "4"), ("--delta-shrink", "0.6"))),
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--cov", "rotate:t=1"],                                         # bad cov
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
@@ -282,10 +284,11 @@ def test_expression_at_the_depth_bound_evaluates_and_transforms():
     assert out.startswith("verdict: ")
 
 
-def test_max_evals_is_enforced():
+def test_max_evals_is_enforced(monkeypatch):
     # 1 evaluation cannot pay for a single quadrature batch
+    monkeypatch.setattr(zeval, "MAX_EVALS", 1)
     code, out, _ = _run(["eval", "--type", "inf", "--f", "exp(-x)", "--a", "0",
-                         "--z", "taper:c=1", "--max-evals", "1", "--json"])
+                         "--z", "taper:c=1", "--json"])
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == "quad_failure"
@@ -314,25 +317,35 @@ def test_overflowing_inner_sums_end_quad_failure():
     assert json.loads(out)["status"] == "quad_failure"
 
 
-def test_max_evals_budget():
-    code, out, _ = _run(["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
-                         "--z", "taper:c=1", "--b-start", "2e6", "--b-step", "1",
-                         "--b-count", "30", "--max-evals", "5000", "--json"])
-    assert code == 0
-    assert json.loads(out)["spec_echo"]["config"]["max_evals_per_point"] == 5000
-
-
-@pytest.mark.parametrize("mode", ["direct", "bridge"])
-def test_inner_quad_failure_ends_both_modes_alike(mode):
-    # The budget runs out deep in the oscillation, after more than a
-    # stability window of samples; both routes report the failure.
-    code, out, _ = _run(["eval", "--type", "fin", "--g", "sin(1/u)/u^2", "--beta", "1",
-                         "--w", "wfromz:taper:c=1", "--mode", mode, "--max-evals", "3000",
+@pytest.mark.parametrize("argv", [
+    ["--f", "sin(1e300*x)"],
+    ["--f", "sin(x)", "--b-count", "1000000000000"],
+], ids=["unresolvable", "endless-grid"])
+def test_one_budget_caps_the_whole_evaluation(monkeypatch, argv):
+    # The budget caps every quadrature of the evaluation together.  Capping
+    # each quadrature alone let sin(1e300*x) spend 72 million evaluations,
+    # and a 10^12-point grid on an oscillating sequence never end.
+    monkeypatch.setattr(zeval, "MAX_EVALS", 200_000)
+    code, out, _ = _run(["eval", "--type", "inf", *argv, "--a", "0", "--z", "taper:c=1",
                          "--json"])
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == "quad_failure"
-    assert len(payload["samples"]) >= payload["spec_echo"]["config"]["stability_window"]
+    assert 0 < payload["evaluations"] <= 200_000
+
+
+@pytest.mark.parametrize("mode", ["direct", "bridge"])
+def test_inner_quad_failure_ends_both_modes_alike(monkeypatch, mode):
+    # The budget runs out deep in the oscillation, after more than a
+    # stability window of samples; both routes report the failure.
+    monkeypatch.setattr(zeval, "MAX_EVALS", 3000)
+    code, out, _ = _run(["eval", "--type", "fin", "--g", "sin(1/u)/u^2", "--beta", "1",
+                         "--w", "wfromz:taper:c=1", "--mode", mode, "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "quad_failure"
+    assert len(payload["samples"]) >= zeval.STABILITY_WINDOW
+    assert payload["evaluations"] <= 3000
 
 
 def test_transform_and_corpus_derive_the_same_right_side(tmp_path):
@@ -360,13 +373,15 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_json_output_is_strict():
+def test_json_output_is_strict(monkeypatch):
+    monkeypatch.setattr(zeval, "MAX_EVALS", 1)
     code, out, _ = _run(["eval", "--type", "inf", "--f", "exp(-x)", "--a", "0",
-                         "--z", "taper:c=1", "--max-evals", "1", "--json"])
+                         "--z", "taper:c=1", "--json"])
     assert code == 2
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["value"] is None
     assert payload["error_estimate"] is None
+    monkeypatch.undo()
     _, out, _ = _run(["verify", "--json"])
     json.loads(out, parse_constant=_reject_constant)
 

@@ -11,6 +11,9 @@ from zvar.expr import DomainFault, parse
 from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _extrapolate,
+    DELTA_SHRINK,
+    MAX_EVALS,
+    STABILITY_WINDOW,
     EvalConfig,
     FiniteIntegral,
     InfiniteIntegral,
@@ -232,20 +235,18 @@ def _record_quadrature(monkeypatch):
 def _one_at_a_time(f, window_f, start, grid, span, cfg):
     """The bracket loop without chunks: one quadrature call per integral."""
     values, evals, running, prev = [], 0, 0.0, start
-    m = cfg.stability_window
+    m = STABILITY_WINDOW
     for p in grid:
         try:
             if p != prev:
-                inc = integrate_one(f, min(prev, p), max(prev, p), cfg.quad_tol,
-                                    cfg.max_evals_per_point)
+                inc = integrate_one(f, min(prev, p), max(prev, p), cfg.quad_tol, MAX_EVALS)
                 evals += inc.evaluations
                 if not inc.converged:
                     break
                 running += inc.value
                 prev = p
             lo, hi = span(p)
-            window = integrate_one(lambda t: window_f(t, p), lo, hi, cfg.quad_tol,
-                                   cfg.max_evals_per_point)
+            window = integrate_one(lambda t: window_f(t, p), lo, hi, cfg.quad_tol, MAX_EVALS)
         except DomainFault:
             break
         evals += window.evaluations
@@ -268,7 +269,7 @@ def test_converging_evaluation_integrates_no_point_past_its_last_sample(smooth, 
         span = lambda b: (b, b + smooth.width)  # noqa: E731
     else:
         r = eval_finite(FiniteIntegral(parse("u", variables=("u",)), 1.0, smooth), cfg)
-        start, grid = 1.0, [cfg.delta_shrink ** k for k in range(cfg.delta_count)]
+        start, grid = 1.0, [DELTA_SHRINK ** k for k in range(cfg.delta_count)]
         span = lambda d: (math.exp(-smooth.width) * d, d)  # noqa: E731
     assert r.status == "converged"
     points = [p for call in calls for p in call[1][3]]
@@ -331,7 +332,7 @@ def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
     cfg = EvalConfig(b_start=1.0, b_step=1e-17)
     r = eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), cfg)
     assert r.status == "converged"
-    assert [p for p, _ in r.samples] == [1.0] * cfg.stability_window
+    assert [p for p, _ in r.samples] == [1.0] * STABILITY_WINDOW
     assert len({v for _, v in r.samples}) == 1
     f, window_f = calls[0][0][0], calls[0][1][0]
     grid = [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
@@ -455,11 +456,9 @@ def test_unknown_mode_rejected(smooth):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EvalConfig(stability_window=2)
+        EvalConfig(b_count=STABILITY_WINDOW - 1)
     with pytest.raises(ValueError):
-        EvalConfig(b_count=3, stability_window=5)
-    with pytest.raises(ValueError):
-        EvalConfig(delta_shrink=1.0)
+        EvalConfig(delta_count=STABILITY_WINDOW - 1)
     with pytest.raises(ValueError):
         EvalConfig(tol=1e-12, quad_tol=1e-10)
     with pytest.raises(ValueError):
