@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import re
 import sys
 
 from .cov import CovError
@@ -28,6 +29,11 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read -1e3 as a value, as -5 and -0.5 are, not as an unknown flag.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse default exits with 2; we reserve 2
         raise _CliError(message)
 

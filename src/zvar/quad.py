@@ -6,14 +6,14 @@ evaluation count, as `scipy.integrate.quad_vec` does for the components
 of a vector integrand.  A segment starts as six panels; each round it
 splits its largest-error panels, the fewest after which the error left
 is within what abs_tol still allows (quad_vec's loop leaves abs_tol/8
-instead).  The cut reads only the candidates, panels of at least 1/32 of
-the segment's largest error, and takes at least one, so panels whose
+instead).  The cut reads only the candidates, panels of at least 1/4096
+of the segment's largest error, and takes at least one, so panels whose
 error is rounding noise that bisection cannot shrink (near a pole) are
 not all split every round.  A taken panel is bisected, unless its error
 is still more than 1/32 of its parent's: that bisection did not resolve
 it, so it is cut into the quarters two bisections give, at their cost,
 and the level between is never evaluated (QAG and quad_vec only bisect).
-A panel a few ulps wide, whose quarter points would coincide, is only
+A panel whose quarters could not hold their nodes (below) is only
 bisected.
 At an endpoint singularity no split resolves the end panel, so there the
 quarters cost a little: ln x on [0, 1] at 1e-11 takes 1,596 evaluations,
@@ -22,9 +22,10 @@ then applied to the children of every live segment in one vectorized
 batch, with one integrand call per group of segments sharing an
 integrand, cut into calls of at most 512 panels.  Only children are
 evaluated: every other panel keeps its value and error from the round
-that created it.  The Kronrod nodes are strictly interior, so a panel's
-endpoints are not sampled unless the panel is a few ulps wide: there a
-node mid + half*x_k can round onto an endpoint, or past it.
+that created it.  The Kronrod nodes are strictly interior, and no panel
+is split into children too narrow to hold them in floating point (a few
+hundred ulps), so only the first batch of a segment a few thousand ulps
+wide can sample a panel's endpoints.
 
 The frontier is one set of panel columns tagged with a segment index, and
 each round takes every decision for all segments at once with array
@@ -36,10 +37,10 @@ the same result, bit for bit, in a batch of any size.  A caller that
 reads the results in order and stops at the first failure can say so,
 and the segments it would never read stop early.
 
-A panel too narrow to bisect in floating point is frozen when it is
-made: its value and error still count, but its value can no longer be
-checked.  A segment stops unconverged, with its best-effort value and
-error, when
+A picked panel whose halves could not hold their nodes is too narrow to
+bisect, and is frozen instead: its value and error still count, but its
+value can no longer be checked.  A segment stops unconverged, with its
+best-effort value and error, when
 - its budget is spent.  No evaluation goes beyond max_evals, so a budget
   smaller than the first batch returns after zero evaluations;
 - abs_tol is below roundoff.  Once the panels' roundoff floors (10 eps
@@ -109,6 +110,7 @@ _WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
 
 _EPS = np.finfo(float).eps
 _INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
+_CANDIDATE_CUT = 4096   # a candidate holds at least 1/4096 of its segment's largest error
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
 _BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
 _MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
@@ -207,14 +209,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     small = np.min_scalar_type(count)   # a stable sort by index of this type is a radix sort
     rule = _Rule(groups, first)
 
+    froze = False   # whether last round froze panels, which can leave a segment none
     while True:
-        new_faults, narrow = rule.apply(kids, kid_seg, ids)
-        if narrow is not None:
-            # Freeze the children too narrow to bisect in floating point: their
-            # value, error and |value| move to their segment's frozen sums.
-            frozen += [np.bincount(kid_seg[narrow], w, ids.size)
-                       for w in (kids[2, narrow], kids[3, narrow], np.abs(kids[2, narrow]))]
-            kids, kid_seg = np.compress(~narrow, kids, axis=1), kid_seg[~narrow]
+        new_faults = rule.apply(kids, kid_seg, ids)
         # Merge the kids in.  Their parents sort past every segment, and are cut.
         panels = np.concatenate([panels, kids], axis=1)
         seg = np.concatenate([seg, kid_seg])
@@ -223,7 +220,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         order = np.lexsort((-panels[3], key))[:seg.size - pick.size]
         panels, seg = panels.take(order, axis=1), seg[order]
         starts = np.searchsorted(seg, np.arange(ids.size))
-        if narrow is None:
+        if not froze:
             value_sum, err, floor_sum = np.add.reduceat(panels[2:5], starts, axis=1)
         else:   # reduceat cannot sum a segment whose panels all froze
             sums = np.zeros((3, ids.size))
@@ -272,7 +269,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         # the done test as they are.  A segment's candidates, a prefix of its
         # run, are summed along its own row of a padded table, so that no other
         # segment's error enters them.
-        cand = panels[3] >= (panels[3, starts] / 32)[seg]
+        cand = panels[3] >= (panels[3, starts] / _CANDIDATE_CUT)[seg]
         cand_seg = seg[cand]
         large = np.bincount(cand_seg, minlength=ids.size)
         table = np.zeros((ids.size, large.max()))
@@ -285,13 +282,26 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         run_end = np.cumsum(take)
         pick = np.arange(run_end[-1]) + (starts + take - run_end).repeat(take)
         # A picked panel its last bisection left unresolved is cut in four, if
-        # its quarters are distinct floats and its segment can afford that for
-        # all such panels.
+        # its quarters hold their nodes and its segment can afford that for all
+        # such panels.  One whose halves cannot is frozen at no cost: its value,
+        # error and |value| move to its segment's frozen sums.
         chosen, owner = panels[:, pick], seg[pick]
         a, b = chosen[:2]
         mid = 0.5 * (a + b)
         cuts = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T   # a panel per row
-        four = (chosen[3] > chosen[5] / 32) & (cuts[:, 1:] > cuts[:, :-1]).all(axis=1)
+        four = chosen[3] > chosen[5] / 32
+        froze = False
+        # The quarters of a panel 2^-39 of its magnitude wide (past the
+        # subnormals) are 2,048 ulps or more: only a narrower one is tested.
+        if np.count_nonzero(b - a < 2**-39 * np.maximum(-a, b) + 2**-1000):
+            four &= _holds_nodes(cuts[:, :-1], cuts[:, 1:]).all(axis=1)
+            stuck = ~four & ~_holds_nodes(cuts[:, :3:2], cuts[:, 2::2]).all(axis=1)
+            froze = np.count_nonzero(stuck) > 0
+        if froze:
+            frozen += [np.bincount(owner[stuck], w, ids.size)
+                       for w in (chosen[2, stuck], chosen[3, stuck], np.abs(chosen[2, stuck]))]
+            take = take - np.bincount(owner[stuck], minlength=ids.size)
+            chosen, owner, cuts, four = chosen[:, ~stuck], owner[~stuck], cuts[~stuck], four[~stuck]
         extra = np.bincount(owner[four], minlength=ids.size)
         extra *= take + extra <= allowed
         four &= extra[owner] > 0
@@ -322,13 +332,11 @@ class _Rule:
         """Fill value, error and roundoff floor (rows 2-4) of every panel [a, b].
 
         Segment ids[seg[i]] owns panel i; seg is in ascending order.  Returns
-        the DomainFault of each index in seg whose integrand is not finite, and
-        a mask of the panels too narrow to bisect (None when there are none).
+        the DomainFault of each index in seg whose integrand is not finite.
         """
         a, b = panels[0], panels[1]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        tight = (mid <= a) | (mid >= b)
         fx = np.empty((a.size, _XK.size))
         owner = ids[seg]
         bounds = np.searchsorted(owner, self.first)
@@ -371,4 +379,12 @@ class _Rule:
         np.multiply(resk, half, out=panels[2])
         floor = np.multiply(10.0 * _EPS * resabs, half, out=panels[4])
         np.maximum(err, floor, out=panels[3])
-        return faults, (tight if np.count_nonzero(tight) else None)
+        return faults
+
+
+def _holds_nodes(a, b):
+    """Whether the 21 nodes of each panel [a, b] lie strictly inside it."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    # mid + half*x rounds monotonically in x, so the outer nodes decide.
+    return (mid + half * _XK[0] > a) & (mid + half * _XK[-1] < b)

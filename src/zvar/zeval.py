@@ -250,6 +250,14 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     b0 = (a + 1.0) if cfg.b_start is None else float(cfg.b_start)
     if b0 < a:
         raise ValueError(f"b_start {b0!r} lies below the lower limit {a!r}")
+    # Float spacing grows with b: the last points are the first to coincide.
+    before, last = (b0 + k * cfg.b_step if k < 2**1023 else math.inf   # float(k) is finite
+                    for k in (cfg.b_count - 2, cfg.b_count - 1))
+    if not before < last < math.inf:
+        raise ValueError(f"b_step {cfg.b_step!r} does not advance the grid from b_start {b0!r}: "
+                         f"its last points are {before!r} and {last!r}, not two distinct finite floats")
+    if not last + z.width > last:
+        raise ValueError(f"b_start {b0!r} leaves no window: b + c rounds to b at {last!r}")
     f = compile_expr(spec.integrand, (spec.variable,))
     zc = compile_expr(z.body, ("s",))
 

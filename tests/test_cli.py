@@ -305,7 +305,40 @@ def test_non_integrable_inner_integral_ends_quad_failure(evaluated_points):
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == "quad_failure"
-    assert payload["evaluations"] == sum(evaluated_points) < 10_000
+    assert payload["evaluations"] == sum(evaluated_points) <= 7_350
+
+
+@pytest.mark.parametrize(("argv", "named"), [
+    (["--f", "x^-1.01", "--a", "1", "--z", "taper:c=100", "--b-start", "1e17", "--b-step", "1"],
+     "b_step"),
+    (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17"], "b_step"),
+    (["--f", "x^-2", "--a", "1e300", "--z", "taper:c=1"], "b_step"),
+    (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17", "--b-step", "100"],
+     "b_start"),
+    (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-count", "1" + "0" * 400], "b_step"),
+], ids=["repeated-point", "default-step", "default-start", "window-without-width",
+        "past-the-float-range"])
+def test_grid_that_does_not_advance_is_rejected(argv, named):
+    # The integral of x^-1.01 from 1 is 100, but b_start + k*1 rounds to one
+    # float near 1e17 for every k: five samples at one point once certified
+    # 32.3917 with exit 0.  A window [b, b + c] whose b + c rounds to b once
+    # reached the engine, which failed naming no input ("need lo < hi").  A
+    # count whose last point is past the float range is refused the same way.
+    code, out, err = _run(["eval", "--type", "inf", *argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"zvar: error: {named} ") and "need lo < hi" not in err
+
+
+def test_negative_limit_in_exponent_notation():
+    # argparse takes -1e1 for a flag unless told it is a number: --a -1e1
+    # once failed with "expected one argument", while --a -10 and --a=-1e1
+    # were read as numbers.
+    spec = ["--f", "exp(-x-10)", "--z", "taper:c=1", "--json"]
+    runs = {_run(["eval", "--type", "inf", *limit, *spec])
+            for limit in (["--a", "-1e1"], ["--a=-1e1"], ["--a", "-10"], ["--a", "-.1E+2"])}
+    (code, out, err), = runs
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "converged"
 
 
 def test_overflowing_inner_sums_end_quad_failure():

@@ -166,15 +166,23 @@ def test_monotone_budget_on_regression_corpus():
 
 
 def test_float_resolution_panels_are_frozen():
-    # Bisection closes in on the jump until the panel holding it is one ulp
-    # wide; that panel is frozen and still counted in value and error.
+    # Bisection closes in on the jump until the halves of the panel holding
+    # it, a few hundred ulps wide, could not hold their 21 nodes strictly
+    # inside; that panel is frozen and still counted in value and error.  Its
+    # error, about 1e-14, is more than 3e-17 allows, so the run stops there
+    # unconverged, with an error estimate that covers the true error.  (Once
+    # bisection went on to one-ulp panels whose nodes fell on their ends, and
+    # converged at 3e-17 after 2,184 evaluations.)
     def step(x):
         return (x >= 1.0 / 3.0).astype(float)
 
+    truth = 0.34 - 1.0 / 3.0
     r = integrate_one(step, 0.0, 0.34, 3e-17)
-    assert r.converged
-    assert abs(r.value - (0.34 - 1.0 / 3.0)) <= 3e-17
-    assert r.evaluations == 2184
+    assert not r.converged and r.evaluations == 1848
+    assert abs(r.value - truth) <= r.error_estimate < 1e-14
+    r = integrate_one(step, 0.0, 0.34, 1e-14)
+    assert r.converged and r.evaluations == 1764
+    assert abs(r.value - truth) <= 1e-14
 
 
 def test_tolerance_below_roundoff_stops_early():
@@ -230,18 +238,19 @@ def test_non_integrable_integral_is_not_certified():
     # add up to more than abs_tol the run stops unconverged (QUADPACK's ier=5).
     r = integrate_one(_fx("tan(x)"), 1.0, 2.0, 1e-10)
     assert not r.converged
-    assert r.evaluations == 2814
+    assert r.evaluations == 2142
 
 
 def test_rounding_noise_near_a_pole_is_not_bisected_wholesale():
     # Within about 1e-9 of tan's pole a panel's error is the rounding noise
     # of its abscissae, which bisection does not shrink.  A cut that took
-    # every such panel each round would double their number every round;
-    # the cut takes only panels of at least 1/32 of the largest error.  The
-    # largest call, 20 panels, is the last.  An unresolved panel a few ulps
-    # wide is only bisected, since its quarter points would coincide, so few
-    # panels of that call have all 21 abscissae on one float: 7, where
-    # cutting such panels in four made 12 (and 2,898 evaluations).
+    # every such panel each round would double their number every round
+    # (96,138 evaluations); the cut takes only panels of at least 1/4096 of
+    # the largest error.  The largest call, 8 panels, is the last.  No panel
+    # is split into children that cannot hold their 21 nodes strictly
+    # inside, so every panel evaluated has 21 distinct abscissae.  Once
+    # panels went down to one ulp, and 7 of the 20 panels of the last call
+    # had all their abscissae on one float.
     calls = []
 
     def tan(x):
@@ -249,11 +258,34 @@ def test_rounding_noise_near_a_pole_is_not_bisected_wholesale():
         return np.tan(x)
 
     r = integrate_one(tan, 1.0, 2.0, 1e-10)
-    assert not r.converged and r.evaluations == 2814
+    assert not r.converged and r.evaluations == 2142
     panels = [x.size // _XK.size for x in calls]
-    assert max(panels) == panels[-1] == 20 and len(panels) == 27
-    last = calls[-1].reshape(-1, _XK.size)
-    assert np.count_nonzero(last.min(axis=1) == last.max(axis=1)) == 7
+    assert max(panels) == panels[-1] == 8 and len(panels) == 22
+    rows = np.concatenate(calls).reshape(-1, _XK.size)
+    assert (np.diff(rows, axis=1) > 0).all()
+
+
+def test_nodes_stay_inside_their_panel():
+    # Toward a singular right end, bisection once reached panels a few ulps
+    # wide whose Kronrod nodes rounded onto the end: (1-x)^-0.5 on [0, 1]
+    # raised DomainFault at 1.0 after 2,814 evaluations.  A panel whose
+    # halves cannot hold their 21 nodes strictly inside is frozen instead, so
+    # no node reaches the end.  The frozen end panel holds more error than
+    # abs_tol: the run ends unconverged, its estimate covering the true error.
+    for text, lo, hi, evaluations in (("(1-x)^(-0.5)", 0.0, 1.0, 1848),
+                                      ("(2-x)^(-0.5)", 1.0, 2.0, 1806)):
+        calls = []
+        fn = _fx(text)
+
+        def recorded(x, fn=fn):
+            calls.append(x)
+            return fn(x)
+
+        r = integrate_one(recorded, lo, hi, 1e-10)
+        assert not r.converged and r.evaluations == evaluations
+        assert abs(r.value - 2.0) <= r.error_estimate < 1e-6
+        points = np.concatenate(calls)
+        assert points.size == evaluations and lo < points.min() and points.max() < hi
 
 
 def _split_in_four(calls):
@@ -279,9 +311,11 @@ def test_unresolved_panels_are_split_in_four():
     # unresolved for several bisections.  Each round splits the fewest
     # largest-error panels after which what is left is within abs_tol, and
     # cuts in four each of them whose error is still more than 1/32 of its
-    # parent's, without evaluating its halves: 19 rounds, one integrand call
+    # parent's, without evaluating its halves: 14 rounds, one integrand call
     # each.  Bisecting alone took 27 rounds and 30,534 evaluations; bisecting
-    # the panels carrying half of the error took 64 rounds.
+    # the panels carrying half of the error took 64 rounds.  A cut that read
+    # only panels of at least 1/32 of the largest error split the same
+    # panels in 19 rounds.
     calls = []
 
     def chirp(x):
@@ -291,7 +325,7 @@ def test_unresolved_panels_are_split_in_four():
     lo = 2e-4
     r = integrate_one(chirp, lo, 1.0, 1e-10)
     assert r.converged and abs(r.value - (math.cos(1.0) - math.cos(1.0 / lo))) <= 1e-10
-    assert len(calls) == 19
+    assert len(calls) == 14
     assert r.evaluations == sum(x.size for x in calls) == 24738
     assert _split_in_four(calls)
     # The six starting panels have no parent, so the first round only bisects.
@@ -307,8 +341,9 @@ def test_error_past_the_float_range_is_not_certified():
     hi = 1.0 + 6 * np.spacing(1.0)
     r = integrate_one(lambda x: 1e300 * np.sin(1e16 * x), 1.0, hi, 1e-30)
     assert not r.converged and r.evaluations == 126
-    # Here the error of every frozen panel is nan while their values stay
-    # below abs_tol: the segment, left with no panels, still ends.
+    # Here the error of every panel is nan while their values stay below
+    # abs_tol: the panel picked is too narrow to bisect, so it is frozen, and
+    # its error, not a number, ends the segment.
     tiny = 5e-324
     r = integrate_one(lambda x: np.where(x / tiny % 2 < 1, 1.7e308, -1.7e308),
                            0.0, 6 * tiny, 1e-10)
@@ -360,11 +395,14 @@ def test_segments_match_one_at_a_time():
     plain += [(np.exp, lo, lo + w)
               for lo, w in zip(rng.uniform(-3, 0, 4), rng.uniform(0.01, 0.1, 4))]
     plain = [plain[i] for i in rng.permutation(len(plain))]
-    # On [1, 1 + 6 ulp] all six starting panels are one ulp wide: every panel
-    # freezes in the first round and leaves its segment with none.
+    # On [1, 1 + 6 ulp] all six starting panels are one ulp wide, too narrow
+    # to bisect: the step converges on them, and the first sin segment freezes
+    # every panel it picks.  The second picks all six of its two-ulp panels
+    # in its first cut, and freezes them all, which leaves it with none.
     ulp = np.spacing(1.0)
     plain += [(lambda x: (x >= 1.0 + 3 * ulp).astype(float), 1.0, 1.0 + 6 * ulp),  # converges
-              (lambda x: 1e20 * np.sin(1e16 * x), 1.0, 1.0 + 6 * ulp)]            # frozen |value|
+              (lambda x: 1e20 * np.sin(1e16 * x), 1.0, 1.0 + 6 * ulp),            # frozen |value|
+              (lambda x: 1e6 * np.sin(1e16 * x), 1.0, 1.0 + 12 * ulp)]            # no panel left
     lo_p = rng.uniform(0.0, 1.0, 12)
     hi_p = lo_p + rng.uniform(0.5, 3.0, 12)
     freqs = rng.uniform(1.0, 40.0, 12)
@@ -410,15 +448,15 @@ def test_segments_match_one_at_a_time():
             else:
                 assert got == want
                 outcomes.add((tol, got.converged, got.evaluations))
-        narrow_step, narrow_sin = batch[-2 - len(wide):][:2]
+        narrow_step, narrow_sin, emptied = batch[-3 - len(wide):][:3]
         assert narrow_step.converged and narrow_step.value == 6.661338147750939e-16
-        assert not narrow_sin.converged
-        assert narrow_step.evaluations == narrow_sin.evaluations == 126
+        assert not narrow_sin.converged and not emptied.converged
+        assert narrow_step.evaluations == narrow_sin.evaluations == emptied.evaluations == 126
     assert "fault" in outcomes
-    assert (3e-17, True, 2184) in outcomes      # the frozen step still converges
+    assert (3e-17, False, 1848) in outcomes     # the step's frozen panel holds too much error
     assert (3e-17, False, 126) in outcomes      # below roundoff
     assert (1e-10, False, 2982) in outcomes     # budget spent: 68 bisections
-    assert (1e-10, False, 2814) in outcomes     # tan: frozen panels hold too much
+    assert (1e-10, False, 2142) in outcomes     # tan: frozen panels hold too much
 
 
 def test_segments_after_a_failure_in_read_order_stop_early():
@@ -441,7 +479,7 @@ def test_segments_after_a_failure_in_read_order_stop_early():
              integrate_one(np.tan, 1.0, 2.0, 1e-10)]
     assert got[:3] == alone and not alone[2].converged
     cut = sum(spent)
-    assert not got[3].converged and got[3].evaluations == cut == 2268
+    assert not got[3].converged and got[3].evaluations == cut == 1932
     spent.clear()
     full = integrate_segments(groups, 1e-10)[3]     # no read order: x^-0.9 runs on
     assert cut < sum(spent) == full.evaluations == 15036

@@ -327,10 +327,15 @@ def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
 
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
     # 1 + k * 1e-17 rounds to 1 for k <= 11: the grid repeats its first point,
-    # and a repeated point has no running segment of its own.
+    # and a repeated point has no running segment of its own.  With 35 points
+    # the last two are distinct floats; with the default 40 they are one
+    # float, and the grid is rejected.
     calls = _record_quadrature(monkeypatch)
-    cfg = EvalConfig(b_start=1.0, b_step=1e-17)
-    r = eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), cfg)
+    spec = InfiniteIntegral(parse("exp(-x)"), 0.0, smooth)
+    with pytest.raises(ValueError, match=r"^b_step 1e-17 does not advance the grid"):
+        eval_infinite(spec, EvalConfig(b_start=1.0, b_step=1e-17))
+    cfg = EvalConfig(b_start=1.0, b_step=1e-17, b_count=35)
+    r = eval_infinite(spec, cfg)
     assert r.status == "converged"
     assert [p for p, _ in r.samples] == [1.0] * STABILITY_WINDOW
     assert len({v for _, v in r.samples}) == 1
