@@ -37,16 +37,14 @@ the same result, bit for bit, in a batch of any size.  A caller that
 reads the results in order and stops at the first failure can say so,
 and the segments it would never read stop early.
 
-A picked panel whose halves could not hold their nodes is too narrow to
-bisect, and is frozen instead: its value and error still count, but its
-value can no longer be checked.  A segment stops unconverged, with its
-best-effort value and error, when
+A segment stops unconverged, with its best-effort value and error, when
 - its budget is spent.  No evaluation goes beyond max_evals, so a budget
   smaller than the first batch returns after zero evaluations;
 - abs_tol is below roundoff.  Once the panels' roundoff floors (10 eps
-  times the integral of |f| over each) and the frozen panels' errors
-  exceed abs_tol together, no refinement can meet it (QUADPACK's ier=2);
-- the frozen panels hold more than abs_tol in absolute value (ier=5).
+  times the integral of |f| over each) exceed abs_tol together, no
+  refinement can meet it (QUADPACK's ier=2);
+- it picks a panel too narrow to split, whose halves could not hold their
+  nodes (ier=3).
 A non-finite integrand value fails its own segment only, with a
 DomainFault that names the abscissa.
 """
@@ -179,12 +177,12 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     spent = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     faults: dict[int, DomainFault] = {}
-    # Per live segment: its id, read position, bisections, and the value,
-    # error and |value| of its frozen panels.
+    # Per live segment: its id, read position, bisections, and whether it
+    # picked a panel too narrow to split.
     ids = np.arange(count)
     position = np.zeros(count) if read_order is None else np.asarray(read_order, dtype=float)
     bisections = np.zeros(count, dtype=np.int64)
-    frozen = np.zeros((3, count))
+    narrow = np.zeros(count, dtype=bool)
 
     # The frontier is one set of columns (a, b, value, error, roundoff floor,
     # parent's error: inf for a starting panel) with a live-segment index
@@ -209,7 +207,6 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     small = np.min_scalar_type(count)   # a stable sort by index of this type is a radix sort
     rule = _Rule(groups, first)
 
-    froze = False   # whether last round froze panels, which can leave a segment none
     while True:
         new_faults = rule.apply(kids, kid_seg, ids)
         # Merge the kids in.  Their parents sort past every segment, and are cut.
@@ -220,19 +217,10 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         order = np.lexsort((-panels[3], key))[:seg.size - pick.size]
         panels, seg = panels.take(order, axis=1), seg[order]
         starts = np.searchsorted(seg, np.arange(ids.size))
-        if not froze:
-            value_sum, err, floor_sum = np.add.reduceat(panels[2:5], starts, axis=1)
-        else:   # reduceat cannot sum a segment whose panels all froze
-            sums = np.zeros((3, ids.size))
-            full = np.bincount(seg, minlength=ids.size) > 0
-            sums[:, full] = np.add.reduceat(panels[2:5], starts[full], axis=1)
-            value_sum, err, floor_sum = sums
+        value_sum, err, floor_sum = np.add.reduceat(panels[2:5], starts, axis=1)
         allowed = budget - bisections
-        done = err + frozen[1] <= abs_tol
-        # A frozen error that is not a number stops its segment too, so a
-        # segment left with no panels always ends here.
-        stop = ~done & ((allowed == 0) | ~(floor_sum + frozen[1] <= abs_tol)
-                        | (frozen[2] > abs_tol))
+        done = err <= abs_tol
+        stop = ~done & ((allowed == 0) | ~(floor_sum <= abs_tol) | narrow)
         if new_faults:
             lost = np.zeros(ids.size, dtype=bool)
             lost[list(new_faults)] = True
@@ -248,8 +236,8 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                 stop |= ~done & (position > cutoff)
                 end = done | stop
             out = ids[end]
-            value[out] = value_sum[end] + frozen[0, end]
-            error[out] = err[end] + frozen[1, end]
+            value[out] = value_sum[end]
+            error[out] = err[end]
             spent[out] = first_batch + 2 * _XK.size * bisections[end]
             converged[out] = done[end]
             if np.count_nonzero(end) == end.size:
@@ -258,17 +246,16 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             keep = live[seg]
             panels = np.compress(keep, panels, axis=1)
             seg = (np.cumsum(live) - 1)[seg[keep]]
-            ids, position, frozen = ids[live], position[live], frozen[:, live]
+            ids, position, narrow = ids[live], position[live], narrow[live]
             bisections = bisections[live]
             err, allowed = err[live], allowed[live]
             starts = np.searchsorted(seg, np.arange(ids.size))
 
         # Split each segment's largest-error panels, its first columns: the
-        # fewest after which the error left is within what the tolerance still
-        # allows, abs_tol less the frozen error, so the panels left could pass
-        # the done test as they are.  A segment's candidates, a prefix of its
-        # run, are summed along its own row of a padded table, so that no other
-        # segment's error enters them.
+        # fewest after which the error left is within abs_tol, so the panels
+        # left could pass the done test as they are.  A segment's candidates,
+        # a prefix of its run, are summed along its own row of a padded table,
+        # so that no other segment's error enters them.
         cand = panels[3] >= (panels[3, starts] / _CANDIDATE_CUT)[seg]
         cand_seg = seg[cand]
         large = np.bincount(cand_seg, minlength=ids.size)
@@ -277,31 +264,29 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         # Columns before the first whose running sum leaves at most the
         # allowance; a non-finite error leaves none.  A bisecting segment
         # always takes at least one panel.
-        need = (table.cumsum(axis=1) < (err + frozen[1] - abs_tol)[:, None]).sum(axis=1)
+        need = (table.cumsum(axis=1) < (err - abs_tol)[:, None]).sum(axis=1)
         take = np.minimum(np.maximum(np.minimum(need + 1, large), 1), allowed)
         run_end = np.cumsum(take)
         pick = np.arange(run_end[-1]) + (starts + take - run_end).repeat(take)
         # A picked panel its last bisection left unresolved is cut in four, if
         # its quarters hold their nodes and its segment can afford that for all
-        # such panels.  One whose halves cannot is frozen at no cost: its value,
-        # error and |value| move to its segment's frozen sums.
+        # such panels.  A segment that picked one whose halves cannot splits
+        # nothing: its picks stay in the frontier, and it stops next round.
         chosen, owner = panels[:, pick], seg[pick]
         a, b = chosen[:2]
         mid = 0.5 * (a + b)
         cuts = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T   # a panel per row
         four = chosen[3] > chosen[5] / 32
-        froze = False
         # The quarters of a panel 2^-39 of its magnitude wide (past the
         # subnormals) are 2,048 ulps or more: only a narrower one is tested.
         if np.count_nonzero(b - a < 2**-39 * np.maximum(-a, b) + 2**-1000):
             four &= _holds_nodes(cuts[:, :-1], cuts[:, 1:]).all(axis=1)
             stuck = ~four & ~_holds_nodes(cuts[:, :3:2], cuts[:, 2::2]).all(axis=1)
-            froze = np.count_nonzero(stuck) > 0
-        if froze:
-            frozen += [np.bincount(owner[stuck], w, ids.size)
-                       for w in (chosen[2, stuck], chosen[3, stuck], np.abs(chosen[2, stuck]))]
-            take = take - np.bincount(owner[stuck], minlength=ids.size)
-            chosen, owner, cuts, four = chosen[:, ~stuck], owner[~stuck], cuts[~stuck], four[~stuck]
+            narrow[owner[stuck]] = True
+            take[narrow] = 0
+            split = ~narrow[owner]
+            pick, chosen, owner = pick[split], chosen[:, split], owner[split]
+            cuts, four = cuts[split], four[split]
         extra = np.bincount(owner[four], minlength=ids.size)
         extra *= take + extra <= allowed
         four &= extra[owner] > 0

@@ -250,22 +250,30 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     b0 = (a + 1.0) if cfg.b_start is None else float(cfg.b_start)
     if b0 < a:
         raise ValueError(f"b_start {b0!r} lies below the lower limit {a!r}")
-    # Float spacing grows with b: the last points are the first to coincide.
-    before, last = (b0 + k * cfg.b_step if k < 2**1023 else math.inf   # float(k) is finite
-                    for k in (cfg.b_count - 2, cfg.b_count - 1))
-    if not before < last < math.inf:
-        raise ValueError(f"b_step {cfg.b_step!r} does not advance the grid from b_start {b0!r}: "
-                         f"its last points are {before!r} and {last!r}, not two distinct finite floats")
-    if not last + z.width > last:
-        raise ValueError(f"b_start {b0!r} leaves no window: b + c rounds to b at {last!r}")
+    last = b0 + (cfg.b_count - 1) * cfg.b_step if cfg.b_count <= 2**1023 else math.inf
+    if not last < math.inf:   # 2**1023 keeps float(b_count - 1) finite
+        raise ValueError(f"b_step {cfg.b_step!r} takes the grid from b_start {b0!r} past the "
+                         f"float range before its last point")
     f = compile_expr(spec.integrand, (spec.variable,))
     zc = compile_expr(z.body, ("s",))
 
     def window_f(t, b):
         return f(t) * zc(t - b)
 
-    return _sample_brackets(f, window_f, a, cfg.b_count, lambda k: b0 + k * cfg.b_step,
-                            lambda b: (b, b + z.width), cfg)
+    # Each point and window is checked as it is made, so only sampled ones are.
+    def point(k):
+        b = b0 + k * cfg.b_step
+        if k and not b > b0 + (k - 1) * cfg.b_step:
+            raise ValueError(f"b_step {cfg.b_step!r} does not advance the grid from b_start "
+                             f"{b0!r}: points {k - 1} and {k} are both {b!r}")
+        return b
+
+    def span(b):
+        if not b + z.width > b:
+            raise ValueError(f"b_start {b0!r} leaves no window: b + c rounds to b at {b!r}")
+        return b, b + z.width
+
+    return _sample_brackets(f, window_f, a, cfg.b_count, point, span, cfg)
 
 
 def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
@@ -343,7 +351,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
             cfg.quad_tol, (MAX_EVALS - evals) // (len(moved) + len(points)),
             read_order=[2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
         evals += sum(result.evaluations for result in results)
-        increments = [None] * len(points)   # none where a point repeats the previous one
+        increments = [None] * len(points)   # none for a first point at the start
         for i, inc in zip(moved, results):
             increments[i] = inc
         for p, inc, window in zip(points, increments, results[len(moved):]):

@@ -316,14 +316,22 @@ def test_non_integrable_inner_integral_ends_quad_failure(evaluated_points):
     (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17", "--b-step", "100"],
      "b_start"),
     (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-count", "1" + "0" * 400], "b_step"),
+    (["--f", "exp(-x)", "--a", "0", "--z", "taper:c=1", "--b-start", "1", "--b-step", "1e-17",
+      "--b-count", "35"], "b_step"),
+    (["--f", "exp(x/1e16)", "--a", "-1e17", "--z", "taper:c=1", "--b-start", "-1e17",
+      "--b-step", "2.5e15"], "b_start"),
 ], ids=["repeated-point", "default-step", "default-start", "window-without-width",
-        "past-the-float-range"])
+        "past-the-float-range", "repeated-first-points", "first-window-without-width"])
 def test_grid_that_does_not_advance_is_rejected(argv, named):
     # The integral of x^-1.01 from 1 is 100, but b_start + k*1 rounds to one
     # float near 1e17 for every k: five samples at one point once certified
     # 32.3917 with exit 0.  A window [b, b + c] whose b + c rounds to b once
     # reached the engine, which failed naming no input ("need lo < hi").  A
     # count whose last point is past the float range is refused the same way.
+    # Every sampled point and window is checked, not only the last: the grid
+    # from 1 by 1e-17 repeats its first points while its last two differ, and
+    # once certified 0.7728576 for exp(-x), whose integral is 1; the grid
+    # from -1e17 has an empty first window and a last one that is not.
     code, out, err = _run(["eval", "--type", "inf", *argv])
     assert (code, out) == (1, "")
     assert err.startswith(f"zvar: error: {named} ") and "need lo < hi" not in err

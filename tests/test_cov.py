@@ -307,6 +307,22 @@ def test_custom_finite_cov_sampled_checks(smooth_z):
         assert evaluate(out.integrand, {"t": t}) == pytest.approx(0.5 * t ** -0.75, rel=1e-12)
 
 
+def test_failed_validation_names_what_refutes_the_map(smooth_z):
+    # P(x) = x + |x - 1|^0.5 is increasing and unbounded, but P' is not
+    # finite at x = 1, the first point sampled.  The error names that fault
+    # and its evidence, and not the certificate check every sampled map fails.
+    cov = parse_cov_spec("custom:kind=infinite_cov,forward=x + abs(x - 1)^0.5,"
+                         "inverse=1 + ((sqrt(4*y - 3) - 1)/2)^2,lo=1,hi=1e6")
+    report = validate_cov(cov)
+    assert report.verdict == "invalid"
+    assert [(c.condition, c.passed) for c in report.checks] == [
+        ("evaluation", False), ("analytic_certificate", False)]
+    spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
+    with pytest.raises(CovError, match=r"^transform failed validation: evaluation \(sample "
+                                       r"evaluation fault: non-finite value at 1\.0\)$"):
+        apply_cov(spec, cov, allow_inconclusive=True)
+
+
 def test_custom_bridge_is_rejected():
     with pytest.raises(CovError, match="custom transform kind"):
         make_custom_cov("bridge", "exp(-x)", "-ln(u)", (0.0, 50.0))

@@ -65,6 +65,12 @@ def test_parse_errors_carry_offset():
         parse("sin(x")
     with pytest.raises(ParseError):
         parse("1 + ")
+    with pytest.raises(ParseError, match="'sin' needs an argument list") as exc:
+        parse("sin*2")
+    assert exc.value.offset == 0
+    with pytest.raises(ParseError, match="unexpected token 'y'") as exc:
+        parse("x y")
+    assert exc.value.offset == 2
 
 
 def _levels(ast):
@@ -104,6 +110,11 @@ def test_differentiate_power_rule():
     d = differentiate(parse("x^2"), "x")
     for x in (0.0, 1.5, -2.0):
         assert evaluate(d, {"x": x}) == pytest.approx(2.0 * x, abs=1e-14)
+    # A constant base: d/dx 2^x = 2^x ln 2.
+    d = differentiate(parse("2^x"), "x")
+    assert str(d) == "2.0^x*0.6931471805599453"
+    for x in (0.0, 1.5, -2.0):
+        assert evaluate(d, {"x": x}) == pytest.approx(2.0**x * math.log(2.0), rel=1e-14)
 
 
 def test_differentiate_against_fd_spec_case():

@@ -165,11 +165,11 @@ def test_monotone_budget_on_regression_corpus():
             assert big <= small
 
 
-def test_float_resolution_panels_are_frozen():
+def test_float_resolution_panels_stop_their_segment():
     # Bisection closes in on the jump until the halves of the panel holding
     # it, a few hundred ulps wide, could not hold their 21 nodes strictly
-    # inside; that panel is frozen and still counted in value and error.  Its
-    # error, about 1e-14, is more than 3e-17 allows, so the run stops there
+    # inside.  The segment stops at that panel, too narrow to split: its
+    # error, about 1e-14, is more than 3e-17 allows, so the run ends
     # unconverged, with an error estimate that covers the true error.  (Once
     # bisection went on to one-ulp panels whose nodes fell on their ends, and
     # converged at 3e-17 after 2,184 evaluations.)
@@ -233,9 +233,9 @@ def test_invalid_arguments():
 
 
 def test_non_integrable_integral_is_not_certified():
-    # tan has a pole at pi/2.  Bisection closes in on it until panels are
-    # one ulp wide and frozen; their values cannot be checked, so once they
-    # add up to more than abs_tol the run stops unconverged (QUADPACK's ier=5).
+    # tan has a pole at pi/2.  Bisection closes in on it until the segment
+    # picks a panel too narrow to split, and there the run stops unconverged
+    # (QUADPACK's ier=3).
     r = integrate_one(_fx("tan(x)"), 1.0, 2.0, 1e-10)
     assert not r.converged
     assert r.evaluations == 2142
@@ -269,9 +269,9 @@ def test_nodes_stay_inside_their_panel():
     # Toward a singular right end, bisection once reached panels a few ulps
     # wide whose Kronrod nodes rounded onto the end: (1-x)^-0.5 on [0, 1]
     # raised DomainFault at 1.0 after 2,814 evaluations.  A panel whose
-    # halves cannot hold their 21 nodes strictly inside is frozen instead, so
-    # no node reaches the end.  The frozen end panel holds more error than
-    # abs_tol: the run ends unconverged, its estimate covering the true error.
+    # halves cannot hold their 21 nodes strictly inside is too narrow to
+    # split, so no node reaches the end: the segment stops at the end panel,
+    # unconverged, its estimate covering the true error.
     for text, lo, hi, evaluations in (("(1-x)^(-0.5)", 0.0, 1.0, 1848),
                                       ("(2-x)^(-0.5)", 1.0, 2.0, 1806)):
         calls = []
@@ -286,6 +286,16 @@ def test_nodes_stay_inside_their_panel():
         assert abs(r.value - 2.0) <= r.error_estimate < 1e-6
         points = np.concatenate(calls)
         assert points.size == evaluations and lo < points.min() and points.max() < hi
+
+
+def test_segment_stops_at_a_panel_too_narrow_to_split():
+    # Toward the interior singularity at 0.3 bisection reaches a panel whose
+    # halves cannot hold their nodes.  The segment stops there, with its
+    # value and error, and spends nothing more on its other panels.
+    truth = (0.3**0.3 + 0.7**0.3) / 0.3
+    r = integrate_one(lambda x: np.abs(x - 0.3) ** -0.7, 0.0, 1.0, 1e-10)
+    assert not r.converged and r.evaluations == 1932
+    assert abs(r.value - truth) <= r.error_estimate
 
 
 def _split_in_four(calls):
@@ -337,13 +347,14 @@ def test_error_past_the_float_range_is_not_certified():
     r = integrate_one(lambda x: np.where(x < 3.0, 1e308, -1e308), 0.0, 6.0, 1e-6)
     assert not r.converged and r.evaluations == 126
     # On six one-ulp panels the error formula's ratio overflows: no warning,
-    # and the huge frozen values stop the run unconverged.
+    # and the roundoff floor of the huge values stops the run unconverged.
     hi = 1.0 + 6 * np.spacing(1.0)
     r = integrate_one(lambda x: 1e300 * np.sin(1e16 * x), 1.0, hi, 1e-30)
     assert not r.converged and r.evaluations == 126
-    # Here the error of every panel is nan while their values stay below
-    # abs_tol: the panel picked is too narrow to bisect, so it is frozen, and
-    # its error, not a number, ends the segment.
+    # Here each panel is one subnormal wide: the sum of |f| over it
+    # overflows and its half-width rounds to zero, so its value, error and
+    # roundoff floor are nan, and a floor that is not a number stops the
+    # segment.
     tiny = 5e-324
     r = integrate_one(lambda x: np.where(x / tiny % 2 < 1, 1.7e308, -1.7e308),
                            0.0, 6 * tiny, 1e-10)
@@ -386,23 +397,24 @@ def test_segments_match_one_at_a_time():
 
     rng = np.random.default_rng(7)
     plain = [
-        (step, 0.0, 0.34),                              # 3e-17: a panel is frozen
+        (step, 0.0, 0.34),                              # 3e-17: too narrow to split
         (np.sin, 0.0, 1000.0),                          # 3e-17: below roundoff
         (chirp, 0.002, 1.0),                            # 1e-10: budget spent
-        (np.tan, 1.0, 2.0),                             # 1e-10: frozen |value| > abs_tol
+        (np.tan, 1.0, 2.0),                             # 1e-10: too narrow to split
         (compile_expr(parse("ln(x)"), ("x",)), -1.0, 1.0),   # non-finite
     ]
     plain += [(np.exp, lo, lo + w)
               for lo, w in zip(rng.uniform(-3, 0, 4), rng.uniform(0.01, 0.1, 4))]
     plain = [plain[i] for i in rng.permutation(len(plain))]
     # On [1, 1 + 6 ulp] all six starting panels are one ulp wide, too narrow
-    # to bisect: the step converges on them, and the first sin segment freezes
-    # every panel it picks.  The second picks all six of its two-ulp panels
-    # in its first cut, and freezes them all, which leaves it with none.
+    # to split: the step converges on them, and the first sin segment stops
+    # on their roundoff floor.  The second picks all six of its two-ulp
+    # panels in its first cut, and stops there, as they are too narrow to
+    # split.
     ulp = np.spacing(1.0)
     plain += [(lambda x: (x >= 1.0 + 3 * ulp).astype(float), 1.0, 1.0 + 6 * ulp),  # converges
-              (lambda x: 1e20 * np.sin(1e16 * x), 1.0, 1.0 + 6 * ulp),            # frozen |value|
-              (lambda x: 1e6 * np.sin(1e16 * x), 1.0, 1.0 + 12 * ulp)]            # no panel left
+              (lambda x: 1e20 * np.sin(1e16 * x), 1.0, 1.0 + 6 * ulp),            # roundoff
+              (lambda x: 1e6 * np.sin(1e16 * x), 1.0, 1.0 + 12 * ulp)]            # all six picked
     lo_p = rng.uniform(0.0, 1.0, 12)
     hi_p = lo_p + rng.uniform(0.5, 3.0, 12)
     freqs = rng.uniform(1.0, 40.0, 12)
@@ -448,15 +460,15 @@ def test_segments_match_one_at_a_time():
             else:
                 assert got == want
                 outcomes.add((tol, got.converged, got.evaluations))
-        narrow_step, narrow_sin, emptied = batch[-3 - len(wide):][:3]
+        narrow_step, narrow_sin, all_picked = batch[-3 - len(wide):][:3]
         assert narrow_step.converged and narrow_step.value == 6.661338147750939e-16
-        assert not narrow_sin.converged and not emptied.converged
-        assert narrow_step.evaluations == narrow_sin.evaluations == emptied.evaluations == 126
+        assert not narrow_sin.converged and not all_picked.converged
+        assert narrow_step.evaluations == narrow_sin.evaluations == all_picked.evaluations == 126
     assert "fault" in outcomes
-    assert (3e-17, False, 1848) in outcomes     # the step's frozen panel holds too much error
+    assert (3e-17, False, 1848) in outcomes     # the step: a panel too narrow to split
     assert (3e-17, False, 126) in outcomes      # below roundoff
     assert (1e-10, False, 2982) in outcomes     # budget spent: 68 bisections
-    assert (1e-10, False, 2142) in outcomes     # tan: frozen panels hold too much
+    assert (1e-10, False, 2142) in outcomes     # tan: a panel too narrow to split
 
 
 def test_segments_after_a_failure_in_read_order_stop_early():

@@ -326,21 +326,25 @@ def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
 
 
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
-    # 1 + k * 1e-17 rounds to 1 for k <= 11: the grid repeats its first point,
-    # and a repeated point has no running segment of its own.  With 35 points
-    # the last two are distinct floats; with the default 40 they are one
-    # float, and the grid is rejected.
+    # 1 + k * 1e-17 rounds to 1 for k <= 11: the grid repeats its first point
+    # and is rejected before any quadrature, whether its last two points are
+    # distinct floats (35 points) or one float (the default 40).  With 35
+    # points five samples at b = 1 once certified 0.7728576; the integral
+    # is 1.  A first point equal to the lower limit repeats the start
+    # instead, and adds no running segment.
     calls = _record_quadrature(monkeypatch)
     spec = InfiniteIntegral(parse("exp(-x)"), 0.0, smooth)
-    with pytest.raises(ValueError, match=r"^b_step 1e-17 does not advance the grid"):
-        eval_infinite(spec, EvalConfig(b_start=1.0, b_step=1e-17))
-    cfg = EvalConfig(b_start=1.0, b_step=1e-17, b_count=35)
+    for count in (35, 40):
+        with pytest.raises(ValueError, match=r"^b_step 1e-17 does not advance the grid from "
+                                             r"b_start 1\.0: points 0 and 1 are both 1\.0$"):
+            eval_infinite(spec, EvalConfig(b_start=1.0, b_step=1e-17, b_count=count))
+    assert calls == []
+    cfg = EvalConfig(b_start=0.0)
     r = eval_infinite(spec, cfg)
-    assert r.status == "converged"
-    assert [p for p, _ in r.samples] == [1.0] * STABILITY_WINDOW
-    assert len({v for _, v in r.samples}) == 1
-    f, window_f = calls[0][0][0], calls[0][1][0]
-    grid = [1.0 + k * cfg.b_step for k in range(cfg.b_count)]
+    assert r.status == "converged" and abs(r.value - 1.0) <= r.error_estimate
+    (f, run_lo, _, _), (window_f, window_lo, _, _) = calls[0]
+    assert window_lo[0] == 0.0 and len(run_lo) == len(window_lo) - 1
+    grid = [k * cfg.b_step for k in range(cfg.b_count)]
     values, evals = _one_at_a_time(f, window_f, 0.0, grid, lambda b: (b, b + smooth.width), cfg)
     assert [v for _, v in r.samples] == values
     assert r.evaluations == evals
@@ -475,5 +479,7 @@ def test_spec_validation(smooth):
         InfiniteIntegral(parse("x + y"), 0.0, smooth)
     with pytest.raises(ValueError):
         FiniteIntegral(parse("1/u"), -1.0, smooth)
+    with pytest.raises(ValueError, match=r"unexpected free variables \['y'\]"):
+        FiniteIntegral(parse("u*y"), 1.0, smooth)
     with pytest.raises(ValueError):
         InfiniteIntegral(parse("x"), math.inf, smooth)
