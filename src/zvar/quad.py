@@ -6,15 +6,17 @@ evaluation count, as `scipy.integrate.quad_vec` does for the components
 of a vector integrand.  A segment starts as six panels; each round it
 splits its largest-error panels, the fewest after which the error left
 is within what abs_tol still allows (quad_vec's loop leaves abs_tol/8
-instead).  The cut reads only the candidates, panels of at least 1/4096
-of the segment's largest error, and takes at least one, so panels whose
-error is rounding noise that bisection cannot shrink (near a pole) are
-not all split every round.  A taken panel is bisected, unless its error
-is still more than 1/32 of its parent's: that bisection did not resolve
-it, so it is cut into the quarters two bisections give, at their cost,
-and the level between is never evaluated (QAG and quad_vec only bisect).
-A panel whose quarters could not hold their nodes (below) is only
-bisected.
+instead), and at least one.  Where the error is spread, every panel is a
+candidate, so the segment splits in one round all that its tolerance
+asks for, as quad_vec does.  While one panel holds more than half of the
+error, only the panels of at least 1/4096 of that panel's error are, so
+panels whose error is rounding noise that bisection cannot shrink (near
+a pole) are not all split every round.  A taken panel is bisected,
+unless its error is still more than 1/32 of its parent's: that bisection
+did not resolve it, so it is cut into the quarters two bisections give,
+at their cost, and the level between is never evaluated (QAG and
+quad_vec only bisect).  A panel whose quarters could not hold their
+nodes (below) is only bisected.
 At an endpoint singularity no split resolves the end panel, so there the
 quarters cost a little: ln x on [0, 1] at 1e-11 takes 1,596 evaluations,
 where bisection alone took 1,554.  The Gauss(10)/Kronrod(21) rule is
@@ -108,7 +110,7 @@ _WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
 
 _EPS = np.finfo(float).eps
 _INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
-_CANDIDATE_CUT = 4096   # a candidate holds at least 1/4096 of its segment's largest error
+_CANDIDATE_CUT = 4096   # while one panel holds most of the error, candidates hold 1/4096 of it
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
 _BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
 _MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
@@ -253,10 +255,15 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
 
         # Split each segment's largest-error panels, its first columns: the
         # fewest after which the error left is within abs_tol, so the panels
-        # left could pass the done test as they are.  A segment's candidates,
-        # a prefix of its run, are summed along its own row of a padded table,
-        # so that no other segment's error enters them.
-        cand = panels[3] >= (panels[3, starts] / _CANDIDATE_CUT)[seg]
+        # left could pass the done test as they are.  While one panel holds
+        # more than half of the error, or the sum is not finite, only panels
+        # of at least 1/_CANDIDATE_CUT of the largest are candidates; else
+        # every panel is.  A segment's candidates, a prefix of its run, are
+        # summed along its own row of a padded table, so that no other
+        # segment's error enters them.
+        top = panels[3, starts]
+        spread = (top <= 0.5 * err) & (err < math.inf)
+        cand = panels[3] >= np.where(spread, 0.0, top / _CANDIDATE_CUT)[seg]
         cand_seg = seg[cand]
         large = np.bincount(cand_seg, minlength=ids.size)
         table = np.zeros((ids.size, large.max()))

@@ -295,6 +295,10 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
 
     # the deltas decrease, so those at or above the floor come first
     count = bisect.bisect_left(range(cfg.delta_count), True, key=lambda k: delta(k) < DELTA_FLOOR)
+    if count < STABILITY_WINDOW:
+        raise ValueError(f"beta {beta!r} leaves {count} deltas at or above the floor "
+                         f"{DELTA_FLOOR!r}, fewer than the {STABILITY_WINDOW} samples a "
+                         f"classification needs; bridge mode has no floor")
     return _sample_brackets(g, window_g, beta, count, delta, lambda d: (math.exp(-z.width) * d, d),
                             cfg)
 

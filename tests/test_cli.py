@@ -235,6 +235,8 @@ def test_usage_errors_exit_one():
          "--w", "wfromz:taper:c=1e-300"],                                # e^-c rounds to 1
         ["eval", "--type", "fin", "--g", "1/u", "--beta", "1",
          "--w", "mystery:c=1"],                                          # bad taper
+        ["eval", "--type", "fin", "--g", "u^-0.5", "--beta", "1e-7",
+         "--w", "wfromz:taper:c=1"],                                     # 4 deltas above 1e-8
         ["eval", "--type", "inf", "--f", "2*q", "--a", "1",
          "--z", "taper:c=1"],                                            # unknown name
         ["eval", "--type", "inf", "--f", "x^-2", "--a", "1",

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zvar import quad
 from zvar.expr import DomainFault, compile_expr, parse
 from zvar.quad import _INITIAL_SPLIT, _WG, _WK, _XK, integrate_segments
 
@@ -243,14 +244,15 @@ def test_non_integrable_integral_is_not_certified():
 
 def test_rounding_noise_near_a_pole_is_not_bisected_wholesale():
     # Within about 1e-9 of tan's pole a panel's error is the rounding noise
-    # of its abscissae, which bisection does not shrink.  A cut that took
-    # every such panel each round would double their number every round
-    # (96,138 evaluations); the cut takes only panels of at least 1/4096 of
-    # the largest error.  The largest call, 8 panels, is the last.  No panel
-    # is split into children that cannot hold their 21 nodes strictly
-    # inside, so every panel evaluated has 21 distinct abscissae.  Once
-    # panels went down to one ulp, and 7 of the 20 panels of the last call
-    # had all their abscissae on one float.
+    # of its abscissae, which bisection does not shrink.  The panel at the
+    # pole holds most of the segment's error, so only panels of at least
+    # 1/4096 of it are candidates: splitting the rest spends evaluations
+    # that the failing segment never needed (taking every panel ends
+    # unconverged too, after 49,140).  The largest call, 8 panels, is the
+    # last.  No panel is split into children that cannot hold their 21 nodes
+    # strictly inside, so every panel evaluated has 21 distinct abscissae.
+    # Once panels went down to one ulp, and 7 of the 20 panels of the last
+    # call had all their abscissae on one float.
     calls = []
 
     def tan(x):
@@ -317,29 +319,58 @@ def _split_in_four(calls):
 
 
 def test_unresolved_panels_are_split_in_four():
-    # sin(1/x)/x^2 has its error spread over many panels, which stay
-    # unresolved for several bisections.  Each round splits the fewest
-    # largest-error panels after which what is left is within abs_tol, and
-    # cuts in four each of them whose error is still more than 1/32 of its
-    # parent's, without evaluating its halves: 14 rounds, one integrand call
-    # each.  Bisecting alone took 27 rounds and 30,534 evaluations; bisecting
-    # the panels carrying half of the error took 64 rounds.  A cut that read
-    # only panels of at least 1/32 of the largest error split the same
-    # panels in 19 rounds.
-    calls = []
+    # sin(k/x)/x^2 has its error spread over many panels, which stay
+    # unresolved for several bisections.  No panel holds most of the error,
+    # so every panel is a candidate, and each round splits the fewest
+    # largest-error panels after which what is left is within abs_tol.  Each
+    # of them whose error is still more than 1/32 of its parent's is cut in
+    # four without evaluating its halves.  The chirp takes 13 rounds, one
+    # integrand call each.  Bisecting alone took 27 rounds and 30,534
+    # evaluations; bisecting the panels carrying half of the error took 64
+    # rounds.  A cut that read only panels of at least 1/32 of the largest
+    # error split the same panels in 19 rounds, and one of 1/4096 in 14 (6
+    # for the deep window of sin(1.7/u)/u^2 that a finite-form evaluation
+    # samples, which now takes 5).
+    for k, lo, hi, rounds, evaluations in ((1.0, 2e-4, 1.0, 13, 24738),
+                                           (1.7, 0.01 / math.e, 0.01, 5, 1302)):
+        calls = []
 
-    def chirp(x):
-        calls.append(x)
-        return np.sin(1.0 / x) / x**2
+        def chirp(x, k=k):
+            calls.append(x)
+            return np.sin(k / x) / x**2
 
-    lo = 2e-4
-    r = integrate_one(chirp, lo, 1.0, 1e-10)
-    assert r.converged and abs(r.value - (math.cos(1.0) - math.cos(1.0 / lo))) <= 1e-10
-    assert len(calls) == 14
-    assert r.evaluations == sum(x.size for x in calls) == 24738
-    assert _split_in_four(calls)
-    # The six starting panels have no parent, so the first round only bisects.
-    assert not _split_in_four(calls[:2])
+        r = integrate_one(chirp, lo, hi, 1e-10)
+        assert r.converged
+        assert abs(r.value - (math.cos(k / hi) - math.cos(k / lo)) / k) <= 1e-10
+        assert len(calls) == rounds
+        assert r.evaluations == sum(x.size for x in calls) == evaluations
+        assert _split_in_four(calls)
+        # The six starting panels have no parent, so the first round only bisects.
+        assert not _split_in_four(calls[:2])
+
+
+def test_candidate_cut_changes_only_the_rounds(monkeypatch):
+    # A segment that converges splits the same panels whatever the cut:
+    # its value, error and evaluations do not depend on it, only the number
+    # of rounds it takes to split them does.
+    cases = [(lambda x: np.sin(1.0 / x) / x**2, 2e-4, 1.0, 1e-10),
+             (lambda u: np.sin(1.7 / u) / u**2, 0.01 / math.e, 0.01, 1e-10),
+             (_fx("sin(x^2)"), 0.0, 30.0, 1e-10),
+             (_fx("x^(-1/2)"), 0.0, 1.0, 1e-10),
+             (_fx("ln(x)"), 0.0, 1.0, 1e-11)]
+
+    def run():
+        calls = []
+        results = [integrate_one(lambda x, fn=fn: calls.append(x) or fn(x), lo, hi, tol)
+                   for fn, lo, hi, tol in cases]
+        return results, len(calls)
+
+    reference, rounds = run()
+    assert all(r.converged for r in reference)
+    for cut in (2, 1e300):
+        monkeypatch.setattr(quad, "_CANDIDATE_CUT", cut)
+        results, cut_rounds = run()
+        assert results == reference and cut_rounds != rounds
 
 
 def test_error_past_the_float_range_is_not_certified():
