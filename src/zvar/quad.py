@@ -40,8 +40,9 @@ reads the results in order and stops at the first failure can say so,
 and the segments it would never read stop early.
 
 A segment stops unconverged, with its best-effort value and error, when
-- its budget is spent.  No evaluation goes beyond max_evals, so a budget
-  smaller than the first batch returns after zero evaluations;
+- its pool's budget is spent.  No pool spends beyond its max_evals, so a
+  pool that cannot pay for its segments' first batches returns them after
+  zero evaluations;
 - abs_tol is below roundoff.  Once the panels' roundoff floors (10 eps
   times the integral of |f| over each) exceed abs_tol together, no
   refinement can meet it (QUADPACK's ier=2);
@@ -62,7 +63,7 @@ import numpy as np
 
 from .expr import DomainFault
 
-__all__ = ["QuadResult", "integrate_segments"]
+__all__ = ["MAX_LIMIT", "QuadResult", "integrate_segments"]
 
 # Gauss-Kronrod 10-21 pair (QUADPACK's QK21), nodes sorted ascending.  WG is
 # aligned with the Kronrod nodes and zero where the node is Kronrod-only,
@@ -113,7 +114,7 @@ _INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
 _CANDIDATE_CUT = 4096   # while one panel holds most of the error, candidates hold 1/4096 of it
 _SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
 _BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
-_MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
+MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
 
 # Segments sharing one integrand: (fn, lo, hi, params), see integrate_segments.
 SegmentGroup = tuple[Callable[..., np.ndarray], Sequence[float], Sequence[float],
@@ -130,8 +131,9 @@ class QuadResult:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
-                       max_evals: int = 10_000_000,
-                       read_order: Sequence[int] | None = None
+                       max_evals: int | list[int] | tuple[int, ...] = 10_000_000,
+                       read_order: Sequence[int] | None = None,
+                       pools: Sequence[int] | None = None
                        ) -> list[QuadResult | DomainFault]:
     """Integrate every segment of every group to absolute tolerance abs_tol.
 
@@ -140,51 +142,72 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     p holding params[i] at every point of segment i.  The results come in
     group order, one per segment: a QuadResult, or the DomainFault of a
     segment where fn is not finite, whose `evaluations` attribute holds the
-    evaluations spent before it.  Each is, bit for bit, what the segment
-    gets alone in a call of its own.  max_evals caps each segment.
+    evaluations spent before it.
+
+    pools, one id per group (0 for all by default), puts each group's
+    segments in a budget pool, and max_evals, one int or a list or tuple
+    with one per pool id, caps each pool's evaluations.  A pool that cannot
+    pay its segments' first batches starts none of them.  Each round, its
+    segments take the bisections they ask for from what it has left, in
+    read order, so a finished segment's unspent share goes to the rest.  A
+    segment gets bit for bit what it gets alone in a call wherever its
+    pool's budget does not bind, and always when alone in its pool.
 
     read_order, one position per segment, is the order in which a caller
-    reads the results and stops at the first failure (a DomainFault or
-    converged=False).  A segment placed after a failed one is never read,
-    so it stops in the round of that failure, unconverged, with its
-    best-effort value and the evaluations it spent, unless it had finished.
+    reads the results of each pool and stops at the first failure (a
+    DomainFault or converged=False).  A segment placed after a failed one
+    of its pool is never read, so it stops in the round of that failure,
+    unconverged, with its best-effort value and the evaluations it spent,
+    unless it had finished.
 
     Overflow, invalid operations and divides by zero raise no warning, in
     fn too: a non-finite value of fn fails its segment with a DomainFault,
     and a sum past the float range leaves its segment unconverged.
     """
-    lo, hi, first = [], [], [0]   # first: each group's first segment, then the count
-    for _, glo, ghi, _ in groups:
+    lo, hi, first, pool = [], [], [0], []   # first: each group's first segment, then the count
+    for (_, glo, ghi, _), p in zip(groups, [0] * len(groups) if pools is None else pools,
+                                   strict=True):
         for a, b in zip(glo, ghi, strict=True):
-            if not (abs(a) <= _MAX_LIMIT and abs(b) <= _MAX_LIMIT):
+            if not (abs(a) <= MAX_LIMIT and abs(b) <= MAX_LIMIT):
                 raise ValueError(f"integration limits [{a!r}, {b!r}] must be finite and "
-                                 f"at most {_MAX_LIMIT!r} in magnitude")
+                                 f"at most {MAX_LIMIT!r} in magnitude")
             if not a < b:
                 raise ValueError(f"need lo < hi, got [{a!r}, {b!r}]")
             lo.append(a)
             hi.append(b)
+            pool.append(p)
         first.append(len(lo))
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
     count = len(lo)
     first_batch = _INITIAL_SPLIT * _XK.size
-    if count == 0 or max_evals < first_batch:
-        return [QuadResult(value=math.nan, error_estimate=math.inf, evaluations=0,
-                           converged=False) for _ in range(count)]
-    max_evals = min(max_evals, sys.maxsize)   # so budgets fit the int64 counts
-    budget = (max_evals - first_batch) // (2 * _XK.size)   # bisections a segment affords
-    cutoff = math.inf   # read position of the first failure so far
+    if not isinstance(max_evals, (list, tuple)):
+        max_evals = [max_evals] * (max(pool, default=0) + 1)
+    # Bisections each pool affords once it has paid for its first batches,
+    # negative if it cannot (min: so budgets fit the int64 counts).  slack is
+    # at most what any pool with live segments has left.
+    caps = [(min(cap, sys.maxsize) - first_batch * pool.count(p)) // (2 * _XK.size)
+            for p, cap in enumerate(max_evals)]
+    slack = min([cap for cap in caps if cap >= 0], default=0)
+    cutoff = np.array([math.inf] * len(caps))   # each pool's read position of its first failure
     value = np.zeros(count)
     error = np.zeros(count)
     spent = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     faults: dict[int, DomainFault] = {}
-    # Per live segment: its id, read position, bisections, and whether it
-    # picked a panel too narrow to split.
-    ids = np.arange(count)
-    position = np.zeros(count) if read_order is None else np.asarray(read_order, dtype=float)
     bisections = np.zeros(count, dtype=np.int64)
-    narrow = np.zeros(count, dtype=bool)
+    # Per live segment: its id, pool, read position, limits, and whether it
+    # cannot split: it picked a panel too narrow to split, or its pool is empty.
+    ids = np.arange(count)
+    pool_of = pool = np.array(pool, dtype=np.intp)
+    position = np.zeros(count) if read_order is None else np.asarray(read_order, dtype=float)
+    lo_arr = np.array(lo, dtype=float)
+    hi_arr = np.array(hi, dtype=float)
+    if min(caps) < 0:   # a segment that never starts has no value, and no error bound
+        ids = np.flatnonzero(np.array(caps)[pool] >= 0)
+        pool, position, lo_arr, hi_arr = pool[ids], position[ids], lo_arr[ids], hi_arr[ids]
+        value[:], error[:] = math.nan, math.inf
+    narrow = np.zeros(ids.size, dtype=bool)
 
     # The frontier is one set of columns (a, b, value, error, roundoff floor,
     # parent's error: inf for a starting panel) with a live-segment index
@@ -193,23 +216,21 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     # one stable sort, so equal errors keep the order that the segment's own
     # rounds gave them.  The starting panels are the first children of an
     # empty frontier.
-    lo_arr = np.array(lo, dtype=float)
-    hi_arr = np.array(hi, dtype=float)
     # np.linspace(lo, hi, _INITIAL_SPLIT + 1) bit for bit, at a third of its cost.
     edges = _SLOTS * ((hi_arr - lo_arr) / _INITIAL_SPLIT)[:, None] + lo_arr[:, None]
     edges[:, -1] = hi_arr
-    kids = np.empty((6, count, _INITIAL_SPLIT))
+    kids = np.empty((6, ids.size, _INITIAL_SPLIT))
     kids[0] = edges[:, :-1]
     kids[1] = edges[:, 1:]
     kids[5] = math.inf
     kids = kids.reshape(6, -1)
-    kid_seg = np.arange(count).repeat(_INITIAL_SPLIT)
+    kid_seg = np.arange(ids.size).repeat(_INITIAL_SPLIT)
     panels, seg = kids[:, :0], kid_seg[:0]
     pick = np.zeros(0, dtype=np.intp)   # the frontier columns split last round
-    small = np.min_scalar_type(count)   # a stable sort by index of this type is a radix sort
+    small = np.min_scalar_type(ids.size)   # a stable sort by index of this type is a radix sort
     rule = _Rule(groups, first)
 
-    while True:
+    while ids.size:
         new_faults = rule.apply(kids, kid_seg, ids)
         # Merge the kids in.  Their parents sort past every segment, and are cut.
         panels = np.concatenate([panels, kids], axis=1)
@@ -220,27 +241,26 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         panels, seg = panels.take(order, axis=1), seg[order]
         starts = np.searchsorted(seg, np.arange(ids.size))
         value_sum, err, floor_sum = np.add.reduceat(panels[2:5], starts, axis=1)
-        allowed = budget - bisections
         done = err <= abs_tol
-        stop = ~done & ((allowed == 0) | ~(floor_sum <= abs_tol) | narrow)
+        stop = ~done & (~(floor_sum <= abs_tol) | narrow)
         if new_faults:
             lost = np.zeros(ids.size, dtype=bool)
             lost[list(new_faults)] = True
             for i, fault in new_faults.items():
-                fault.evaluations = first_batch + 2 * _XK.size * int(bisections[i])
+                fault.evaluations = first_batch + 2 * _XK.size * int(bisections[ids[i]])
                 faults[int(ids[i])] = fault
             done &= ~lost
             stop |= lost
         end = done | stop
         if np.count_nonzero(end):
             if np.count_nonzero(stop):
-                cutoff = min(cutoff, position[stop].min())
-                stop |= ~done & (position > cutoff)
+                np.minimum.at(cutoff, pool[stop], position[stop])
+                stop |= ~done & (position > cutoff[pool])
                 end = done | stop
             out = ids[end]
             value[out] = value_sum[end]
             error[out] = err[end]
-            spent[out] = first_batch + 2 * _XK.size * bisections[end]
+            spent[out] = first_batch + 2 * _XK.size * bisections[out]
             converged[out] = done[end]
             if np.count_nonzero(end) == end.size:
                 break
@@ -248,9 +268,8 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             keep = live[seg]
             panels = np.compress(keep, panels, axis=1)
             seg = (np.cumsum(live) - 1)[seg[keep]]
-            ids, position, narrow = ids[live], position[live], narrow[live]
-            bisections = bisections[live]
-            err, allowed = err[live], allowed[live]
+            ids, pool, position = ids[live], pool[live], position[live]
+            narrow, err = narrow[live], err[live]
             starts = np.searchsorted(seg, np.arange(ids.size))
 
         # Split each segment's largest-error panels, its first columns: the
@@ -272,7 +291,18 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         # allowance; a non-finite error leaves none.  A bisecting segment
         # always takes at least one panel.
         need = (table.cumsum(axis=1) < (err - abs_tol)[:, None]).sum(axis=1)
-        take = np.minimum(np.maximum(np.minimum(need + 1, large), 1), allowed)
+        take = np.maximum(np.minimum(need + 1, large), 1)
+        # A round spends at most two bisections per frontier column, so only
+        # where slack is below that can a pool's budget bind.  Then each
+        # segment takes, at most, what its pool has left less what those
+        # before it in read order ask, and one that gets nothing stops.
+        tight = slack < 2 * seg.size
+        if tight:
+            left = caps - np.bincount(pool_of, bisections, len(caps)).astype(np.int64)
+            slack = int(left[pool].min())
+            take = np.clip(_room(take, left, pool, position), 0, take)
+            narrow |= take == 0
+        slack -= 2 * seg.size
         run_end = np.cumsum(take)
         pick = np.arange(run_end[-1]) + (starts + take - run_end).repeat(take)
         # A picked panel its last bisection left unresolved is cut in four, if
@@ -295,9 +325,11 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             pick, chosen, owner = pick[split], chosen[:, split], owner[split]
             cuts, four = cuts[split], four[split]
         extra = np.bincount(owner[four], minlength=ids.size)
-        extra *= take + extra <= allowed
+        if tight:   # a segment's quarters come all, or none
+            extra *= extra <= _room(extra, left - np.bincount(pool, take, left.size), pool,
+                                    position)
         four &= extra[owner] > 0
-        bisections += take + extra
+        bisections[ids] += take + extra
         slots = four[:, None] | [True, False, True, False, True]   # the cuts each panel keeps
         pieces = 2 + 2 * four
         kids = np.empty((6, pieces.sum()))   # each picked panel's children, left to right
@@ -309,6 +341,15 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             QuadResult(value=v, error_estimate=e, evaluations=n, converged=c)
             for s, (v, e, n, c) in enumerate(zip(value.tolist(), error.tolist(), spent.tolist(),
                                                  converged.tolist()))]
+
+
+def _room(asked, left, pool, position):
+    """Per live segment, what its pool has left less what those before it in read order ask."""
+    order = np.lexsort((position, pool))
+    before = np.cumsum(asked[order]) - asked[order]   # what the segments before ask, any pool
+    room = left[pool]
+    room[order] -= before - before[np.searchsorted(pool[order], pool[order])]
+    return room
 
 
 class _Rule:

@@ -33,6 +33,9 @@ from .zeval import (
     eval_finite,
     eval_infinite,
     is_number,
+    plan_finite,
+    plan_infinite,
+    run_together,
 )
 
 __all__ = [
@@ -58,9 +61,11 @@ class VerificationOutcome:
 def compare_pair(spec_a: ZIntegralSpec, spec_b: ZIntegralSpec, cfg: EvalConfig,
                  tol: float, case_id: str = "", mode_a: str = "direct",
                  mode_b: str = "direct") -> VerificationOutcome:
-    """Evaluate both integrals and classify the pair."""
-    left = evaluate_spec(spec_a, cfg, mode_a)
-    right = evaluate_spec(spec_b, cfg, mode_b)
+    """Evaluate both integrals, side by side in each quadrature call, and classify the pair."""
+    left, right = run_together([plan_finite(spec, cfg, mode) if isinstance(spec, FiniteIntegral)
+                                else plan_infinite(spec, cfg)
+                                for spec, mode in ((spec_a, mode_a), (spec_b, mode_b))],
+                               cfg.quad_tol)
     return VerificationOutcome(left=left, right=right,
                                verdict=pair_verdict(left, right, tol),
                                tolerance=tol, case_id=case_id)

@@ -31,19 +31,21 @@ import numpy as np
 
 from .expr import (DomainFault, ExprAST, compile_expr, const, exp as expr_exp,
                    free_variables, simplify, substitute, var)
-from .quad import integrate_segments
+from .quad import MAX_LIMIT, integrate_segments
 from .taper import TaperError, TerminationFunction
 
 __all__ = [
     "InfiniteIntegral", "FiniteIntegral", "ZIntegralSpec", "EvalConfig",
     "ZResult", "TooFewSamples",
-    "eval_infinite", "eval_finite", "bridge_image", "classify_sequence",
+    "eval_infinite", "eval_finite", "plan_infinite", "plan_finite", "run_alone", "run_together",
+    "bridge_image", "classify_sequence",
 ]
 
 DELTA_FLOOR = 1e-8   # direct finite-limit sampling never shrinks delta below this
 DELTA_SHRINK = 0.5   # ratio of consecutive deltas
 STABILITY_WINDOW = 5   # samples per classification window
 MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
+_RANGE = "the largest limit the quadrature takes"
 
 
 def is_number(value) -> bool:
@@ -245,11 +247,23 @@ def _extrapolate(params, values, errors, m: int, tol: float):
 
 def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     """Sample and classify the infinite-limit bracket sequence."""
+    return run_alone(plan_infinite(spec, cfg), cfg.quad_tol)
+
+
+def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
+    """Sample and classify the finite-limit sequence, directly or via bridge."""
+    return run_alone(plan_finite(spec, cfg, mode), cfg.quad_tol)
+
+
+def plan_infinite(spec: InfiniteIntegral, cfg: EvalConfig):
+    """eval_infinite as a plan, a generator that _sample_brackets describes."""
     z = spec.taper
     a = spec.lower_limit
     b0 = (a + 1.0) if cfg.b_start is None else float(cfg.b_start)
     if b0 < a:
         raise ValueError(f"b_start {b0!r} lies below the lower limit {a!r}")
+    if not abs(a) <= MAX_LIMIT:
+        raise ValueError(f"lower limit {a!r} is past {MAX_LIMIT!r}, {_RANGE}")
     last = b0 + (cfg.b_count - 1) * cfg.b_step if cfg.b_count <= 2**1023 else math.inf
     if not last < math.inf:   # 2**1023 keeps float(b_count - 1) finite
         raise ValueError(f"b_step {cfg.b_step!r} takes the grid from b_start {b0!r} past the "
@@ -271,19 +285,24 @@ def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     def span(b):
         if not b + z.width > b:
             raise ValueError(f"b_start {b0!r} leaves no window: b + c rounds to b at {b!r}")
+        if not b + z.width <= MAX_LIMIT:
+            raise ValueError(f"b_start {b0!r} and taper width c={z.width!r} put the window "
+                             f"end {b + z.width!r} past {MAX_LIMIT!r}, {_RANGE}")
         return b, b + z.width
 
-    return _sample_brackets(f, window_f, a, cfg.b_count, point, span, cfg)
+    return (yield from _sample_brackets(f, window_f, a, cfg.b_count, point, span, cfg))
 
 
-def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
-    """Sample and classify the finite-limit sequence, directly or via bridge."""
+def plan_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct"):
+    """eval_finite as a plan, a generator that _sample_brackets describes."""
     if mode == "bridge":
-        return eval_infinite(bridge_image(spec, 1.0, 1.0), cfg)
+        return (yield from plan_infinite(bridge_image(spec, 1.0, 1.0), cfg))
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r} (expected 'direct' or 'bridge')")
     z = spec.taper
     beta = spec.upper_limit
+    if not beta <= MAX_LIMIT:
+        raise ValueError(f"beta {beta!r} is past {MAX_LIMIT!r}, {_RANGE}")
     g = compile_expr(spec.integrand, (spec.variable,))
     zc = compile_expr(z.body, ("s",))
 
@@ -299,8 +318,54 @@ def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> 
         raise ValueError(f"beta {beta!r} leaves {count} deltas at or above the floor "
                          f"{DELTA_FLOOR!r}, fewer than the {STABILITY_WINDOW} samples a "
                          f"classification needs; bridge mode has no floor")
-    return _sample_brackets(g, window_g, beta, count, delta, lambda d: (math.exp(-z.width) * d, d),
-                            cfg)
+    return (yield from _sample_brackets(g, window_g, beta, count, delta,
+                                        lambda d: (math.exp(-z.width) * d, d), cfg))
+
+
+def run_alone(plan, abs_tol: float) -> ZResult:
+    """Run one plan, each chunk in an integrate_segments call of its own."""
+    try:
+        groups, budget, order = next(plan)
+        while True:
+            groups, budget, order = plan.send(
+                integrate_segments(groups, abs_tol, budget, read_order=order))
+    except StopIteration as end:
+        return end.value
+
+
+def run_together(plans, abs_tol: float) -> list[ZResult]:
+    """Run plans side by side: the pending chunks of all in one integrate_segments call.
+
+    Each plan's segments are a budget pool of their own, so each plan gets
+    bit for bit what run_alone gives it.  If plans raise, the first one's
+    error is raised once those before it end, as it is when they run one
+    after the other.
+    """
+    results = [None] * len(plans)
+    answers = dict.fromkeys(range(len(plans)))   # what each running plan is sent next
+    error = None
+    while answers:
+        pending = {}
+        for i, answer in answers.items():
+            try:
+                pending[i] = plans[i].send(answer)
+            except StopIteration as end:
+                results[i] = end.value
+            except ValueError as err:   # raised once the plans before it end
+                error = err   # the plans after it are dropped
+                break
+        if not pending:
+            break
+        groups, budgets, orders = zip(*pending.values())
+        out = iter(integrate_segments(
+            [group for chunk in groups for group in chunk], abs_tol, budgets,
+            read_order=[p for order in orders for p in order],
+            pools=[pool for pool, chunk in enumerate(groups) for _ in chunk]))
+        answers = {i: [next(out) for _, lo, _, _ in chunk for _ in lo]
+                   for i, chunk in zip(pending, groups)}
+    if error is not None:
+        raise error
+    return results
 
 
 def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegral:
@@ -312,12 +377,15 @@ def bridge_image(spec: FiniteIntegral, d: float, alpha: float) -> InfiniteIntegr
     return InfiniteIntegral(integrand, a, spec.taper, variable=x)
 
 
-def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
+def _sample_brackets(f, window_f, start, count, point, span, cfg):
     """Sample the bracket at point(k) for k < count, then classify the sequence.
 
-    Each point is computed when its chunk is integrated, so the count costs
-    nothing until it is reached.  f and window_f are built once per
-    evaluation.  The bracket at point p
+    This is a plan: a generator that yields each chunk's request, its
+    segment groups, budget and read order, is sent the chunk's results, and
+    returns the ZResult.  run_alone runs one plan; run_together runs the
+    chunks of several in one quadrature call.  Each point is computed when
+    its chunk is made, so the count costs nothing until it is reached.  f
+    and window_f are built once per evaluation.  The bracket at point p
     is the running integral of f between `start` and p plus the window
     integral of window_f(t, p) over span(p); each point adds the running
     segment between the previous point and itself.  Sampling stops once the
@@ -325,15 +393,15 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
     fails to converge or meets a domain fault ends it as quad_failure,
     keeping the samples before it.
 
-    The points are integrated in chunks, every running segment and window
-    of a chunk in one integrate_segments call.  A chunk ends at the first
-    point that could stop the sequence, so on success no point past the
-    stopping one is integrated.  The results are read in point order; the
-    quadratures after a failed one stop early, as they are never read.  The
-    evaluations counted are those of every quadrature of every chunk,
-    read or not, and MAX_EVALS caps their sum: each quadrature of a chunk
-    may spend an equal share of what the evaluation has left, so a chunk
-    that cannot pay for its first batch ends as quad_failure.
+    A chunk's running segments and windows are one budget pool of one
+    integrate_segments call.  A chunk ends at the first point that could
+    stop the sequence, so on success no point past the stopping one is
+    integrated.  The results are read in point order; the quadratures after
+    a failed one stop early, as they are never read.  The evaluations
+    counted are those of every quadrature of every chunk, read or not, and
+    MAX_EVALS caps their sum: a chunk's pool holds what the evaluation has
+    left, so a chunk that cannot pay for its first batches ends as
+    quad_failure.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -349,11 +417,10 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg) -> ZResult:
         ends = list(zip([prev, *points], points))
         moved = [i for i, (q, p) in enumerate(ends) if q != p]
         windows = [span(p) for p in points]
-        results = integrate_segments(
+        results = yield (
             [(f, [min(ends[i]) for i in moved], [max(ends[i]) for i in moved], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
-            cfg.quad_tol, (MAX_EVALS - evals) // (len(moved) + len(points)),
-            read_order=[2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
+            MAX_EVALS - evals, [2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
         evals += sum(result.evaluations for result in results)
         increments = [None] * len(points)   # none for a first point at the start
         for i, inc in zip(moved, results):

@@ -310,20 +310,34 @@ def test_non_integrable_inner_integral_ends_quad_failure(evaluated_points):
     assert payload["evaluations"] == sum(evaluated_points) <= 7_350
 
 
+_INF = ["eval", "--type", "inf"]
+
+
 @pytest.mark.parametrize(("argv", "named"), [
-    (["--f", "x^-1.01", "--a", "1", "--z", "taper:c=100", "--b-start", "1e17", "--b-step", "1"],
+    ([*_INF, "--f", "x^-1.01", "--a", "1", "--z", "taper:c=100", "--b-start", "1e17",
+      "--b-step", "1"], "b_step"),
+    ([*_INF, "--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17"], "b_step"),
+    ([*_INF, "--f", "x^-2", "--a", "1e300", "--z", "taper:c=1"], "b_step"),
+    ([*_INF, "--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17",
+      "--b-step", "100"], "b_start"),
+    ([*_INF, "--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-count", "1" + "0" * 400],
      "b_step"),
-    (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17"], "b_step"),
-    (["--f", "x^-2", "--a", "1e300", "--z", "taper:c=1"], "b_step"),
-    (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-start", "1e17", "--b-step", "100"],
-     "b_start"),
-    (["--f", "x^-2", "--a", "1", "--z", "taper:c=1", "--b-count", "1" + "0" * 400], "b_step"),
-    (["--f", "exp(-x)", "--a", "0", "--z", "taper:c=1", "--b-start", "1", "--b-step", "1e-17",
-      "--b-count", "35"], "b_step"),
-    (["--f", "exp(x/1e16)", "--a", "-1e17", "--z", "taper:c=1", "--b-start", "-1e17",
+    ([*_INF, "--f", "exp(-x)", "--a", "0", "--z", "taper:c=1", "--b-start", "1", "--b-step",
+      "1e-17", "--b-count", "35"], "b_step"),
+    ([*_INF, "--f", "exp(x/1e16)", "--a", "-1e17", "--z", "taper:c=1", "--b-start", "-1e17",
       "--b-step", "2.5e15"], "b_start"),
+    (["eval", "--type", "fin", "--g", "u", "--beta", "9e307", "--w", "wfromz:taper:c=1"],
+     "beta"),
+    (["transform", "--type", "fin", "--g", "u", "--beta", "1e308", "--cov",
+      "finpower:d=1,r=2"], "beta"),
+    ([*_INF, "--f", "1/x^2", "--a", "1", "--z", "taper:c=1e307", "--b-start", "8e307",
+      "--b-step", "1e300"], "b_start"),
+    ([*_INF, "--f", "1/x^2", "--a", "-1e308", "--z", "taper:c=1", "--b-start", "0"],
+     "lower limit"),
 ], ids=["repeated-point", "default-step", "default-start", "window-without-width",
-        "past-the-float-range", "repeated-first-points", "first-window-without-width"])
+        "past-the-float-range", "repeated-first-points", "first-window-without-width",
+        "beta-past-the-engine-range", "transform-beta-past-the-engine-range",
+        "window-past-the-engine-range", "lower-limit-past-the-engine-range"])
 def test_grid_that_does_not_advance_is_rejected(argv, named):
     # The integral of x^-1.01 from 1 is 100, but b_start + k*1 rounds to one
     # float near 1e17 for every k: five samples at one point once certified
@@ -333,10 +347,14 @@ def test_grid_that_does_not_advance_is_rejected(argv, named):
     # Every sampled point and window is checked, not only the last: the grid
     # from 1 by 1e-17 repeats its first points while its last two differ, and
     # once certified 0.7728576 for exp(-x), whose integral is 1; the grid
-    # from -1e17 has an empty first window and a last one that is not.
-    code, out, err = _run(["eval", "--type", "inf", *argv])
+    # from -1e17 has an empty first window and a last one that is not.  A
+    # limit past the engine's range (half the largest float) is refused by
+    # the evaluator that makes the segment, naming its input: the engine's
+    # own error names none, and cannot tell the sides of a comparison apart.
+    code, out, err = _run(argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"zvar: error: {named} ") and "need lo < hi" not in err
+    assert "integration limits" not in err
 
 
 def test_negative_limit_in_exponent_notation():
@@ -389,6 +407,20 @@ def test_inner_quad_failure_ends_both_modes_alike(monkeypatch, mode):
     assert payload["status"] == "quad_failure"
     assert len(payload["samples"]) >= zeval.STABILITY_WINDOW
     assert payload["evaluations"] <= 3000
+
+
+@pytest.mark.parametrize("mode", ["direct", "bridge"])
+def test_budget_is_spent_before_quad_failure(monkeypatch, mode):
+    # The quadratures of a chunk share what the evaluation has left, so one
+    # that needs more takes what the others leave.  An equal share for each
+    # once ended sin(1/u)/u^2 after 4,872 evaluations direct and 7,602 bridge.
+    monkeypatch.setattr(zeval, "MAX_EVALS", 10_000)
+    code, out, _ = _run(["eval", "--type", "fin", "--g", "sin(1/u)/u^2", "--beta", "1",
+                         "--w", "wfromz:taper:c=1", "--mode", mode, "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "quad_failure"
+    assert 9_000 <= payload["evaluations"] <= 10_000
 
 
 def test_transform_and_corpus_derive_the_same_right_side(tmp_path):

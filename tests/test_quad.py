@@ -395,7 +395,10 @@ def test_error_past_the_float_range_is_not_certified():
 def test_segments_match_one_at_a_time():
     # Every segment of a lockstep batch gets, bit for bit, the result it gets
     # alone: value, error, evaluations and converged, or the same DomainFault
-    # after the same evaluations.
+    # after the same evaluations.  Lone results hold wherever a pool's budget
+    # does not bind.  So each group has a pool of its own, with the budget
+    # times its segments: the budget binds only segments alone in a group
+    # (the chirp, the step, tan), which then have all of their pool's.
     def step(x):
         return (x >= 1.0 / 3.0).astype(float)
 
@@ -462,16 +465,16 @@ def test_segments_match_one_at_a_time():
     # one round, so its children take more than one integrand call.
     for tol, budget, wide in ((3e-17, 3000, []), (1e-10, 3000, []), (1e-10, 100_000, [20000.0])):
         heard.clear()
-        batch = integrate_segments(
-            [(recorded_chirp, [2e-4], [1.0], None),
-             (loud, [0.0], [30.0], None),
-             *[(fn, [0.0], [30.0], None) for fn in ripples],
-             (damped, lo_p, hi_p, freqs),
-             (np.cos, [], [], None),                     # no segments
-             (kink, np.zeros(kinks.size), np.ones(kinks.size), kinks),
-             *[(fn, [lo], [hi], None) for fn, lo, hi in plain],
-             (np.sin, [0.0] * len(wide), wide, None)],
-            tol, budget)
+        groups = [(recorded_chirp, [2e-4], [1.0], None),
+                  (loud, [0.0], [30.0], None),
+                  *[(fn, [0.0], [30.0], None) for fn in ripples],
+                  (damped, lo_p, hi_p, freqs),
+                  (np.cos, [], [], None),                     # no segments
+                  (kink, np.zeros(kinks.size), np.ones(kinks.size), kinks),
+                  *[(fn, [lo], [hi], None) for fn, lo, hi in plain],
+                  (np.sin, [0.0] * len(wide), wide, None)]
+        caps = [budget * max(len(lo), 1) for _, lo, _, _ in groups]
+        batch = integrate_segments(groups, tol, caps, pools=range(len(groups)))
         # In the batch, this segment has panels cut in four unless its tolerance
         # is below roundoff.
         assert _split_in_four(heard) == (tol > 3e-17)
@@ -527,3 +530,43 @@ def test_segments_after_a_failure_in_read_order_stop_early():
     full = integrate_segments(groups, 1e-10)[3]     # no read order: x^-0.9 runs on
     assert cut < sum(spent) == full.evaluations == 15036
     assert full.converged and full == integrate_one(cusp, 0.0, 1.0, 1e-10)
+
+
+def test_pools_keep_their_own_read_order_cutoff():
+    # ln(x) faults at read position 0 of pool 0, so the cusp read after it
+    # stops in that round.  Pool 1 reads its own order: its cusp runs on,
+    # and its segments get bit for bit what they get in a call of their own.
+    cusp = _fx("x^(-1/2)")
+    pool_1 = [(np.exp, [0.0, 1.0], [1.0, 2.0], None), (cusp, [0.0], [1.0], None)]
+    alone = integrate_segments(pool_1, 1e-10, read_order=[0, 1, 2])
+    got = integrate_segments([(_fx("ln(x)"), [-1.0], [1.0], None), (cusp, [0.0], [1.0], None),
+                              *pool_1], 1e-10, read_order=[0, 1, 0, 1, 2], pools=[0, 0, 1, 1])
+    assert isinstance(got[0], DomainFault)
+    assert not got[1].converged and got[1].evaluations == FIRST_BATCH
+    assert got[2:] == alone and alone[2].converged and alone[2].evaluations == 2856
+
+
+def test_budget_caps_each_pool_as_a_whole():
+    # A pool spending its budget takes nothing from another pool.
+    chirp = compile_expr(parse("sin(1/x)/x^2"), ("x",))
+    others = [(np.exp, [0.0], [1.0], None), (_fx("x^(-1/2)"), [0.0], [1.0], None)]
+    got = integrate_segments([(chirp, [2e-4], [1.0], None), *others], 1e-10, [3000, 10**7],
+                             pools=[0, 1, 1])
+    assert got[0] == integrate_one(chirp, 2e-4, 1.0, 1e-10, 3000) and not got[0].converged
+    assert got[1:] == integrate_segments(others, 1e-10)
+    # Within a pool, a finished segment's unspent share goes to those still
+    # running: beside exp, which converges in its first batch, the chirp
+    # spends what it spends alone with the rest of the budget.
+    got = integrate_segments([(np.exp, [0.0], [1.0], None), (chirp, [2e-4], [1.0], None)],
+                             1e-10, FIRST_BATCH + 3000)
+    assert got[1] == integrate_one(chirp, 2e-4, 1.0, 1e-10, 3000)
+    # Two chirps in one pool take what they ask for in read order, the one
+    # read first first, and together spend all that the pool holds.
+    for extra in range(BISECTION, 5 * BISECTION, 7):
+        budget = 2 * FIRST_BATCH + 40 * BISECTION + extra
+        for order in ([0, 1], [1, 0]):
+            got = integrate_segments([(chirp, [2e-4, 3e-4], [1.0, 1.0], None)], 1e-10, budget,
+                                     read_order=order)
+            assert not any(r.converged for r in got)
+            assert budget - BISECTION < sum(r.evaluations for r in got) <= budget
+            assert got[order.index(0)].evaluations > got[order.index(1)].evaluations

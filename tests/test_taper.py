@@ -110,6 +110,26 @@ def test_moment_quadrature_raises_a_domain_fault_as_itself():
         check_moments(z, 1.0)
 
 
+def test_moment_quadratures_share_one_budget(monkeypatch):
+    # No panel resolves a tone of frequency 1e300, so each moment quadrature
+    # runs until the budget is spent.  The six share the one budget of their
+    # call, 10^7 evaluations: capped one by one they spent six times that.
+    import zvar.taper
+
+    spent = []
+    original = zvar.taper.integrate_segments
+
+    def counted(*args, **kwargs):
+        results = original(*args, **kwargs)
+        spent.append(sum(r.evaluations for r in results))
+        return results
+
+    monkeypatch.setattr(zvar.taper, "integrate_segments", counted)
+    with pytest.raises(TaperError, match=r"^moment quadrature failed to converge$"):
+        make_matched_trig(1e300, 1.0)
+    assert len(spent) == 1 and 9_000_000 < spent[0] <= 10_000_000
+
+
 def test_matched_trig_moment_residuals():
     z = make_matched_trig(1.0, 1.0)
     rc, rs = check_moments(z, 1.0)

@@ -13,7 +13,7 @@ import pytest
 import zvar
 from zvar.cov import apply_cov, make_custom_cov, make_power_cov
 from zvar.expr import parse
-from zvar.taper import make_matched_trig
+from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.verify import (
     CorpusError,
     build_spec,
@@ -24,7 +24,7 @@ from zvar.verify import (
     run_suite,
     spec_object,
 )
-from zvar.zeval import STABILITY_WINDOW, EvalConfig, InfiniteIntegral, ZResult
+from zvar.zeval import STABILITY_WINDOW, EvalConfig, FiniteIntegral, InfiniteIntegral, ZResult
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,45 @@ def test_compare_linear_rescale_pair(matched):
     out = compare_pair(left, right, EvalConfig(), 1e-5)
     assert out.verdict == "equal_within_tol"
     assert out.left.value == pytest.approx(math.cos(1.0), abs=1e-6)
+
+
+def test_compare_pair_gives_each_side_what_it_gets_alone():
+    # The two sides share each quadrature call, each in a budget pool of its
+    # own, so each gets bit for bit what it gets evaluated alone, samples and
+    # evaluations included.  tan(x) has a pole in its first window, so that
+    # side ends quad_failure while the other runs on.
+    smooth = make_smooth_taper(1.0)
+    pairs = [(c.left, c.left_mode, c.right, c.right_mode, c.config) for c in load_corpus()]
+    pairs.append((InfiniteIntegral(parse("tan(x)"), 0.0, smooth), "direct",
+                  FiniteIntegral(parse("sin(1/u)/u^2", variables=("u",)), 1.0, smooth),
+                  "bridge", EvalConfig()))
+    for left, left_mode, right, right_mode, cfg in pairs:
+        out = compare_pair(left, right, cfg, 1e-6, mode_a=left_mode, mode_b=right_mode)
+        assert repr(out.left) == repr(evaluate_spec(left, cfg, left_mode))
+        assert repr(out.right) == repr(evaluate_spec(right, cfg, right_mode))
+    assert out.left.status == "quad_failure" and out.right.status == "converged"
+    assert len(pairs) == 14
+
+
+def test_compare_pair_raises_the_left_error_first(monkeypatch):
+    # The right side's beta is past the engine's range, which it refuses
+    # before any quadrature.  The left side's windows reach past the range
+    # only after several chunks; its error is still the one raised, as when
+    # the sides run one after the other.
+    import zvar.zeval
+
+    calls = []
+    original = zvar.zeval.integrate_segments
+    monkeypatch.setattr(zvar.zeval, "integrate_segments",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    cfg = EvalConfig(b_start=8.9e307, b_step=3e304)
+    left = InfiniteIntegral(parse("1/x"), 1e300, make_smooth_taper(1e300))
+    right = FiniteIntegral(parse("u", variables=("u",)), 9e307, make_smooth_taper(1.0))
+    with pytest.raises(ValueError, match=r"^b_start 8\.9e\+307 and taper width"):
+        compare_pair(left, right, cfg, 1e-6)
+    assert len(calls) > 1
+    with pytest.raises(ValueError, match=r"^beta 9e\+307 is past"):
+        compare_pair(right, left, cfg, 1e-6)
 
 
 def _last_window_spread(result):
