@@ -73,9 +73,7 @@ def make_smooth_taper(c: float) -> TerminationFunction:
     The result is immutable, so it is built and validated once per width
     and then shared: make_smooth_taper(1) is make_smooth_taper(1.0).
     """
-    if not c > 0.0:
-        raise TaperError(f"taper width must be positive, got {c!r}")
-    return _smooth_taper(float(c))
+    return _smooth_taper(_positive_finite(c, "taper width"))
 
 
 @functools.lru_cache
@@ -93,12 +91,16 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
     z(s) = T(s) * (1 + a1 sin(2 pi s / c) + a2 sin(4 pi s / c)) with T the
     smooth taper; the sine corrections vanish at both endpoints, so the
     endpoint values and admissibility are preserved while (a1, a2) solve
-    the 2x2 moment system.
+    the 2x2 moment system.  Like the smooth taper, the result is built and
+    validated once per (omega, c) and then shared; a build that fails is
+    not kept, so it fails again on every call.
     """
-    if not omega > 0.0:
-        raise TaperError(f"tone frequency must be positive, got {omega!r}")
-    if not c > 0.0:
-        raise TaperError(f"taper width must be positive, got {c!r}")
+    return _matched_trig(_positive_finite(omega, "tone frequency"),
+                         _positive_finite(c, "taper width"))
+
+
+@functools.lru_cache
+def _matched_trig(omega: float, c: float) -> TerminationFunction:
     base = make_smooth_taper(c)
     s = var("s")
     harmonics = [
@@ -106,8 +108,14 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
         expr.sin(const(4.0 * math.pi / c) * s),
     ]
 
-    (c1, s1), (c2, s2), (c0, s0) = _tone_moments(
-        (base.body * harmonics[0], base.body * harmonics[1], base.body), omega, c, MOMENT_TOL)
+    try:
+        (c1, s1), (c2, s2), (c0, s0) = _tone_moments(
+            (base.body * harmonics[0], base.body * harmonics[1], base.body), omega, c, MOMENT_TOL)
+    except TaperError:
+        raise
+    except ValueError as err:   # omega*c or 2 pi/c past the float range, or c past quad's range
+        raise TaperError(f"tone moments of omega={omega!r}, c={c!r} cannot be integrated: "
+                         f"{err}") from None
     m = np.array([[c1, c2], [s1, s2]])
     rhs = np.array([-c0, 1.0 / omega - s0])
     cond = float(np.linalg.cond(m))
@@ -118,8 +126,7 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
         )
     a1, a2 = (float(v) for v in np.linalg.solve(m, rhs))
     body = base.body * (const(1.0) + const(a1) * harmonics[0] + const(a2) * harmonics[1])
-    z = TerminationFunction(body=expr.simplify(body), width=float(c),
-                            kind="matched_trig", omega=float(omega))
+    z = TerminationFunction(body=expr.simplify(body), width=c, kind="matched_trig", omega=omega)
     _validate(z)
     return z
 
@@ -131,10 +138,15 @@ def check_moments(z: TerminationFunction, omega: float) -> tuple[float, float]:
     vanish exactly when z makes sin(w x) terminate cleanly.  The moments
     are integrated to _moment_tol(z), MOMENT_TOL relative to max |z|.
     """
-    if not omega > 0.0:
-        raise TaperError(f"tone frequency must be positive, got {omega!r}")
+    omega = _positive_finite(omega, "tone frequency")
     (cos_moment, sin_moment), = _tone_moments((z.body,), omega, z.width, _moment_tol(z))
     return cos_moment, sin_moment - 1.0 / omega
+
+
+def _positive_finite(value: float, name: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise TaperError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _moment_tol(z: TerminationFunction) -> float:

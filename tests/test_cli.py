@@ -22,6 +22,7 @@ def _first_run(argv):
     """What argv prints as the first request of a process: nothing built yet."""
     _build_parser.cache_clear()
     taper._smooth_taper.cache_clear()
+    taper._matched_trig.cache_clear()
     return _run(argv)
 
 
@@ -200,6 +201,14 @@ def test_verify_shipped_corpus():
     assert header.split()[:4] == ["case", "verdict", "expected", "ok"]
     assert len(rows) == len(payload["cases"]) == 13
     assert all(row.split()[3] == "yes" for row in rows)
+
+
+def test_verify_prints_the_same_from_kept_and_fresh_tapers():
+    # The second run takes its tapers from the caches the first one filled.
+    first = _run(["verify", "--json"])
+    assert first[0] == 0
+    assert _run(["verify", "--json"]) == first
+    assert _first_run(["verify", "--json"]) == first
 
 
 def test_verify_bad_corpus_exit_one(tmp_path):

@@ -5,11 +5,13 @@ the in-package quadrature is never the only witness for its own tapers.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
+from zvar import taper
 from zvar.expr import DomainFault, compile_expr, const, cos, evaluate, parse, simplify, sin, var
 from zvar.taper import (
     MOMENT_TOL,
@@ -60,6 +62,12 @@ def test_smooth_taper_rejects_bad_width():
             make_smooth_taper(0.0)
         with pytest.raises(TaperError):
             make_smooth_taper(-1.0)
+        # A non-finite width is refused before it reaches the cache or the
+        # quintic, which once divided inf by inf.
+        for c in (math.inf, -math.inf, math.nan):
+            with pytest.raises(TaperError, match=rf"^taper width must be positive and finite, "
+                                                 rf"got {c!r}$"):
+                make_smooth_taper(c)
 
 
 def test_smooth_taper_is_built_once_per_width():
@@ -189,6 +197,50 @@ def test_matched_trig_rejects_bad_parameters():
         make_matched_trig(0.0, 1.0)
     with pytest.raises(TaperError):
         make_matched_trig(1.0, -2.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(TaperError, match=rf"^tone frequency must be positive and finite, "
+                                             rf"got {bad!r}$"):
+            make_matched_trig(bad, 1.0)
+        with pytest.raises(TaperError, match=rf"^taper width must be positive and finite, "
+                                             rf"got {bad!r}$"):
+            make_matched_trig(1.0, bad)
+
+
+@pytest.mark.parametrize("omega, c, fault", [
+    (1e300, 1e300, "integrand evaluated to a non-finite value"),  # omega s overflows
+    (1.0, 1e-320, "integrand evaluated to a non-finite value"),   # 2 pi / c overflows
+    (1.0, 1e308, "integration limits"),                          # c is past quad's range
+])
+def test_matched_trig_names_the_tone_a_moment_quadrature_cannot_take(omega, c, fault):
+    with pytest.raises(TaperError, match="^" + re.escape(
+            f"tone moments of omega={omega!r}, c={c!r} cannot be integrated: {fault}")):
+        make_matched_trig(omega, c)
+
+
+def test_matched_trig_is_built_once_per_tone(monkeypatch):
+    z = make_matched_trig(1, 1)
+    assert z is make_matched_trig(1.0, 1.0)
+    assert type(z.omega) is float and type(z.width) is float
+    assert make_matched_trig(2.0, 1.0) is not z
+    assert make_matched_trig(1.0, 2.0) is not z
+    # What the cache keeps is what a fresh build makes.
+    taper._matched_trig.cache_clear()
+    fresh = make_matched_trig(1.0, 1.0)
+    assert fresh is not z
+    assert (fresh.body, fresh.width, fresh.omega, fresh.kind) == (z.body, z.width, z.omega, z.kind)
+    # A build that fails is not kept: each call runs its moment quadrature again.
+    calls = []
+    original = taper._tone_moments
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(taper, "_tone_moments", counted)
+    for _ in range(2):
+        with pytest.raises(TaperError, match="near-singular"):
+            make_matched_trig(1e-300, 1.0)
+    assert calls == [(1e-300, 1.0)] * 2
 
 
 def test_boundary_taper_rejects_width_below_float_resolution():

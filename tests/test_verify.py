@@ -162,6 +162,27 @@ def test_corpus_loads_shipped_file():
     assert len({c.case_id for c in cases}) == len(cases)
 
 
+def test_shipped_corpus_builds_each_tone_once(monkeypatch):
+    # Five of the corpus's six matched specs share omega=1, c=1; the sixth is
+    # omega=0.5.  A load builds each of the two once, and a second load none.
+    import zvar.taper
+
+    tones = []
+    original = zvar.taper._tone_moments
+
+    def counted(bodies, omega, c, tol):
+        tones.append((omega, c))
+        return original(bodies, omega, c, tol)
+
+    monkeypatch.setattr(zvar.taper, "_tone_moments", counted)
+    zvar.taper._smooth_taper.cache_clear()
+    zvar.taper._matched_trig.cache_clear()
+    load_corpus()
+    assert sorted(tones) == [(0.5, 1.0), (1.0, 1.0)]
+    load_corpus()
+    assert len(tones) == 2
+
+
 def test_shipped_corpus_loads_from_a_zipped_package(tmp_path):
     # Imported from a zip, the corpus is a zip member, not a file on disk.
     package = Path(zvar.__file__).parent
