@@ -1,22 +1,21 @@
 """Termination-function improper integrals.
 
 Evaluate infinite-limit and critical-lower-limit integrals under the
-termination-function definitions, build and validate changes of the
-integration variable (including the exponential finite<->infinite bridge),
-and verify value preservation and existence (a)symmetry numerically.
+termination-function definitions, build changes of the integration
+variable (including the exponential finite<->infinite bridge) and refuse a
+custom one that a sampled check refutes, and verify value preservation and
+existence (a)symmetry numerically.
 """
 
 from .cov import (
     ChangeOfVariable,
     CovError,
-    ValidationReport,
     apply_cov,
     make_bridge_cov,
     make_custom_cov,
     make_exp_cov,
     make_finite_power_cov,
     make_power_cov,
-    validate_cov,
 )
 from .expr import DomainFault, ExprAST, ParseError, differentiate, evaluate, parse, serialize, substitute
 from .taper import (
@@ -40,9 +39,9 @@ from .zeval import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChangeOfVariable", "CovError", "ValidationReport",
+    "ChangeOfVariable", "CovError",
     "apply_cov", "make_bridge_cov", "make_custom_cov",
-    "make_exp_cov", "make_finite_power_cov", "make_power_cov", "validate_cov",
+    "make_exp_cov", "make_finite_power_cov", "make_power_cov",
     "DomainFault", "ExprAST", "ParseError", "differentiate", "evaluate",
     "parse", "serialize", "substitute",
     "TaperError", "TerminationFunction", "check_moments", "make_matched_trig",

@@ -80,8 +80,6 @@ def _build_parser() -> _Parser:
                            "bridge:d=1,alpha=1")
     p_tr.add_argument("--print-spec", action="store_true",
                       help="print the transformed integral instead of evaluating the pair")
-    p_tr.add_argument("--allow-inconclusive", action="store_true",
-                      help="apply transforms whose validation is sampled-only")
     p_tr.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run a corpus of comparison cases")
@@ -164,7 +162,7 @@ def _cmd_eval(args, out) -> int:
 def _cmd_transform(args, out) -> int:
     spec, mode = build_spec(_spec_object(args, default_taper=True), field="spec")
     cfg = _build_config(args)
-    transformed, transformed_mode = derive_right(spec, mode, args.cov, args.allow_inconclusive)
+    transformed, transformed_mode = derive_right(spec, mode, args.cov)
 
     if args.print_spec:
         if args.json:

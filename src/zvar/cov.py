@@ -1,4 +1,4 @@
-"""Changes of the integration variable, their validation, and application.
+"""Changes of the integration variable, their checks, and application.
 
 Three kinds are supported, all applied by apply_cov.  infinite_cov maps
 y = P(x) with P' > 0 and P(x) -> infinity, carrying integral_a^inf f(x) dx
@@ -6,11 +6,11 @@ to integral_{P(a)}^inf f(Q(y)) Q'(y) dy with Q the inverse.  finite_cov maps
 t = P(u) with P > 0, P' > 0 and P -> 0 at 0, preserving the critical point.
 bridge maps u = psi(x) = d e^{-alpha x}, converting between the two forms.
 
-Shipped specializations (power, exponential, bridge) are certified
-analytically; custom transforms are validated by dense sampling with local
-refinement, which can refute but never certify the strict global conditions,
-so their best verdict is "inconclusive" and applying them requires an
-explicit override.  Every transform, the bridge included, carries the
+Shipped specializations (power, exponential, bridge) meet their kind's
+conditions by construction.  A custom transform is checked by dense
+sampling with local refinement, which can refute the strict global
+conditions but never certify them: a map that no check refutes is applied
+as given.  Every transform, the bridge included, carries the
 termination function z over unchanged, since a finite-limit integral holds
 z too, as its boundary taper read through u = e^-x -- existence on the
 transformed side is a genuinely separate question, which the verification
@@ -40,10 +40,9 @@ from .taper import split_spec
 from .zeval import FiniteIntegral, InfiniteIntegral, ZIntegralSpec, bridge_image
 
 __all__ = [
-    "CovError", "ChangeOfVariable", "CheckResult", "ValidationReport",
+    "CovError", "ChangeOfVariable",
     "make_power_cov", "make_exp_cov", "make_finite_power_cov",
-    "make_custom_cov", "make_bridge_cov", "validate_cov", "apply_cov",
-    "parse_cov_spec",
+    "make_custom_cov", "make_bridge_cov", "apply_cov", "parse_cov_spec",
 ]
 
 _VARS = {"infinite_cov": ("x", "y"), "finite_cov": ("u", "t"), "bridge": ("x", "u")}
@@ -52,7 +51,7 @@ _ROUNDTRIP_RTOL = 1e-8
 
 
 class CovError(ValueError):
-    """Bad construction parameters, failed validation, or kind mismatch."""
+    """Bad construction parameters, a refuted condition, or kind mismatch."""
 
 
 @dataclass(frozen=True)
@@ -71,20 +70,6 @@ class ChangeOfVariable:
     @property
     def inverse_var(self) -> str:
         return _VARS[self.kind][1]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    condition: str
-    evidence: str
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    verdict: str                     # valid | invalid | inconclusive
-    checks: tuple[CheckResult, ...]
-    sampled_domain: tuple[float, float]
 
 
 def _is_odd_integer(r: float) -> bool:
@@ -219,124 +204,76 @@ def _check_roundtrip(cov: ChangeOfVariable) -> None:
 
 
 # --------------------------------------------------------------------------
-# Validation.
+# Checks of a map that no shipped family built.
 # --------------------------------------------------------------------------
 
-def validate_cov(cov: ChangeOfVariable) -> ValidationReport:
-    """Check the sufficient conditions for the transform's kind.
+def _sampled_checks(cov: ChangeOfVariable) -> list[str]:
+    """The conditions of the map's kind that a refined sample refutes, each with its evidence.
 
-    Specializations built by this module are certified analytically.  Custom
-    transforms are probed on a refined sample; a finite sample can refute
-    strict positivity but never certify it, so their passing verdict is
-    "inconclusive" (recorded as a deliberately failing certificate check).
+    A finite sample can refute the strict global conditions but never
+    certify them.  A sampled +inf reads as large and positive; NaN or -inf
+    is an evaluation fault, which names its point.
     """
-    if cov.analytic:
-        checks = tuple(
-            CheckResult(condition, "certified analytically for this family", True)
-            for condition in _conditions(cov.kind)
-        ) + (CheckResult("analytic_certificate", "closed-form family", True),)
-        return ValidationReport("valid", checks, cov.domain)
-
-    try:
-        checks = _sampled_checks(cov)
-    except DomainFault as fault:
-        checks = [CheckResult("evaluation", f"sample evaluation fault: {fault}", False)]
-    all_passed = all(c.passed for c in checks)
-    certificate = CheckResult(
-        "analytic_certificate",
-        "sampling cannot certify strict global conditions",
-        False,
-    )
-    verdict = "inconclusive" if all_passed else "invalid"
-    return ValidationReport(verdict, tuple(checks) + (certificate,), cov.domain)
-
-
-def _conditions(kind: str) -> tuple[str, ...]:
-    if kind == "infinite_cov":
-        return ("forward_derivative_positive", "forward_unbounded", "inverse_roundtrip")
-    if kind == "finite_cov":
-        return ("forward_positive", "forward_derivative_positive",
-                "forward_vanishes_at_zero", "inverse_roundtrip")
-    return ("forward_derivative_negative", "forward_positive",
-            "forward_vanishes_at_infinity", "inverse_roundtrip")
-
-
-def _sampled_checks(cov: ChangeOfVariable) -> list[CheckResult]:
     fv, _ = _VARS[cov.kind]
     fwd = compile_expr(cov.forward, (fv,))
     dfwd = compile_expr(differentiate(cov.forward, fv), (fv,))
     lo, hi = cov.domain
-    checks: list[CheckResult] = []
-
-    if cov.kind == "infinite_cov":
-        pts = np.geomspace(max(lo, 1.0), 1e6, 256)
-        dmin, where = _refined_min(dfwd, pts)
-        tol = 1e-9 * (1.0 + float(np.median(np.abs(dfwd(pts)))))
-        checks.append(CheckResult(
-            "forward_derivative_positive",
-            f"min P' ~ {dmin:.3e} near x={where:.6g} over [{pts[0]:.3g}, 1e6]",
-            bool(dmin > tol),
-        ))
-        probes = fwd(10.0 ** np.arange(0, 7, dtype=float))
-        growing = bool(np.all(np.diff(probes) > 0.0) and probes[-1] >= 1e3)
-        checks.append(CheckResult(
-            "forward_unbounded",
-            f"P(10^k) k=0..6: {np.array2string(probes, precision=3)}",
-            growing,
-        ))
-    else:  # finite_cov
-        pts = np.geomspace(max(lo, 1e-8), hi, 256)
-        vals = fwd(pts)
-        pmin = float(vals.min())
-        checks.append(CheckResult(
-            "forward_positive",
-            f"min P ~ {pmin:.3e} on ({pts[0]:.3g}, {hi:.3g}]",
-            bool(np.isfinite(vals).all() and pmin > 0.0),
-        ))
-        dmin, where = _refined_min(dfwd, pts)
-        tol = 1e-9 * (1.0 + float(np.median(np.abs(dfwd(pts)))))
-        checks.append(CheckResult(
-            "forward_derivative_positive",
-            f"min P' ~ {dmin:.3e} near u={where:.6g}",
-            bool(dmin > tol),
-        ))
-        probes = fwd(10.0 ** -np.arange(1, 9, dtype=float))
-        shrinking = bool(np.all(np.diff(probes) < 0.0) and abs(probes[-1]) < 1e-3)
-        checks.append(CheckResult(
-            "forward_vanishes_at_zero",
-            f"P(10^-k) k=1..8: {np.array2string(probes, precision=3)}",
-            shrinking,
-        ))
+    refuted: list[str] = []
+    try:
+        if cov.kind == "infinite_cov":
+            pts = np.geomspace(max(lo, 1.0), 1e6, 256)
+            probes = _values(fwd, 10.0 ** np.arange(0, 7, dtype=float))
+            if not (np.all((probes[1:] > probes[:-1]) | (probes[1:] == np.inf))
+                    and probes[-1] >= 1e3):
+                refuted.append(f"forward_unbounded (P(10^k) k=0..6: "
+                               f"{np.array2string(probes, precision=3)})")
+        else:  # finite_cov
+            pts = np.geomspace(max(lo, 1e-8), hi, 256)
+            pmin = float(_values(fwd, pts).min())
+            if not pmin > 0.0:
+                refuted.append(f"forward_positive (min P ~ {pmin:.3e} on ({pts[0]:.3g}, {hi:.3g}])")
+            probes = _values(fwd, 10.0 ** -np.arange(1, 9, dtype=float))
+            if not (np.all(probes[1:] < probes[:-1]) and abs(probes[-1]) < 1e-3):
+                refuted.append(f"forward_vanishes_at_zero (P(10^-k) k=1..8: "
+                               f"{np.array2string(probes, precision=3)})")
+        # Refining cuts the coarse minimum of P' by more than 1e-9 only
+        # where P' touches zero.
+        dmin, where, coarse = _refined_min(dfwd, pts)
+        if not (dmin > 1e-9 and dmin >= 1e-9 * coarse):
+            refuted.append(f"forward_derivative_positive (min P' ~ {dmin:.3e} near {fv}="
+                           f"{where:.6g} over [{pts[0]:.3g}, {pts[-1]:.3g}])")
+    except DomainFault as fault:
+        return [f"evaluation (sample evaluation fault: {fault})"]
     try:
         _check_roundtrip(cov)
-        checks.append(CheckResult("inverse_roundtrip",
-                                  f"Q(P(s)) = s to {_ROUNDTRIP_RTOL} on {_ROUNDTRIP_POINTS} points",
-                                  True))
     except CovError as err:
-        checks.append(CheckResult("inverse_roundtrip", str(err), False))
-    return checks
+        refuted.append(f"inverse_roundtrip ({err})")
+    return refuted
 
 
-def _refined_min(fn, pts: np.ndarray, rounds: int = 8) -> tuple[float, float]:
-    """Minimum of fn over pts, sharpened by local grid refinement.
+def _values(fn, pts: np.ndarray) -> np.ndarray:
+    """fn at pts; DomainFault at the first point where it is NaN or -inf."""
+    vals = fn(pts)
+    bad = ~(vals > -np.inf)
+    if bad.any():
+        raise DomainFault(f"non-finite value at {float(pts[bad][0])!r}")
+    return vals
+
+
+def _refined_min(fn, pts: np.ndarray, rounds: int = 8) -> tuple[float, float, float]:
+    """Minimum of fn over pts, sharpened by local grid refinement: (min, where, coarse min).
 
     Enough rounds to expose a derivative that merely touches zero even when
     the coarse grid is log-spaced and the touch point sits between nodes.
     """
-    vals = fn(pts)
-    if not np.isfinite(vals).all():
-        bad = pts[~np.isfinite(vals)][0]
-        raise DomainFault(f"non-finite value at {float(bad)!r}")
+    vals = _values(fn, pts)
     i = int(np.argmin(vals))
     best, where = float(vals[i]), float(pts[i])
     lo = pts[max(i - 1, 0)]
     hi = pts[min(i + 1, len(pts) - 1)]
     for _ in range(rounds):
         grid = np.linspace(lo, hi, 64)
-        gvals = fn(grid)
-        if not np.isfinite(gvals).all():
-            bad = grid[~np.isfinite(gvals)][0]
-            raise DomainFault(f"non-finite value at {float(bad)!r}")
+        gvals = _values(fn, grid)
         j = int(np.argmin(gvals))
         if gvals[j] < best:
             best, where = float(gvals[j]), float(grid[j])
@@ -344,30 +281,21 @@ def _refined_min(fn, pts: np.ndarray, rounds: int = 8) -> tuple[float, float]:
             break
         lo = grid[max(j - 1, 0)]
         hi = grid[min(j + 1, len(grid) - 1)]
-    return best, where
+    return best, where, float(vals[i])
 
 
 # --------------------------------------------------------------------------
 # Application.
 # --------------------------------------------------------------------------
 
-def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable,
-              allow_inconclusive: bool = False) -> ZIntegralSpec:
+def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable) -> ZIntegralSpec:
     """Rewrite the integral through the transform; a bridge also changes its form."""
     bridge = cov.kind == "bridge"
     if not bridge and isinstance(spec, InfiniteIntegral) != (cov.kind == "infinite_cov"):
         raise CovError(f"transform kind {cov.kind!r} does not match the integral form")
-    report = validate_cov(cov)
-    if report.verdict == "invalid":
-        # Every sampled map fails the certificate check, so it refutes none.
-        refuted = [f"{c.condition} ({c.evidence})" for c in report.checks
-                   if not c.passed and c.condition != "analytic_certificate"]
+    refuted = [] if cov.analytic else _sampled_checks(cov)
+    if refuted:
         raise CovError(f"transform failed validation: {'; '.join(refuted)}")
-    if report.verdict == "inconclusive" and not allow_inconclusive:
-        raise CovError(
-            "transform validation is inconclusive (sampled only); pass "
-            "allow_inconclusive=True to apply it anyway"
-        )
     if bridge and isinstance(spec, FiniteIntegral):
         return bridge_image(spec, cov.params["d"], cov.params["alpha"])
 

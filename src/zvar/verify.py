@@ -5,10 +5,14 @@ or a transform that derives one, plus the expected comparison verdict.
 "Exists" is operationalized as status == converged under the configured
 sample sequence; the verdict table is total over status pairs:
 
-    both converged, |dv| <= tol   -> equal_within_tol
-    both converged, |dv| >  tol   -> mismatch
-    exactly one converged         -> existence_asymmetry
-    neither converged             -> both_nonconverged
+    both converged, |dv| <= tol                 -> equal_within_tol
+    both converged, |dv| >  tol                 -> mismatch
+    one converged, the other oscillatory        -> existence_asymmetry
+    one converged, the other drifting or failed -> unresolved
+    neither converged                           -> both_nonconverged
+
+A side that drifts or fails shows no evidence that its integral does not
+exist, so only an oscillating one makes an asymmetry.
 """
 
 from __future__ import annotations
@@ -85,7 +89,8 @@ def pair_verdict(left: ZResult, right: ZResult, tol: float) -> str:
     if lc and rc:
         return "equal_within_tol" if abs(left.value - right.value) <= tol else "mismatch"
     if lc != rc:
-        return "existence_asymmetry"
+        other = right if lc else left
+        return "existence_asymmetry" if other.status == "oscillatory" else "unresolved"
     return "both_nonconverged"
 
 
@@ -93,8 +98,7 @@ def pair_verdict(left: ZResult, right: ZResult, tol: float) -> str:
 # Corpus: one JSON object per line.
 #
 # {"id": ..., "left_spec": {...}, "right_spec": {...}?, "cov": "..."?,
-#  "expected_verdict": ..., "tol": ..., "config": {...}?,
-#  "allow_inconclusive": bool?}
+#  "expected_verdict": ..., "tol": ..., "config": {...}?}
 #
 # Integral spec objects, written by spec_object and read by build_spec:
 #   {"type": "infinite", "integrand": str, "a": float, "taper": "taper:...",
@@ -103,8 +107,7 @@ def pair_verdict(left: ZResult, right: ZResult, tol: float) -> str:
 #    "taper": "wfromz:...", "mode": "direct"|"bridge"?, "var": str?}
 # --------------------------------------------------------------------------
 
-_CASE_KEYS = {"id", "left_spec", "right_spec", "cov", "expected_verdict", "tol",
-              "config", "allow_inconclusive"}
+_CASE_KEYS = {"id", "left_spec", "right_spec", "cov", "expected_verdict", "tol", "config"}
 
 
 class _Form(NamedTuple):
@@ -122,7 +125,8 @@ _FORMS = {
     "finite": _Form(FiniteIntegral, "beta", "upper_limit", parse_boundary_spec, "u", True,
                     "wfromz:"),
 }
-_VERDICTS = {"equal_within_tol", "mismatch", "existence_asymmetry", "both_nonconverged"}
+_VERDICTS = {"equal_within_tol", "mismatch", "existence_asymmetry", "unresolved",
+             "both_nonconverged"}
 
 
 @dataclass(frozen=True)
@@ -232,9 +236,6 @@ def _build_case(obj: dict) -> Case:
     tol = float(obj["tol"])
     if not (math.isfinite(tol) and tol > 0.0):
         raise CorpusError(f"tol must be positive and finite, got {obj['tol']!r}")
-    allow_inconclusive = obj.get("allow_inconclusive", False)
-    if type(allow_inconclusive) is not bool:
-        raise CorpusError("allow_inconclusive must be true or false")
     cfg = EvalConfig(**obj.get("config", {}))
     left, left_mode = build_spec(obj["left_spec"], field="left_spec")
 
@@ -243,21 +244,20 @@ def _build_case(obj: dict) -> Case:
     if "right_spec" in obj:
         right, right_mode = build_spec(obj["right_spec"], field="right_spec")
     else:
-        right, right_mode = derive_right(left, left_mode, obj["cov"], allow_inconclusive)
+        right, right_mode = derive_right(left, left_mode, obj["cov"])
     return Case(case_id=str(obj["id"]), left=left, left_mode=left_mode,
                 right=right, right_mode=right_mode,
                 expected_verdict=obj["expected_verdict"], tol=tol, config=cfg)
 
 
-def derive_right(left: ZIntegralSpec, left_mode: str, cov_text: str,
-                 allow_inconclusive: bool) -> tuple[ZIntegralSpec, str]:
+def derive_right(left: ZIntegralSpec, left_mode: str, cov_text: str) -> tuple[ZIntegralSpec, str]:
     """The image of `left` under a transform string, and the mode it runs in.
 
     A finite image inherits the left side's mode; an infinite image runs direct.
     """
     cov = parse_cov_spec(cov_text,
                          a=left.lower_limit if isinstance(left, InfiniteIntegral) else None)
-    right = apply_cov(left, cov, allow_inconclusive=allow_inconclusive)
+    right = apply_cov(left, cov)
     return right, left_mode if isinstance(right, FiniteIntegral) else "direct"
 
 

@@ -37,7 +37,7 @@ from .taper import TaperError, TerminationFunction
 __all__ = [
     "InfiniteIntegral", "FiniteIntegral", "ZIntegralSpec", "EvalConfig",
     "ZResult", "TooFewSamples",
-    "eval_infinite", "eval_finite", "plan_infinite", "plan_finite", "run_alone", "run_together",
+    "eval_infinite", "eval_finite", "plan_infinite", "plan_finite", "run_together",
     "bridge_image", "classify_sequence",
 ]
 
@@ -247,12 +247,12 @@ def _extrapolate(params, values, errors, m: int, tol: float):
 
 def eval_infinite(spec: InfiniteIntegral, cfg: EvalConfig) -> ZResult:
     """Sample and classify the infinite-limit bracket sequence."""
-    return run_alone(plan_infinite(spec, cfg), cfg.quad_tol)
+    return run_together([plan_infinite(spec, cfg)], cfg.quad_tol)[0]
 
 
 def eval_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct") -> ZResult:
     """Sample and classify the finite-limit sequence, directly or via bridge."""
-    return run_alone(plan_finite(spec, cfg, mode), cfg.quad_tol)
+    return run_together([plan_finite(spec, cfg, mode)], cfg.quad_tol)[0]
 
 
 def plan_infinite(spec: InfiniteIntegral, cfg: EvalConfig):
@@ -322,22 +322,11 @@ def plan_finite(spec: FiniteIntegral, cfg: EvalConfig, mode: str = "direct"):
                                         lambda d: (math.exp(-z.width) * d, d), cfg))
 
 
-def run_alone(plan, abs_tol: float) -> ZResult:
-    """Run one plan, each chunk in an integrate_segments call of its own."""
-    try:
-        groups, budget, order = next(plan)
-        while True:
-            groups, budget, order = plan.send(
-                integrate_segments(groups, abs_tol, budget, read_order=order))
-    except StopIteration as end:
-        return end.value
-
-
 def run_together(plans, abs_tol: float) -> list[ZResult]:
     """Run plans side by side: the pending chunks of all in one integrate_segments call.
 
     Each plan's segments are a budget pool of their own, so each plan gets
-    bit for bit what run_alone gives it.  If plans raise, the first one's
+    bit for bit what it gets run alone.  If plans raise, the first one's
     error is raised once those before it end, as it is when they run one
     after the other.
     """
@@ -382,8 +371,8 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
 
     This is a plan: a generator that yields each chunk's request, its
     segment groups, budget and read order, is sent the chunk's results, and
-    returns the ZResult.  run_alone runs one plan; run_together runs the
-    chunks of several in one quadrature call.  Each point is computed when
+    returns the ZResult.  run_together runs the chunks of one plan, or of
+    several, in one quadrature call.  Each point is computed when
     its chunk is made, so the count costs nothing until it is reached.  f
     and window_f are built once per evaluation.  The bracket at point p
     is the running integral of f between `start` and p plus the window

@@ -252,8 +252,7 @@ def test_criterion_12_property_suites():
 
     spec = II(parse("sin(x)"), 1.0, make_matched_trig(1.0, 1.0))
     fwd = apply_cov(spec, make_power_cov(1.0, 2.0, 1.0))
-    back = apply_cov(fwd, make_custom_cov("infinite_cov", "x^(1/2)", "y^2", (1.0, 1e5)),
-                     allow_inconclusive=True)
+    back = apply_cov(fwd, make_custom_cov("infinite_cov", "x^(1/2)", "y^2", (1.0, 1e5)))
     for p in np.linspace(1.1, 40.0, 32):
         a = evaluate(spec.integrand, {"x": float(p)})
         b = evaluate(back.integrand, {"y": float(p)})

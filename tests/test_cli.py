@@ -147,10 +147,30 @@ def test_transform_evaluates_pair():
     code, out, _ = _run(["transform", "--type", "inf", "--f", "sin(x)", "--a", "0",
                          "--z", "matched:omega=1,c=1",
                          "--cov", "custom:kind=infinite_cov,forward=x+5,inverse=y-5,lo=0,hi=60",
-                         "--allow-inconclusive", "--json"])
+                         "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "equal_within_tol"
+
+
+def test_custom_map_that_overflows_far_out_runs_as_the_shipped_one():
+    # The custom exp(x) is the shipped exp:d=1,alpha=1: its P' overflows past
+    # x = 709, inside the checks' sample, and +inf reads as large and positive.
+    spec = ["transform", "--type", "inf", "--f", "x^-2", "--a", "1", "--z", "taper:c=1"]
+    custom = _run([*spec, "--cov", "custom:kind=infinite_cov,forward=exp(x),inverse=ln(y),"
+                                   "lo=0,hi=60"])
+    assert custom == _run([*spec, "--cov", "exp:d=1,alpha=1"])
+    assert "integrand=ln(y)^-2.0*(1.0/y)" in custom[1]
+
+
+def test_one_converged_side_beside_a_drifting_one_is_unresolved():
+    # Both sides converge absolutely to e^-1, but the image decays like
+    # e^-sqrt(y) and drifts on the default grid: no evidence of an asymmetry.
+    code, out, _ = _run(["transform", "--type", "inf", "--f", "exp(-x)", "--a", "1",
+                         "--cov", "power:d=1,r=2", "--json"])
+    payload = json.loads(out)
+    assert (code, payload["verdict"]) == (2, "unresolved")
+    assert (payload["left"]["status"], payload["right"]["status"]) == ("converged", "drifting")
 
 
 def test_transform_asymmetry_exit_code():
@@ -255,9 +275,13 @@ def test_usage_errors_exit_one():
           for flag in (("--max-evals", "1"), ("--window", "4"), ("--delta-shrink", "0.6"))),
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--cov", "rotate:t=1"],                                         # bad cov
+        # a decreasing map, which the sampled checks refute
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
-         "--cov", "custom:kind=infinite_cov,forward=-x,inverse=-y,lo=1,hi=100",
-         "--allow-inconclusive"],                                        # cov fails validation
+         "--cov", "custom:kind=infinite_cov,forward=-x,inverse=-y,lo=1,hi=100"],
+        # the removed override of the sampled checks
+        ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
+         "--cov", "custom:kind=infinite_cov,forward=x+5,inverse=y-5,lo=0,hi=60",
+         "--allow-inconclusive"],
         # a wrong inverse: the message names the abscissa where it fails
         ["transform", "--type", "fin", "--g", "1/u", "--beta", "1",
          "--cov", "custom:kind=finite_cov,forward=u*ln(u)^2+u,inverse=t,lo=1e-9,hi=1"],

@@ -1,4 +1,4 @@
-"""Change-of-variable tests: constructors, guards, validation, application."""
+"""Change-of-variable tests: constructors, guards, sampled checks, application."""
 
 import math
 
@@ -15,7 +15,6 @@ from zvar.cov import (
     make_finite_power_cov,
     make_power_cov,
     parse_cov_spec,
-    validate_cov,
 )
 from zvar.expr import differentiate, evaluate, parse
 from zvar.taper import make_matched_trig, make_smooth_taper
@@ -88,27 +87,46 @@ def test_custom_cov_non_injective_roundtrip_failure():
 
 
 # ---------------------------------------------------------------------------
-# validation
+# sampled checks: a custom map is refused only when a check refutes it
 # ---------------------------------------------------------------------------
 
-def test_validate_specializations_analytic():
-    for cov in (make_power_cov(1.0, 2.0, 1.0), make_exp_cov(1.0, 1.0),
-                make_finite_power_cov(1.0, 2.0), make_bridge_cov(1.0, 1.0)):
-        report = validate_cov(cov)
-        assert report.verdict == "valid"
-        assert all(c.passed for c in report.checks)
+def _refusal(spec, cov):
+    """The message of apply_cov's refusal of cov."""
+    with pytest.raises(CovError, match="^transform failed validation: ") as err:
+        apply_cov(spec, cov)
+    return str(err.value)
 
 
-def test_validate_custom_is_inconclusive_at_best():
-    cov = make_custom_cov("infinite_cov", "x+5", "y-5", (0.0, 50.0))
-    report = validate_cov(cov)
-    assert report.verdict == "inconclusive"
-    sampled = [c for c in report.checks if c.condition != "analytic_certificate"]
-    assert all(c.passed for c in sampled)
-    assert not [c for c in report.checks if c.condition == "analytic_certificate"][0].passed
+def _conditions(message):
+    """The conditions a refusal names, in order."""
+    refuted = message.removeprefix("transform failed validation: ").split("; ")
+    return [part.split(" (")[0] for part in refuted]
 
 
-def test_validate_derivative_touching_zero_is_invalid():
+def test_validate_specializations_analytic(smooth_z, monkeypatch):
+    # A shipped family meets its kind's conditions by construction, so
+    # apply_cov runs no sampled check on it; the checks refute none of them
+    # either, exp included, whose P' overflows past x = 709.
+    import zvar.cov
+
+    shipped = (make_power_cov(1.0, 2.0, 1.0), make_exp_cov(1.0, 1.0),
+               make_finite_power_cov(1.0, 2.0))
+    assert [zvar.cov._sampled_checks(cov) for cov in shipped] == [[], [], []]
+    monkeypatch.setattr(zvar.cov, "_sampled_checks", None)
+    for cov in (*shipped, make_bridge_cov(1.0, 1.0)):
+        form = FiniteIntegral if cov.kind == "finite_cov" else InfiniteIntegral
+        apply_cov(form(parse("1", variables=(cov.forward_var,)), 1.0, smooth_z,
+                       variable=cov.forward_var), cov)
+
+
+def test_custom_map_that_no_check_refutes_is_applied(smooth_z):
+    spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
+    for forward, inverse in (("x+5", "y-5"), ("2*x", "y/2")):
+        out = apply_cov(spec, make_custom_cov("infinite_cov", forward, inverse, (0.0, 50.0)))
+        assert out.lower_limit == evaluate(parse(forward), {"x": 1.0})
+
+
+def test_validate_derivative_touching_zero_is_invalid(smooth_z):
     # P(x) = x + sin(x): monotone but P' = 1 + cos(x) touches zero, failing
     # strict positivity; built directly since it has no closed-form inverse
     forward = parse("x + sin(x)")
@@ -119,13 +137,18 @@ def test_validate_derivative_touching_zero_is_invalid():
         domain=(1.0, 1e6),
         analytic=False,
     )
-    report = validate_cov(cov)
-    assert report.verdict == "invalid"
-    failed = {c.condition for c in report.checks if not c.passed}
-    assert "forward_derivative_positive" in failed
+    spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
+    assert "forward_derivative_positive" in _conditions(_refusal(spec, cov))
+    # P(x) = (x-5)^3 + 125 has an exact inverse, so the round-trip passes,
+    # but P' = 3(x-5)^2 is 0 at x = 5.
+    cubic = make_custom_cov("infinite_cov", "(x-5)^3+125",
+                            "5+(y-125)/abs(y-125)*abs(y-125)^(1/3)", (1.0, 60.0))
+    message = _refusal(spec, cubic)
+    assert _conditions(message) == ["forward_derivative_positive"]
+    assert "near x=5 " in message
 
 
-def test_validate_decreasing_map_is_invalid():
+def test_validate_decreasing_map_is_invalid(smooth_z):
     cov = ChangeOfVariable(
         kind="infinite_cov",
         forward=parse("-x"),
@@ -133,8 +156,9 @@ def test_validate_decreasing_map_is_invalid():
         domain=(1.0, 1e6),
         analytic=False,
     )
-    report = validate_cov(cov)
-    assert report.verdict == "invalid"
+    spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
+    assert _conditions(_refusal(spec, cov)) == ["forward_unbounded",
+                                                "forward_derivative_positive"]
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +183,10 @@ def test_apply_exp_cov_to_inverse_square(smooth_z):
     _pointwise_equal(out.integrand, expect, "y", [3.0, 10.0, 100.0])
 
 
-def test_apply_shift_needs_override(matched_z):
+def test_apply_shift_needs_no_override(matched_z):
     spec = InfiniteIntegral(parse("sin(x)"), 1.0, matched_z)
     shift = make_custom_cov("infinite_cov", "x+5", "y-5", (1.0, 60.0))
-    with pytest.raises(CovError, match="inconclusive"):
-        apply_cov(spec, shift)
-    out = apply_cov(spec, shift, allow_inconclusive=True)
+    out = apply_cov(spec, shift)
     assert out.lower_limit == pytest.approx(6.0)
     _pointwise_equal(out.integrand, parse("sin(y-5)"), "y", [6.0, 7.5, 20.0])
 
@@ -192,7 +214,6 @@ def test_argument_level_round_trip(matched_z):
     back = apply_cov(
         forward,
         make_custom_cov("infinite_cov", "x^(1/2)", "y^2", (1.0, 1e5)),
-        allow_inconclusive=True,
     )
     pts = np.linspace(1.1, 40.0, 32)
     for p in pts:
@@ -283,23 +304,12 @@ def test_bridge_parameter_guards():
 
 
 def test_custom_finite_cov_sampled_checks(smooth_z):
-    sqrt_map = make_custom_cov("finite_cov", "u^2", "t^(1/2)", (1e-9, 1.0))
-    report = validate_cov(sqrt_map)
-    assert report.verdict == "inconclusive"
-    sampled = [c for c in report.checks if c.condition != "analytic_certificate"]
-    assert {c.condition for c in sampled} == {
-        "forward_positive", "forward_derivative_positive", "forward_vanishes_at_zero",
-        "inverse_roundtrip"}
-    assert all(c.passed for c in sampled)
-
-    shifted = make_custom_cov("finite_cov", "u+1", "t-1", (1e-9, 1.0))
-    report = validate_cov(shifted)
-    assert report.verdict == "invalid"
-    assert {c.condition for c in report.checks if not c.passed} == {
-        "forward_vanishes_at_zero", "analytic_certificate"}
-
     spec = FiniteIntegral(parse("u^(-1/2)"), 1.0, smooth_z)
-    out = apply_cov(spec, sqrt_map, allow_inconclusive=True)
+    shifted = make_custom_cov("finite_cov", "u+1", "t-1", (1e-9, 1.0))
+    assert _conditions(_refusal(spec, shifted)) == ["forward_vanishes_at_zero"]
+
+    sqrt_map = make_custom_cov("finite_cov", "u^2", "t^(1/2)", (1e-9, 1.0))
+    out = apply_cov(spec, sqrt_map)
     assert isinstance(out, FiniteIntegral)
     assert out.upper_limit == pytest.approx(1.0)
     # g(t^(1/2)) * (1/2) t^(-1/2) = (1/2) t^(-3/4)
@@ -308,19 +318,14 @@ def test_custom_finite_cov_sampled_checks(smooth_z):
 
 
 def test_failed_validation_names_what_refutes_the_map(smooth_z):
-    # P(x) = x + |x - 1|^0.5 is increasing and unbounded, but P' is not
-    # finite at x = 1, the first point sampled.  The error names that fault
-    # and its evidence, and not the certificate check every sampled map fails.
+    # P(x) = x + |x - 1|^0.5 is increasing and unbounded, but P' is NaN at
+    # x = 1, the first point sampled.  The error names that fault and its
+    # evidence.
     cov = parse_cov_spec("custom:kind=infinite_cov,forward=x + abs(x - 1)^0.5,"
                          "inverse=1 + ((sqrt(4*y - 3) - 1)/2)^2,lo=1,hi=1e6")
-    report = validate_cov(cov)
-    assert report.verdict == "invalid"
-    assert [(c.condition, c.passed) for c in report.checks] == [
-        ("evaluation", False), ("analytic_certificate", False)]
     spec = InfiniteIntegral(parse("x^-2"), 1.0, smooth_z)
-    with pytest.raises(CovError, match=r"^transform failed validation: evaluation \(sample "
-                                       r"evaluation fault: non-finite value at 1\.0\)$"):
-        apply_cov(spec, cov, allow_inconclusive=True)
+    assert _refusal(spec, cov) == ("transform failed validation: evaluation (sample "
+                                   "evaluation fault: non-finite value at 1.0)")
 
 
 def test_custom_bridge_is_rejected():

@@ -312,11 +312,11 @@ def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
     orders = []
     original = zeval.integrate_segments
 
-    def recording(groups, *args, read_order=None):
+    def recording(groups, *args, read_order=None, pools=None):
         (_, _, run_hi, _), (_, _, _, points) = groups
         labels = [("run", p) for p in run_hi] + [("window", p) for p in points]
         orders.append(([label for _, label in sorted(zip(read_order, labels))], points))
-        return original(groups, *args, read_order=read_order)
+        return original(groups, *args, read_order=read_order, pools=pools)
 
     monkeypatch.setattr(zeval, "integrate_segments", recording)
     eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), EvalConfig())
