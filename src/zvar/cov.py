@@ -161,6 +161,14 @@ def make_custom_cov(kind: str, forward_text: str, inverse_text: str,
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise CovError(f"empty domain [{lo!r}, {hi!r}]")
+    # The checks sample from lo: a finite_cov's up to hi, an infinite_cov's six decades on.
+    if not np.isfinite(lo):
+        raise CovError(f"domain lo must be finite, got {lo!r}")
+    if kind == "finite_cov" and not 0.0 < hi < np.inf:
+        raise CovError(f"a finite_cov domain needs a positive, finite hi, got {hi!r}")
+    if kind == "infinite_cov" and not lo <= 1e300:
+        raise CovError(f"an infinite_cov domain needs lo <= 1e300, which keeps six decades "
+                       f"from lo in the float range, got {lo!r}")
     fv, iv = _VARS[kind]
     forward = parse(forward_text, variables=(fv,))
     inverse = parse(inverse_text, variables=(iv,))
@@ -221,7 +229,8 @@ def _sampled_checks(cov: ChangeOfVariable) -> list[str]:
     refuted: list[str] = []
     try:
         if cov.kind == "infinite_cov":
-            pts = np.geomspace(max(lo, 1.0), 1e6, 256)
+            start = max(lo, 1.0)
+            pts = np.geomspace(start, start * 1e6, 256)
             probes = _values(fwd, 10.0 ** np.arange(0, 7, dtype=float))
             if not (np.all((probes[1:] > probes[:-1]) | (probes[1:] == np.inf))
                     and probes[-1] >= 1e3):

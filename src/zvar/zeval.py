@@ -383,10 +383,11 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     keeping the samples before it.
 
     A chunk's running segments and windows are one budget pool of one
-    integrate_segments call.  A chunk ends at the first point that could
-    stop the sequence, so on success no point past the stopping one is
-    integrated.  The results are read in point order; the quadratures after
-    a failed one stop early, as they are never read.  The evaluations
+    integrate_segments call.  _chunk_end sizes it: through the first point
+    that could stop the sequence, or on toward the stop its fitted tail
+    predicts.  The results are read in point order up to the stopping
+    point, so points past it change no value; the quadratures after a failed
+    one stop early, as they are never read.  The evaluations
     counted are those of every quadrature of every chunk, read or not, and
     MAX_EVALS caps their sum: a chunk's pool holds what the evaluation has
     left, so a chunk that cannot pay for its first batches ends as
@@ -444,13 +445,37 @@ def _chunk_end(values, size, m, tol) -> int:
     Point j can stop the sequence only as the last of m samples spread
     within tol.  So it cannot while fewer than m samples exist, nor while
     the known samples of its window already spread wider than tol.  The
-    chunk takes those points and the first one that could stop.
+    chunk takes those points and the first one that could stop.  Once the
+    tail is fitted, it runs on halfway to the fitted stop if that is later,
+    but takes at most n new points to the n samples known and never passes
+    `size`: a fit that reaches too far at most doubles the points sampled.
     """
     n = len(values)
     j = n
     while j + 1 < size and (j + 1 < m or _spread(values[j + 1 - m:n] or [0.0]) > tol):
         j += 1
-    return j + 1
+    fit = _tail_fit(values, m, tol)
+    return j + 1 if fit is None else max(j + 1, min((n + fit[1]) // 2, 2 * n, size))
+
+
+def _tail_fit(values, m, tol):
+    """(q, stop): the tail's decay like k^-q, and the sample count at which it stops.
+
+    Once 2m + 1 samples exist, the spreads s0 and s1 of the last two windows
+    of m samples, which share one sample and end at counts n - m + 1 and n,
+    are fitted by s(k) = s1 (k/n)^-q.  stop is the first count k at which
+    s(k) <= tol, computed in logs and held at n e^40 so that a tiny q
+    cannot overflow it; q is also what a k^-q tail-remainder bound reads.
+    None when the spreads are not decaying.
+    """
+    n = len(values)
+    if n < 2 * m + 1:
+        return None
+    s0, s1 = _spread(values[n + 1 - 2 * m:n + 1 - m]), _spread(values[n - m:])
+    if not (s1 > 0.0 and s0 / s1 > 1.0):
+        return None
+    q = math.log(s0 / s1) / math.log(n / (n + 1 - m))
+    return q, math.ceil(n * math.exp(min(max(math.log(s1 / tol), 0.0) / q, 40.0)))
 
 
 def _spread(window) -> float:

@@ -285,6 +285,10 @@ def test_usage_errors_exit_one():
         # a wrong inverse: the message names the abscissa where it fails
         ["transform", "--type", "fin", "--g", "1/u", "--beta", "1",
          "--cov", "custom:kind=finite_cov,forward=u*ln(u)^2+u,inverse=t,lo=1e-9,hi=1"],
+        # a finite_cov's checks sample up to hi, which must be positive and finite
+        *(["transform", "--type", "fin", "--g", "u", "--beta", "1", "--print-spec",
+           "--cov", f"custom:kind=finite_cov,forward=u,inverse=t,{domain}"]
+          for domain in ("lo=-2,hi=-1", "lo=0,hi=inf")),
         ["eval", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--z", "taper:c=1e308"],                                        # span past float range
         # 1,000 levels deep: parentheses, a sum, a power chain, calls, signs

@@ -328,6 +328,37 @@ def test_failed_validation_names_what_refutes_the_map(smooth_z):
                                    "evaluation fault: non-finite value at 1.0)")
 
 
+def test_custom_domain_must_leave_the_checks_a_finite_sample():
+    # np.geomspace over a non-finite or non-positive end let a RuntimeWarning escape
+    for kind, domain, match in (
+            ("finite_cov", (-2.0, -1.0), "positive, finite hi, got -1.0"),
+            ("finite_cov", (0.0, math.inf), "positive, finite hi, got inf"),
+            ("finite_cov", (-math.inf, 1.0), "lo must be finite, got -inf"),
+            ("infinite_cov", (-math.inf, 60.0), "lo must be finite, got -inf"),
+            ("infinite_cov", (1e305, 2e305), r"lo <= 1e300, .* got 1e\+305")):
+        with pytest.raises(CovError, match=match):
+            make_custom_cov(kind, "x" if kind == "infinite_cov" else "u",
+                            "y" if kind == "infinite_cov" else "t", domain)
+
+
+def test_derivative_sample_lies_in_the_domain(smooth_z, monkeypatch):
+    # The six decades of P' samples start at the domain, not at 1: for
+    # lo = 2e6 the grid once ran backwards from 2e6 down to 1e6.
+    import zvar.cov
+
+    seen = []
+    original = zvar.cov._refined_min
+    monkeypatch.setattr(zvar.cov, "_refined_min",
+                        lambda fn, pts: seen.append(pts) or original(fn, pts))
+    for lo in (0.0, 2e6):
+        cov = make_custom_cov("infinite_cov", "x+5", "y-5", (lo, lo + 1e6))
+        apply_cov(InfiniteIntegral(parse("x^-2"), 1.0, smooth_z), cov)
+        pts = seen.pop()
+        start = max(lo, 1.0)
+        assert pts[0] == start and pts.min() >= lo
+        assert pts[-1] == pytest.approx(1e6 * start)
+
+
 def test_custom_bridge_is_rejected():
     with pytest.raises(CovError, match="custom transform kind"):
         make_custom_cov("bridge", "exp(-x)", "-ln(u)", (0.0, 50.0))

@@ -1,5 +1,6 @@
 """Verification harness tests: verdicts, corpus schema, suite, spec objects."""
 
+import dataclasses
 import json
 import math
 import os
@@ -67,6 +68,35 @@ def test_compare_pair_gives_each_side_what_it_gets_alone():
         assert repr(out.right) == repr(evaluate_spec(right, cfg, right_mode))
     assert out.left.status == "quad_failure" and out.right.status == "converged"
     assert len(pairs) == 14
+
+
+def test_fitted_chunks_change_no_result_of_the_corpus(monkeypatch):
+    # A chunk may run past the stopping point, but no result past it is read:
+    # each case gives by repr what one point per chunk gives, evaluations
+    # aside, and spends at least as many.  A pass makes at most 60 engine
+    # calls; chunks that end at the first point that could stop made 135.
+    import zvar.zeval
+
+    calls = []
+    original = zvar.zeval.integrate_segments
+    monkeypatch.setattr(zvar.zeval, "integrate_segments",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+
+    def run():
+        return [compare_pair(c.left, c.right, c.config, c.tol, mode_a=c.left_mode,
+                             mode_b=c.right_mode) for c in load_corpus()]
+
+    def shown(out):
+        return repr([dataclasses.replace(side, evaluations=0) for side in (out.left, out.right)]
+                    + [out.verdict])
+
+    chunked = run()
+    assert len(calls) <= 60
+    monkeypatch.setattr(zvar.zeval, "_chunk_end", lambda values, size, m, tol: len(values) + 1)
+    for fitted, single in zip(chunked, run(), strict=True):
+        assert shown(fitted) == shown(single)
+        assert (fitted.left.evaluations + fitted.right.evaluations
+                >= single.left.evaluations + single.right.evaluations)
 
 
 def test_compare_pair_raises_the_left_error_first(monkeypatch):

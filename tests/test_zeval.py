@@ -10,7 +10,9 @@ from one_segment import integrate_one
 from zvar.expr import DomainFault, parse
 from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
+    _chunk_end,
     _extrapolate,
+    _tail_fit,
     DELTA_SHRINK,
     MAX_EVALS,
     STABILITY_WINDOW,
@@ -323,6 +325,62 @@ def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
     assert len(orders) > 1
     for order, points in orders:
         assert order == [(kind, p) for p in points for kind in ("run", "window")]
+
+
+def _power_tail(n, q, m=STABILITY_WINDOW):
+    """n falling samples whose window of m ending at count k spreads k^-q, for k = n, n - m + 1, ..."""
+    counts = np.arange(n, 0, -(m - 1))[::-1].astype(float)
+    drops = np.concatenate([np.cumsum((counts[1:] ** -q)[::-1])[::-1], [0.0]])
+    return np.interp(np.arange(1, n + 1), counts, drops).tolist()
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_tail_fit_predicts_where_a_power_law_tail_stops(q):
+    # A window spreads k^-q <= tol from count tol^(-1/q) on: 10^12, 10^6, 10^3.
+    m, tol = STABILITY_WINDOW, 1e-6
+    for n in (2 * m + 1, 40, 201):
+        fitted, stop = _tail_fit(_power_tail(n, q), m, tol)
+        assert fitted == pytest.approx(q, rel=1e-9)
+        assert abs(stop - tol ** (-1.0 / q)) <= 1
+    assert _tail_fit(_power_tail(2 * m, q), m, tol) is None   # too few samples to fit
+
+
+@pytest.mark.parametrize("values", [
+    [1.0] * 20,                                      # flat: no spread
+    [0.5 * k for k in range(20)],                    # a steady creep
+    [k * k for k in range(20)],                      # growing
+    [(-1.0) ** k for k in range(20)],                # oscillating
+    [k % 4 for k in range(20)],                      # a sawtooth with a period under m
+], ids=["flat", "creep", "growing", "oscillating", "sawtooth"])
+def test_tail_fit_needs_a_decaying_tail(values):
+    assert _tail_fit(values, STABILITY_WINDOW, 1e-6) is None
+
+
+def test_tail_fit_stays_finite_far_out():
+    # spread/tol is 1e300, and the spreads fall by one ulp between windows:
+    # q is about 1e-16, and the stop is held at n e^40.
+    m, n = STABILITY_WINDOW, 11
+    s1 = 1e290
+    s0 = math.nextafter(s1, math.inf)
+    values = [0.0, 0.0, s0, 0.0, 0.0, 0.0, 0.0, s1, s1, s1, s1]   # windows [2, 6] and [6, 10]
+    fitted, stop = _tail_fit(values, m, 1e-10)
+    assert 0.0 < fitted < 1e-14
+    assert stop == math.ceil(n * math.exp(40.0))
+    assert _chunk_end(values, 10**30, m, 1e-10) == 2 * n
+
+
+def test_chunk_end_takes_at_most_as_many_new_points_as_it_has():
+    # A 1/ln k creep, the slowest tail the corpus samples: a fitted chunk runs
+    # past the first point that could stop, but never past 2n or the count.
+    m, tol = STABILITY_WINDOW, 1e-6
+    creep = [1.0 / math.log(k + 2.0) for k in range(300)]
+    grown = 0
+    for n in range(2 * m + 1, 300):
+        for size in (n + 1, n + 7, 300, 10**12):
+            end = _chunk_end(creep[:n], size, m, tol)
+            assert n < end <= min(2 * n, size)
+            grown += end > n + 1
+    assert grown
 
 
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
