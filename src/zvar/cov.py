@@ -302,6 +302,15 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable) -> ZIntegralSpec:
     bridge = cov.kind == "bridge"
     if not bridge and isinstance(spec, InfiniteIntegral) != (cov.kind == "infinite_cov"):
         raise CovError(f"transform kind {cov.kind!r} does not match the integral form")
+    infinite = isinstance(spec, InfiniteIntegral)
+    limit = spec.lower_limit if infinite else spec.upper_limit
+    # A custom map is known only on its stated domain, which must hold the
+    # limit it carries: a at or above lo, beta at or below hi.
+    lo, hi = cov.domain
+    if not cov.analytic and not (lo <= limit if infinite else limit <= hi):
+        where = (f"a={limit!r} below its domain's lo={lo!r}" if infinite
+                 else f"beta={limit!r} above its domain's hi={hi!r}")
+        raise CovError(f"the custom map cannot carry the limit {where}")
     refuted = [] if cov.analytic else _sampled_checks(cov)
     if refuted:
         raise CovError(f"transform failed validation: {'; '.join(refuted)}")
@@ -313,8 +322,6 @@ def apply_cov(spec: ZIntegralSpec, cov: ChangeOfVariable) -> ZIntegralSpec:
     if bridge:
         dq = -dq  # psi decreases, so the limits swap
     new_integrand = simplify(substitute(spec.integrand, spec.variable, cov.inverse) * dq)
-    infinite = isinstance(spec, InfiniteIntegral)
-    limit = spec.lower_limit if infinite else spec.upper_limit
     form = InfiniteIntegral if infinite and not bridge else FiniteIntegral
     return form(new_integrand, evaluate(cov.forward, {cov.forward_var: limit}), spec.taper,
                 variable=iv)

@@ -3,21 +3,21 @@
 One engine integrates S segments in lockstep, each by QUADPACK's QAG
 scheme (Piessens et al. 1983) with its own frontier, error budget and
 evaluation count, as `scipy.integrate.quad_vec` does for the components
-of a vector integrand.  A segment starts as six panels; each round it
-splits its largest-error panels, the fewest after which the error left
-is within what abs_tol still allows (quad_vec's loop leaves abs_tol/8
-instead), and at least one.  Where the error is spread, every panel is a
-candidate, so the segment splits in one round all that its tolerance
-asks for, as quad_vec does.  While one panel holds more than half of the
-error, only the panels of at least 1/4096 of that panel's error are, so
-panels whose error is rounding noise that bisection cannot shrink (near
-a pole) are not all split every round.  A taken panel is bisected,
-unless its error is still more than 1/32 of its parent's: that bisection
-did not resolve it, so it is cut into the quarters two bisections give,
-at their cost, and the level between is never evaluated (QAG and
-quad_vec only bisect).  A panel whose quarters could not hold their
-nodes (below) is only bisected.
-At an endpoint singularity no split resolves the end panel, so there the
+of a vector integrand.  A segment starts as its caller asks, at least
+six equal panels; each round it splits its largest-error panels, the
+fewest after which the error left is within what abs_tol still allows
+(quad_vec's loop leaves abs_tol/8 instead), and at least one.  Where the
+error is spread, every panel is a candidate, so the segment splits in
+one round all that its tolerance asks for, as quad_vec does.  While one
+panel holds more than half of the error, only the panels of at least
+1/4096 of that panel's error are, so panels whose error is rounding
+noise that bisection cannot shrink (near a pole) are not all split every
+round.  A taken panel is bisected, unless its error is still more than
+1/32 of its parent's: that bisection did not resolve it, so it is cut
+into the quarters two bisections give, at their cost, and the level
+between is never evaluated (QAG and quad_vec only bisect).  A panel
+whose quarters could not hold their nodes (below) is only bisected.  At
+an endpoint singularity no split resolves the end panel, so there the
 quarters cost a little: ln x on [0, 1] at 1e-11 takes 1,596 evaluations,
 where bisection alone took 1,554.  The Gauss(10)/Kronrod(21) rule is
 then applied to the children of every live segment in one vectorized
@@ -56,14 +56,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .expr import DomainFault
 
-__all__ = ["MAX_LIMIT", "QuadResult", "integrate_segments"]
+__all__ = ["MAX_LIMIT", "MIN_PANELS", "PANEL_EVALS", "QuadResult", "integrate_segments"]
 
 # Gauss-Kronrod 10-21 pair (QUADPACK's QK21), nodes sorted ascending.  WG is
 # aligned with the Kronrod nodes and zero where the node is Kronrod-only,
@@ -110,10 +110,12 @@ _WK = np.concatenate([_WK_HALF, [0.149445554002916905664936468389821], _WK_HALF[
 _WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
 
 _EPS = np.finfo(float).eps
-_INITIAL_SPLIT = 6   # aliasing insurance: never judge the span by one panel
+MIN_PANELS = 6   # a segment's fewest starting panels: never judge the span by one panel
+PANEL_EVALS = _XK.size   # integrand evaluations per panel evaluated
 _CANDIDATE_CUT = 4096   # while one panel holds most of the error, candidates hold 1/4096 of it
-_SLOTS = np.arange(_INITIAL_SPLIT + 1, dtype=float)
+_SLOTS = np.arange(MIN_PANELS + 1, dtype=float)
 _BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
+_RULE_PANELS = 8 * _BATCH_PANELS   # panels per application of the rule's sums
 MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
 
 # Segments sharing one integrand: (fn, lo, hi, params), see integrate_segments.
@@ -121,19 +123,22 @@ SegmentGroup = tuple[Callable[..., np.ndarray], Sequence[float], Sequence[float]
                      Sequence[float] | None]
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
+    """One segment's result: a named tuple, as an engine call builds one per segment."""
+
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+    panels: int   # the panels its partition ended with, 0 if it never started
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                        max_evals: int | list[int] | tuple[int, ...] = 10_000_000,
                        read_order: Sequence[int] | None = None,
-                       pools: Sequence[int] | None = None
+                       pools: Sequence[int] | None = None,
+                       start_panels: Sequence[int] | None = None
                        ) -> list[QuadResult | DomainFault]:
     """Integrate every segment of every group to absolute tolerance abs_tol.
 
@@ -152,6 +157,13 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     read order, so a finished segment's unspent share goes to the rest.  A
     segment gets bit for bit what it gets alone in a call wherever its
     pool's budget does not bind, and always when alone in its pool.
+
+    start_panels, one count per segment in group order (six for all by
+    default, and never fewer), cuts each segment into that many equal
+    panels to start with; its first batch, start_panels times PANEL_EVALS
+    evaluations, is counted in its evaluations and its pool's budget.  A
+    segment gets the same result, bit for bit, from the same start
+    whatever else the call holds.
 
     read_order, one position per segment, is the order in which a caller
     reads the results of each pool and stops at the first failure (a
@@ -180,31 +192,37 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
     count = len(lo)
-    first_batch = _INITIAL_SPLIT * _XK.size
+    # Only starts past six are cut one segment at a time; six is a broadcast.
+    uniform = start_panels is None or max(start_panels, default=0) <= MIN_PANELS
+    split = None if uniform else np.maximum(np.array(start_panels, dtype=np.int64), MIN_PANELS)
+    # What each segment has spent, from its first batch on.
+    spent = (np.zeros(count, dtype=np.int64) + MIN_PANELS if uniform else split) * _XK.size
     if not isinstance(max_evals, (list, tuple)):
         max_evals = [max_evals] * (max(pool, default=0) + 1)
+    pool_of = pool = np.array(pool, dtype=np.intp)
     # Bisections each pool affords once it has paid for its first batches,
     # negative if it cannot (min: so budgets fit the int64 counts).  slack is
     # at most what any pool with live segments has left.
-    caps = [(min(cap, sys.maxsize) - first_batch * pool.count(p)) // (2 * _XK.size)
-            for p, cap in enumerate(max_evals)]
+    caps = [(min(cap, sys.maxsize) - int(paid)) // (2 * _XK.size)
+            for cap, paid in zip(max_evals, np.bincount(pool, spent, len(max_evals)).tolist())]
     slack = min([cap for cap in caps if cap >= 0], default=0)
     cutoff = np.array([math.inf] * len(caps))   # each pool's read position of its first failure
     value = np.zeros(count)
     error = np.zeros(count)
-    spent = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
+    final = np.zeros(count, dtype=np.int64)
     faults: dict[int, DomainFault] = {}
     bisections = np.zeros(count, dtype=np.int64)
     # Per live segment: its id, pool, read position, limits, and whether it
     # cannot split: it picked a panel too narrow to split, or its pool is empty.
     ids = np.arange(count)
-    pool_of = pool = np.array(pool, dtype=np.intp)
     position = np.zeros(count) if read_order is None else np.asarray(read_order, dtype=float)
     lo_arr = np.array(lo, dtype=float)
     hi_arr = np.array(hi, dtype=float)
     if min(caps) < 0:   # a segment that never starts has no value, and no error bound
-        ids = np.flatnonzero(np.array(caps)[pool] >= 0)
+        started = np.array(caps)[pool] >= 0
+        ids = np.flatnonzero(started)
+        spent[~started] = 0
         pool, position, lo_arr, hi_arr = pool[ids], position[ids], lo_arr[ids], hi_arr[ids]
         value[:], error[:] = math.nan, math.inf
     narrow = np.zeros(ids.size, dtype=bool)
@@ -215,16 +233,26 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     # first columns of each segment and merges the evaluated children in with
     # one stable sort, so equal errors keep the order that the segment's own
     # rounds gave them.  The starting panels are the first children of an
-    # empty frontier.
-    # np.linspace(lo, hi, _INITIAL_SPLIT + 1) bit for bit, at a third of its cost.
-    edges = _SLOTS * ((hi_arr - lo_arr) / _INITIAL_SPLIT)[:, None] + lo_arr[:, None]
-    edges[:, -1] = hi_arr
-    kids = np.empty((6, ids.size, _INITIAL_SPLIT))
-    kids[0] = edges[:, :-1]
-    kids[1] = edges[:, 1:]
+    # empty frontier, the edges of n of them np.linspace(lo, hi, n + 1) bit for
+    # bit, at a third of its cost: k * ((hi - lo) / n) + lo, and hi.
+    if uniform:
+        edges = _SLOTS * ((hi_arr - lo_arr) / MIN_PANELS)[:, None] + lo_arr[:, None]
+        edges[:, -1] = hi_arr
+        kids = np.empty((6, ids.size, MIN_PANELS))
+        kids[0] = edges[:, :-1]
+        kids[1] = edges[:, 1:]
+        kids = kids.reshape(6, -1)
+        kid_seg = np.arange(ids.size).repeat(MIN_PANELS)
+    else:
+        n = split[ids]
+        kid_seg = np.arange(ids.size).repeat(n)
+        last = np.cumsum(n) - 1   # each segment's last panel
+        slot = np.arange(kid_seg.size) - (last + 1 - n)[kid_seg]
+        kids = np.empty((6, kid_seg.size))
+        kids[0] = slot * ((hi_arr - lo_arr) / n)[kid_seg] + lo_arr[kid_seg]
+        kids[1, :-1] = kids[0, 1:]
+        kids[1, last] = hi_arr
     kids[5] = math.inf
-    kids = kids.reshape(6, -1)
-    kid_seg = np.arange(ids.size).repeat(_INITIAL_SPLIT)
     panels, seg = kids[:, :0], kid_seg[:0]
     pick = np.zeros(0, dtype=np.intp)   # the frontier columns split last round
     small = np.min_scalar_type(ids.size)   # a stable sort by index of this type is a radix sort
@@ -247,7 +275,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             lost = np.zeros(ids.size, dtype=bool)
             lost[list(new_faults)] = True
             for i, fault in new_faults.items():
-                fault.evaluations = first_batch + 2 * _XK.size * int(bisections[ids[i]])
+                fault.evaluations = int(spent[ids[i]] + 2 * _XK.size * bisections[ids[i]])
                 faults[int(ids[i])] = fault
             done &= ~lost
             stop |= lost
@@ -260,8 +288,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             out = ids[end]
             value[out] = value_sum[end]
             error[out] = err[end]
-            spent[out] = first_batch + 2 * _XK.size * bisections[out]
+            spent[out] += 2 * _XK.size * bisections[out]
             converged[out] = done[end]
+            final[out] = np.bincount(seg, minlength=ids.size)[end]
             if np.count_nonzero(end) == end.size:
                 break
             live = ~end
@@ -337,10 +366,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         kids[1] = cuts[:, 1:][slots[:, 1:]]
         kids[5] = chosen[3].repeat(pieces)
         kid_seg = owner.repeat(pieces)
-    return [faults[s] if s in faults else
-            QuadResult(value=v, error_estimate=e, evaluations=n, converged=c)
-            for s, (v, e, n, c) in enumerate(zip(value.tolist(), error.tolist(), spent.tolist(),
-                                                 converged.tolist()))]
+    return [faults[s] if s in faults else QuadResult(*row)
+            for s, row in enumerate(zip(value.tolist(), error.tolist(), spent.tolist(),
+                                        converged.tolist(), final.tolist()))]
 
 
 def _room(asked, left, pool, position):
@@ -365,8 +393,20 @@ class _Rule:
         """Fill value, error and roundoff floor (rows 2-4) of every panel [a, b].
 
         Segment ids[seg[i]] owns panel i; seg is in ascending order.  Returns
-        the DomainFault of each index in seg whose integrand is not finite.
+        the DomainFault of each index in seg whose integrand is not finite,
+        at its first such abscissa.  The panels are taken _RULE_PANELS at a
+        time, which bounds the temporaries of a round however many it holds.
         """
+        if seg.size <= _RULE_PANELS:
+            return self._apply(panels, seg, ids)
+        faults = {}
+        for r0 in range(0, seg.size, _RULE_PANELS):
+            block = slice(r0, r0 + _RULE_PANELS)
+            for s, fault in self._apply(panels[:, block], seg[block], ids).items():
+                faults.setdefault(s, fault)
+        return faults
+
+    def _apply(self, panels, seg, ids):
         a, b = panels[0], panels[1]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)

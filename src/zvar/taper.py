@@ -27,7 +27,7 @@ import numpy as np
 
 from . import expr
 from .expr import DomainFault, ExprAST, compile_expr, const, evaluate, var
-from .quad import integrate_segments
+from .quad import MAX_LIMIT, integrate_segments
 
 __all__ = [
     "TaperError", "TerminationFunction",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 MOMENT_TOL = 1e-13
+MOMENT_EVALS = 10_000_000   # the moment quadrature's budget
 _ENDPOINT_TOL = 1e-12
 # Boundedness guard.  Matched corrections legitimately overshoot 1 by large
 # factors for slow tones: the sine moment 1/omega has to fit inside a short
@@ -95,8 +96,18 @@ def make_matched_trig(omega: float, c: float) -> TerminationFunction:
     validated once per (omega, c) and then shared; a build that fails is
     not kept, so it fails again on every call.
     """
-    return _matched_trig(_positive_finite(omega, "tone frequency"),
-                         _positive_finite(c, "taper width"))
+    omega = _positive_finite(omega, "tone frequency")
+    c = _positive_finite(c, "taper width")
+    # The moment quadrature's pool holds 10^7 evaluations: past half as many
+    # cycles over [0, c], not even all of it gives two samples per cycle, and
+    # it would be spent in vain.  An omega * c past the float range, or a c
+    # past the engine's, already fails on the first batch.
+    cycles = omega * c / (2.0 * math.pi)
+    if MOMENT_EVALS / 2 < cycles < math.inf and c <= MAX_LIMIT:
+        raise TaperError(f"tone omega={omega!r} has {cycles:.3g} cycles over the taper width "
+                         f"c={c!r}, more than the {MOMENT_EVALS // 2:,} that its moments' "
+                         f"{MOMENT_EVALS:,} evaluations can resolve")
+    return _matched_trig(omega, c)
 
 
 @functools.lru_cache
@@ -174,7 +185,7 @@ def _tone_moments(bodies: tuple[ExprAST, ...], omega: float, c: float,
     kernels = (expr.cos(const(omega) * s), expr.sin(const(omega) * s))
     groups = [(compile_expr(kernel * body, ("s",)), (0.0,), (c,), None)
               for body in bodies for kernel in kernels]
-    results = integrate_segments(groups, tol, read_order=range(len(groups)))
+    results = integrate_segments(groups, tol, MOMENT_EVALS, read_order=range(len(groups)))
     for r in results:
         if isinstance(r, DomainFault):
             raise r

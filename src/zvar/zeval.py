@@ -31,7 +31,7 @@ import numpy as np
 
 from .expr import (DomainFault, ExprAST, compile_expr, const, exp as expr_exp,
                    free_variables, simplify, substitute, var)
-from .quad import MAX_LIMIT, integrate_segments
+from .quad import MAX_LIMIT, MIN_PANELS, PANEL_EVALS, integrate_segments
 from .taper import TaperError, TerminationFunction
 
 __all__ = [
@@ -45,6 +45,10 @@ DELTA_FLOOR = 1e-8   # direct finite-limit sampling never shrinks delta below th
 DELTA_SHRINK = 0.5   # ratio of consecutive deltas
 STABILITY_WINDOW = 5   # samples per classification window
 MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
+# A rising need is extrapolated at most _GROWTH-fold per segment and
+# _REACH-fold in all, which bounds what a wrong extrapolation wastes.
+_GROWTH = 3.0
+_REACH = 16
 _RANGE = "the largest limit the quadrature takes"
 
 
@@ -345,11 +349,12 @@ def run_together(plans, abs_tol: float) -> list[ZResult]:
                 break
         if not pending:
             break
-        groups, budgets, orders = zip(*pending.values())
+        groups, budgets, orders, starts = zip(*pending.values())
         out = iter(integrate_segments(
             [group for chunk in groups for group in chunk], abs_tol, budgets,
             read_order=[p for order in orders for p in order],
-            pools=[pool for pool, chunk in enumerate(groups) for _ in chunk]))
+            pools=[pool for pool, chunk in enumerate(groups) for _ in chunk],
+            start_panels=[n for chunk in starts for n in chunk]))
         answers = {i: [next(out) for _, lo, _, _ in chunk for _ in lo]
                    for i, chunk in zip(pending, groups)}
     if error is not None:
@@ -370,12 +375,12 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     """Sample the bracket at point(k) for k < count, then classify the sequence.
 
     This is a plan: a generator that yields each chunk's request, its
-    segment groups, budget and read order, is sent the chunk's results, and
-    returns the ZResult.  run_together runs the chunks of one plan, or of
-    several, in one quadrature call.  Each point is computed when
-    its chunk is made, so the count costs nothing until it is reached.  f
-    and window_f are built once per evaluation.  The bracket at point p
-    is the running integral of f between `start` and p plus the window
+    segment groups, budget, read order and starting panels, is sent the
+    chunk's results, and returns the ZResult.  run_together runs the chunks
+    of one plan, or of several, in one quadrature call.  Each point is
+    computed when its chunk is made, so the count costs nothing until it is
+    reached.  f and window_f are built once per evaluation.  The bracket at
+    point p is the running integral of f between `start` and p plus the window
     integral of window_f(t, p) over span(p); each point adds the running
     segment between the previous point and itself.  Sampling stops once the
     last STABILITY_WINDOW values agree within tol.  An inner quadrature that
@@ -392,6 +397,12 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     MAX_EVALS caps their sum: a chunk's pool holds what the evaluation has
     left, so a chunk that cannot pay for its first batches ends as
     quad_failure.
+
+    Each running segment and window starts from the panels those of its
+    kind before it needed (_start_panels), or from six if the evaluation's
+    remaining budget cannot pay the chunk's first batches.  A start moves a
+    value within quadrature error only, so a value depends on where its
+    chunk's boundaries fall, within that error; it stays deterministic.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -402,15 +413,20 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     prev = start
     failed = stopped = False
     m = STABILITY_WINDOW
+    needs = [], []   # the panels each finished running segment, and window, needed
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         ends = list(zip([prev, *points], points))
         moved = [i for i, (q, p) in enumerate(ends) if q != p]
         windows = [span(p) for p in points]
+        starts = _start_panels(needs[0], len(moved)) + _start_panels(needs[1], len(points))
+        if sum(starts) * PANEL_EVALS > MAX_EVALS - evals:
+            starts = [MIN_PANELS] * len(starts)
         results = yield (
             [(f, [min(ends[i]) for i in moved], [max(ends[i]) for i in moved], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
-            MAX_EVALS - evals, [2 * i for i in moved] + [2 * i + 1 for i in range(len(points))])
+            MAX_EVALS - evals, [2 * i for i in moved] + [2 * i + 1 for i in range(len(points))],
+            starts)
         evals += sum(result.evaluations for result in results)
         increments = [None] * len(points)   # none for a first point at the start
         for i, inc in zip(moved, results):
@@ -431,6 +447,11 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
             stopped = len(values) >= m and _spread(values[-m:]) <= cfg.tol
             if stopped:
                 break
+        if not (failed or stopped):   # every result was read, and converged
+            # A segment needed its final panels if it split, else at most half its start.
+            need = [r.panels if r.panels > n else n // 2 for r, n in zip(results, starts)]
+            needs[0].extend(need[:len(moved)])
+            needs[1].extend(need[len(moved):])
         prev = points[-1]
     return _classify_result(samples, values, errors, evals, cfg, failed)
 
@@ -476,6 +497,23 @@ def _tail_fit(values, m, tol):
         return None
     q = math.log(s0 / s1) / math.log(n / (n + 1 - m))
     return q, math.ceil(n * math.exp(min(max(math.log(s1 / tol), 0.0) / q, 40.0)))
+
+
+def _start_panels(needs, count) -> list[int]:
+    """Starting panels of the next `count` segments of one kind, from those it needed.
+
+    When the last three needs rise strictly, the j-th segment (from 0)
+    starts at need * r^(j+1), r the last ratio of needs held at _GROWTH,
+    and at most _REACH times the last need.  Else each starts at half the
+    last need, so a start that was too large decays.  Never below six.
+    """
+    if len(needs) >= 3 and needs[-3] < needs[-2] < needs[-1]:
+        need = needs[-1]
+        r = min(need / needs[-2], _GROWTH)
+        reach = math.ceil(math.log(_REACH) / math.log(r))   # r^reach >= _REACH: no overflow
+        return [max(int(min(need * r ** min(j + 1, reach), _REACH * need)), MIN_PANELS)
+                for j in range(count)]
+    return [max(needs[-1] // 2 if needs else 0, MIN_PANELS)] * count
 
 
 def _spread(window) -> float:

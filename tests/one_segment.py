@@ -10,9 +10,13 @@ from zvar.quad import QuadResult, integrate_segments
 
 
 def integrate_one(fn, lo: float, hi: float, abs_tol: float,
-                  max_evals: int = 10_000_000) -> QuadResult:
-    """The one segment [lo, hi] of fn(x), alone in a call; raises its DomainFault."""
-    result, = integrate_segments([(fn, (lo,), (hi,), None)], abs_tol, max_evals, read_order=[0])
+                  max_evals: int = 10_000_000, start: int = 6) -> QuadResult:
+    """The one segment [lo, hi] of fn(x) from `start` panels, alone in a call.
+
+    Raises the segment's DomainFault.
+    """
+    result, = integrate_segments([(fn, (lo,), (hi,), None)], abs_tol, max_evals, read_order=[0],
+                                 start_panels=[start])
     if isinstance(result, DomainFault):
         raise result
     return result

@@ -282,6 +282,9 @@ def test_usage_errors_exit_one():
         ["transform", "--type", "inf", "--f", "x^-2", "--a", "1",
          "--cov", "custom:kind=infinite_cov,forward=x+5,inverse=y-5,lo=0,hi=60",
          "--allow-inconclusive"],
+        # a custom map's domain must hold the limit it carries: a = 1 < lo
+        ["transform", "--type", "inf", "--f", "x^-2", "--a", "1", "--print-spec",
+         "--cov", "custom:kind=infinite_cov,forward=x+5,inverse=y-5,lo=2e6,hi=3e6"],
         # a wrong inverse: the message names the abscissa where it fails
         ["transform", "--type", "fin", "--g", "1/u", "--beta", "1",
          "--cov", "custom:kind=finite_cov,forward=u*ln(u)^2+u,inverse=t,lo=1e-9,hi=1"],

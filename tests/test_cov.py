@@ -126,6 +126,20 @@ def test_custom_map_that_no_check_refutes_is_applied(smooth_z):
         assert out.lower_limit == evaluate(parse(forward), {"x": 1.0})
 
 
+def test_custom_map_is_refused_at_a_limit_outside_its_domain(smooth_z):
+    # A custom map is known only on its domain: a must be at least lo, and
+    # beta at most hi.  a = 1 below lo = 2e6 once printed lower_limit 6.0.
+    shift = make_custom_cov("infinite_cov", "x+5", "y-5", (2e6, 3e6))
+    with pytest.raises(CovError, match=r"limit a=1\.0 below its domain's lo=2000000\.0$"):
+        apply_cov(InfiniteIntegral(parse("x^-2"), 1.0, smooth_z), shift)
+    assert apply_cov(InfiniteIntegral(parse("x^-2"), 2e6, smooth_z), shift).lower_limit == 2e6 + 5
+    same = make_custom_cov("finite_cov", "u", "t", (1e-9, 0.5))
+    with pytest.raises(CovError, match=r"limit beta=1\.0 above its domain's hi=0\.5$"):
+        apply_cov(FiniteIntegral(parse("u^-0.5", variables=("u",)), 1.0, smooth_z), same)
+    assert apply_cov(FiniteIntegral(parse("u^-0.5", variables=("u",)), 0.5, smooth_z),
+                     same).upper_limit == 0.5
+
+
 def test_validate_derivative_touching_zero_is_invalid(smooth_z):
     # P(x) = x + sin(x): monotone but P' = 1 + cos(x) touches zero, failing
     # strict positivity; built directly since it has no closed-form inverse
@@ -343,7 +357,8 @@ def test_custom_domain_must_leave_the_checks_a_finite_sample():
 
 def test_derivative_sample_lies_in_the_domain(smooth_z, monkeypatch):
     # The six decades of P' samples start at the domain, not at 1: for
-    # lo = 2e6 the grid once ran backwards from 2e6 down to 1e6.
+    # lo = 2e6 the grid once ran backwards from 2e6 down to 1e6.  The lower
+    # limit lies in the domain, as apply_cov requires.
     import zvar.cov
 
     seen = []
@@ -352,7 +367,7 @@ def test_derivative_sample_lies_in_the_domain(smooth_z, monkeypatch):
                         lambda fn, pts: seen.append(pts) or original(fn, pts))
     for lo in (0.0, 2e6):
         cov = make_custom_cov("infinite_cov", "x+5", "y-5", (lo, lo + 1e6))
-        apply_cov(InfiniteIntegral(parse("x^-2"), 1.0, smooth_z), cov)
+        apply_cov(InfiniteIntegral(parse("x^-2"), max(lo, 1.0), smooth_z), cov)
         pts = seen.pop()
         start = max(lo, 1.0)
         assert pts[0] == start and pts.min() >= lo

@@ -9,10 +9,12 @@ This covers the taper strings: a seeded draw of `taper:`, `matched:` and
 import io
 import random
 import re
+import time
 
 import pytest
 
 from zvar.cli import run_cli
+from zvar.taper import TaperError, make_matched_trig
 
 HOSTILE = ("0", "-1", "1e-320", "1e-300", "1e300", "1e308", "inf", "-inf", "nan", "x")
 # What an exit-1 message about a taper must name: the spec, a field, or the
@@ -41,14 +43,9 @@ def _argv(command: str, spec: str) -> list[str]:
 
 
 def hostile_taper_argv(seed: int, count: int) -> list[list[str]]:
-    """count argv, each with at least one hostile width or tone.
-
-    A tone of 1e300 or more at a usable width spends the moment quadrature's
-    whole budget (about 1 s) before it fails, so at most one such spec is drawn.
-    """
+    """count argv, each with at least one hostile width or tone."""
     rng = random.Random(seed)
     commands = ("eval-inf", "eval-fin", "transform-inf", "transform-fin")
-    costly_drawn = False
     runs = []
     while len(runs) < count:
         c, omega = (rng.choice(HOSTILE + ("1",)) for _ in range(2))
@@ -59,10 +56,6 @@ def hostile_taper_argv(seed: int, count: int) -> list[list[str]]:
         else:
             if c == omega == "1":
                 continue
-            costly = c == "1" and omega in ("1e300", "1e308")
-            if costly and costly_drawn:
-                continue
-            costly_drawn |= costly
             spec = f"matched:omega={omega},c={c}"
         runs.append(_argv(rng.choice(commands), spec))
     return runs
@@ -94,3 +87,15 @@ def test_non_finite_taper_fields_are_named(argv):
     assert (code, out) == (1, "")
     assert re.fullmatch(r"zvar: error: spec\.taper: (taper width|tone frequency) must be "
                         r"positive and finite, got inf\n", err)
+
+
+@pytest.mark.parametrize("omega", [1e300, 1e308])
+def test_unresolvable_tone_is_refused_before_its_moments(omega):
+    # More than 5 * 10^6 cycles over [0, c] leave fewer than two of the
+    # moment pool's 10^7 evaluations per cycle.  Such a tone once spent the
+    # whole pool before it failed: 1.59 s at omega=1e300.
+    start = time.perf_counter()
+    with pytest.raises(TaperError, match=r"omega=.* c=1\.0"):
+        make_matched_trig(omega, 1.0)
+    assert time.perf_counter() - start < 0.1
+    assert make_matched_trig(1e5, 1.0).omega == 1e5

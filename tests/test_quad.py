@@ -8,11 +8,11 @@ import pytest
 
 from zvar import quad
 from zvar.expr import DomainFault, compile_expr, parse
-from zvar.quad import _INITIAL_SPLIT, _WG, _WK, _XK, integrate_segments
+from zvar.quad import MIN_PANELS, _WG, _WK, _XK, integrate_segments
 
 from one_segment import integrate_one
 
-FIRST_BATCH = _INITIAL_SPLIT * _XK.size   # evaluations before the first decision
+FIRST_BATCH = MIN_PANELS * _XK.size   # evaluations before the first decision
 BISECTION = 2 * _XK.size                  # evaluations per bisected panel
 
 
@@ -49,7 +49,7 @@ def test_first_batch_is_no_coarser_than_eight_gk15_panels():
                           0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
                           0.207784955007898468])
     gk15 = first_batch(np.concatenate([-gk15_half, [0.0], gk15_half[::-1]]), 8)
-    x = first_batch(_XK, _INITIAL_SPLIT)
+    x = first_batch(_XK, MIN_PANELS)
     assert np.diff(x).max() <= np.diff(gk15).max() <= 0.0129866
     assert max(x[0], 1.0 - x[-1]) <= 5.34e-4
 
@@ -454,16 +454,21 @@ def test_segments_match_one_at_a_time():
     freqs = rng.uniform(1.0, 40.0, 12)
     kinks = rng.uniform(0.1, 0.9, 24)
 
-    def alone(fn, lo, hi, tol, budget):
+    def alone(fn, lo, hi, tol, budget, start):
         try:
-            return integrate_one(fn, lo, hi, tol, budget)
+            return integrate_one(fn, lo, hi, tol, budget, start)
         except DomainFault as fault:
             return fault
 
     outcomes = set()
-    # The last run's sin segment bisects more than _BATCH_PANELS / 2 panels in
-    # one round, so its children take more than one integrand call.
-    for tol, budget, wide in ((3e-17, 3000, []), (1e-10, 3000, []), (1e-10, 100_000, [20000.0])):
+    # The third run's sin segment bisects more than _BATCH_PANELS / 2 panels
+    # in one round, so its children take more than one integrand call.  The
+    # last run starts the segments from 6, 12 and 96 panels in turn, but the
+    # few-ulp ones from six, and that sin segment from 4,200, so its first
+    # round holds more panels than one application of the rule takes.
+    for tol, budget, wide, mixed in ((3e-17, 3000, [], False), (1e-10, 3000, [], False),
+                                     (1e-10, 100_000, [20000.0], False),
+                                     (1e-10, 100_000, [20000.0], True)):
         heard.clear()
         groups = [(recorded_chirp, [2e-4], [1.0], None),
                   (loud, [0.0], [30.0], None),
@@ -474,25 +479,35 @@ def test_segments_match_one_at_a_time():
                   *[(fn, [lo], [hi], None) for fn, lo, hi in plain],
                   (np.sin, [0.0] * len(wide), wide, None)]
         caps = [budget * max(len(lo), 1) for _, lo, _, _ in groups]
-        batch = integrate_segments(groups, tol, caps, pools=range(len(groups)))
+        count = sum(len(lo) for _, lo, _, _ in groups)
+        starts = [(6, 12, 96)[i % 3] if mixed else 6 for i in range(count)]
+        starts[count - 3 - len(wide):count - len(wide)] = [6, 6, 6]
+        if mixed:
+            starts[-1] = 4200
+        batch = integrate_segments(groups, tol, caps, pools=range(len(groups)),
+                                   start_panels=starts)
         # In the batch, this segment has panels cut in four unless its tolerance
         # is below roundoff.
         assert _split_in_four(heard) == (tol > 3e-17)
-        expected = [alone(chirp, 2e-4, 1.0, tol, budget), alone(loud, 0.0, 30.0, tol, budget)]
-        expected += [alone(fn, 0.0, 30.0, tol, budget) for fn in ripples]
-        expected += [alone(lambda x, p=p: damped(x, p), lo, hi, tol, budget)
-                     for lo, hi, p in zip(lo_p, hi_p, freqs)]
-        expected += [alone(lambda x, c=c: kink(x, c), 0.0, 1.0, tol, budget) for c in kinks]
-        expected += [alone(fn, lo, hi, tol, budget) for fn, lo, hi in plain]
-        expected += [alone(np.sin, 0.0, hi, tol, budget) for hi in wide]
+        segments = [(chirp, 2e-4, 1.0), (loud, 0.0, 30.0)]
+        segments += [(fn, 0.0, 30.0) for fn in ripples]
+        segments += [(lambda x, p=p: damped(x, p), lo, hi) for lo, hi, p in zip(lo_p, hi_p, freqs)]
+        segments += [(lambda x, c=c: kink(x, c), 0.0, 1.0) for c in kinks]
+        segments += plain
+        segments += [(np.sin, 0.0, hi) for hi in wide]
+        expected = [alone(fn, lo, hi, tol, budget, start)
+                    for (fn, lo, hi), start in zip(segments, starts, strict=True)]
         assert len(batch) == len(expected)
-        for got, want in zip(batch, expected):
+        for got, want, start in zip(batch, expected, starts):
             if isinstance(want, DomainFault):
                 assert isinstance(got, DomainFault) and str(got) == str(want)
                 assert got.evaluations == want.evaluations
                 outcomes.add("fault")
             else:
                 assert got == want
+                # A segment ends with its start's panels only if it split none.
+                assert got.panels >= start
+                assert (got.panels == start) == (got.evaluations == 21 * start)
                 outcomes.add((tol, got.converged, got.evaluations))
         narrow_step, narrow_sin, all_picked = batch[-3 - len(wide):][:3]
         assert narrow_step.converged and narrow_step.value == 6.661338147750939e-16

@@ -72,31 +72,47 @@ def test_compare_pair_gives_each_side_what_it_gets_alone():
 
 def test_fitted_chunks_change_no_result_of_the_corpus(monkeypatch):
     # A chunk may run past the stopping point, but no result past it is read:
-    # each case gives by repr what one point per chunk gives, evaluations
-    # aside, and spends at least as many.  A pass makes at most 60 engine
-    # calls; chunks that end at the first point that could stop made 135.
+    # each side gives by repr, evaluations aside, what it gives when the chunk
+    # holding its stopping sample (or failing point) ends there, and spends at
+    # least as many.  A pass makes at most 60 engine calls; chunks that end
+    # at the first point that could stop made 135.
     import zvar.zeval
 
     calls = []
     original = zvar.zeval.integrate_segments
     monkeypatch.setattr(zvar.zeval, "integrate_segments",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    cases = load_corpus()
 
     def run():
         return [compare_pair(c.left, c.right, c.config, c.tol, mode_a=c.left_mode,
-                             mode_b=c.right_mode) for c in load_corpus()]
+                             mode_b=c.right_mode) for c in cases]
 
-    def shown(out):
-        return repr([dataclasses.replace(side, evaluations=0) for side in (out.left, out.right)]
-                    + [out.verdict])
+    def shown(side):
+        return repr(dataclasses.replace(side, evaluations=0))
 
     chunked = run()
     assert len(calls) <= 60
+    chunk_end = zvar.zeval._chunk_end
+    for case, out in zip(cases, chunked, strict=True):
+        for spec, mode, side in ((case.left, case.left_mode, out.left),
+                                 (case.right, case.right_mode, out.right)):
+            stop = len(side.samples) + (side.status == "quad_failure")
+            monkeypatch.setattr(zvar.zeval, "_chunk_end",
+                                lambda *args, stop=stop: min(chunk_end(*args), stop))
+            cut = evaluate_spec(spec, case.config, mode)
+            assert shown(side) == shown(cut)
+            assert side.evaluations >= cut.evaluations
+    # One point per chunk puts each segment first in its chunk, so it starts
+    # from other panels than in a longer chunk, and its value moves within
+    # quadrature error: the same verdicts, statuses and sample counts, and
+    # values within the two runs' summed error estimates.
     monkeypatch.setattr(zvar.zeval, "_chunk_end", lambda values, size, m, tol: len(values) + 1)
     for fitted, single in zip(chunked, run(), strict=True):
-        assert shown(fitted) == shown(single)
-        assert (fitted.left.evaluations + fitted.right.evaluations
-                >= single.left.evaluations + single.right.evaluations)
+        assert fitted.verdict == single.verdict
+        for a, b in ((fitted.left, single.left), (fitted.right, single.right)):
+            assert (a.status, len(a.samples)) == (b.status, len(b.samples))
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
 def test_compare_pair_raises_the_left_error_first(monkeypatch):

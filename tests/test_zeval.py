@@ -1,6 +1,7 @@
 """Evaluator tests: bracket sequences, classification, acceleration, bridge."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _chunk_end,
     _extrapolate,
+    _start_panels,
     _tail_fit,
     DELTA_SHRINK,
     MAX_EVALS,
@@ -314,11 +316,11 @@ def test_chunk_results_are_read_in_grid_order(smooth, monkeypatch):
     orders = []
     original = zeval.integrate_segments
 
-    def recording(groups, *args, read_order=None, pools=None):
+    def recording(groups, *args, read_order=None, **kwargs):
         (_, _, run_hi, _), (_, _, _, points) = groups
         labels = [("run", p) for p in run_hi] + [("window", p) for p in points]
         orders.append(([label for _, label in sorted(zip(read_order, labels))], points))
-        return original(groups, *args, read_order=read_order, pools=pools)
+        return original(groups, *args, read_order=read_order, **kwargs)
 
     monkeypatch.setattr(zeval, "integrate_segments", recording)
     eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), EvalConfig())
@@ -381,6 +383,66 @@ def test_chunk_end_takes_at_most_as_many_new_points_as_it_has():
             assert n < end <= min(2 * n, size)
             grown += end > n + 1
     assert grown
+
+
+def test_start_panels_extrapolate_only_a_rising_need():
+    # Rising needs grow the starts by their last ratio, held at 3, and the
+    # start at 16 times the last need, however long the chunk.
+    assert _start_panels([10, 20, 30], 4) == [45, 67, 101, 151]
+    assert _start_panels([10, 40, 160], 3) == [480, 1440, 2560]
+    assert _start_panels([10, 40, 160], 2000)[-1] == 2560
+    # Otherwise half the last need, and never fewer than six.
+    assert _start_panels([10, 40, 40], 2) == [20, 20]
+    assert _start_panels([40, 20, 30], 1) == [15]
+    assert _start_panels([], 2) == _start_panels([8], 2) == [6, 6]
+
+
+def _warm_start_sweep(seed):
+    """(spec, mode) draws of the families whose bracket segments start warm, or must not."""
+    rng = random.Random(seed)
+    z = make_smooth_taper(1.0)
+    cases = []
+    for _ in range(3):
+        k, beta, p = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0), rng.uniform(1.5, 2.5)
+        chirp = FiniteIntegral(parse(f"sin({k!r}/u)/u^{p!r}", variables=("u",)), beta, z)
+        cases += [(chirp, "direct"), (chirp, "bridge")]
+        a = rng.uniform(0.0, 2.0)
+        cases.append((InfiniteIntegral(parse("sin(x^2)"), a, z), None))
+        # Localized bumps: one segment needs many panels, its successors few,
+        # so no trend may be extrapolated from it.
+        cases.append((InfiniteIntegral(parse("exp(-x) + exp(-((x-12)*20)^2)"), a, z), None))
+        cases.append((InfiniteIntegral(parse("1/(1+x^2) + 1/(1+((x-9.3)*300)^2)"), a, z), None))
+    return cases
+
+
+def test_warm_starts_move_values_only_within_their_error(monkeypatch):
+    # Against segments that all start from six panels, as the engine alone
+    # does: the same statuses and sample counts, values within the two runs'
+    # summed error estimates, and at most 10% more evaluations per result
+    # that does not fail.  sin(k/u)/u^p with p near 2.5 ends quad_failure
+    # when a segment's roundoff floor passes quad_tol, right after its first
+    # batch: a warm start pays that batch, and the unread segments after it
+    # pay theirs, so such a result spends up to 5.9 times as much.
+    import zvar.zeval as zeval
+
+    def run(spec, mode):
+        if mode is None:
+            return eval_infinite(spec, EvalConfig())
+        return eval_finite(spec, EvalConfig(), mode)
+
+    cases = _warm_start_sweep(seed=3)
+    warm = [run(spec, mode) for spec, mode in cases]
+    monkeypatch.setattr(zeval, "_start_panels", lambda needs, count: [6] * count)
+    spent = 0
+    for (spec, mode), got in zip(cases, warm, strict=True):
+        cold = run(spec, mode)
+        assert (got.status, len(got.samples)) == (cold.status, len(cold.samples)), spec
+        assert abs(got.value - cold.value) <= got.error_estimate + cold.error_estimate, spec
+        if got.status != "quad_failure":
+            assert got.evaluations <= 1.10 * cold.evaluations, spec
+            spent += cold.evaluations - got.evaluations
+    assert spent > 0
+    assert "quad_failure" in {result.status for result in warm}
 
 
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
