@@ -26,12 +26,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .expr import (DomainFault, ExprAST, compile_expr, const, exp as expr_exp,
                    free_variables, simplify, substitute, var)
-from .quad import MAX_LIMIT, MIN_PANELS, PANEL_EVALS, integrate_segments
+from .quad import MAX_LIMIT, MIN_PANELS, PANEL_EVALS, QuadResult, integrate_segments
 from .taper import TaperError, TerminationFunction
 
 __all__ = [
@@ -49,6 +50,7 @@ MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
 # _REACH-fold in all, which bounds what a wrong extrapolation wastes.
 _GROWTH = 3.0
 _REACH = 16
+_GRADE = 64   # a running segment wider than 64 max(1, its distance from start) is graded
 _RANGE = "the largest limit the quadrature takes"
 
 
@@ -387,6 +389,11 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     fails to converge or meets a domain fault ends it as quad_failure,
     keeping the samples before it.
 
+    A running segment of a growing grid more than _GRADE times as wide as
+    max(1, its distance from start) is graded: cut on the ladder _pieces
+    builds toward start, its pieces read in order before the point's
+    window, its increment their sum, which fails as any piece fails.
+
     A chunk's running segments and windows are one budget pool of one
     integrate_segments call.  _chunk_end sizes it: through the first point
     that could stop the sequence, or on toward the stop its fitted tail
@@ -400,7 +407,8 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
 
     Each running segment and window starts from the panels those of its
     kind before it needed (_start_panels), or from six if the evaluation's
-    remaining budget cannot pay the chunk's first batches.  A start moves a
+    remaining budget cannot pay the chunk's first batches; a graded piece
+    starts from six, and records no need.  A start moves a
     value within quadrature error only, so a value depends on where its
     chunk's boundaries fall, within that error; it stays deterministic.
     """
@@ -413,21 +421,36 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     prev = start
     failed = stopped = False
     m = STABILITY_WINDOW
-    needs = [], []   # the panels each finished running segment, and window, needed
+    needs = [], []   # the panels the last finished running segments, and windows, needed
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         ends = list(zip([prev, *points], points))
         moved = [i for i, (q, p) in enumerate(ends) if q != p]
         windows = [span(p) for p in points]
-        starts = _start_panels(needs[0], len(moved)) + _start_panels(needs[1], len(points))
+        # A running segment far wider than its distance from start is read as its pieces.
+        runs = [_pieces(q, p, start) if p - q > _GRADE * max(1.0, q - start)
+                else ((p, q) if p < q else (q, p),) for q, p in (ends[i] for i in moved)]
+        pieces = [*chain.from_iterable(runs)]
+        graded = len(pieces) > len(runs)
+        starts, order = _start_panels(needs[0], len(moved)), [2 * i for i in moved]
+        if graded:   # a graded piece starts from six, and is read in order before the next
+            starts = [n if len(run) == 1 else MIN_PANELS
+                      for run, n in zip(runs, starts) for _ in run]
+            order = [2 * i + j / len(run)
+                     for i, run in zip(moved, runs) for j in range(len(run))]
+        starts += _start_panels(needs[1], len(points))
         if sum(starts) * PANEL_EVALS > MAX_EVALS - evals:
             starts = [MIN_PANELS] * len(starts)
-        results = yield (
-            [(f, [min(ends[i]) for i in moved], [max(ends[i]) for i in moved], None),
+        read = yield (
+            [(f, [lo for lo, _ in pieces], [hi for _, hi in pieces], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
-            MAX_EVALS - evals, [2 * i for i in moved] + [2 * i + 1 for i in range(len(points))],
-            starts)
-        evals += sum(result.evaluations for result in results)
+            MAX_EVALS - evals, order + [2 * i + 1 for i in range(len(points))], starts)
+        evals += sum(result.evaluations for result in read)
+        results = read
+        if graded:   # one result per running segment, from those of its pieces
+            out = iter(read)
+            results = [_increment([next(out) for _ in run]) if len(run) > 1 else next(out)
+                       for run in runs] + list(out)
         increments = [None] * len(points)   # none for a first point at the start
         for i, inc in zip(moved, results):
             increments[i] = inc
@@ -449,15 +472,44 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
                 break
         if not (failed or stopped):   # every result was read, and converged
             # A segment needed its final panels if it split, else at most half its start.
-            need = [r.panels if r.panels > n else n // 2 for r, n in zip(results, starts)]
-            needs[0].extend(need[:len(moved)])
-            needs[1].extend(need[len(moved):])
+            need = [r.panels if r.panels > n else n // 2 for r, n in zip(read, starts)]
+            needs[0].extend(n for n, run in zip(need, (run for run in runs for _ in run))
+                            if len(run) == 1)
+            needs[1].extend(need[len(pieces):])
+            del needs[0][:-3], needs[1][:-3]   # all that _start_panels reads
         prev = points[-1]
     return _classify_result(samples, values, errors, evals, cfg, failed)
 
 
 def _converged(result) -> bool:
     return not isinstance(result, DomainFault) and result.converged
+
+
+def _pieces(q, p, start) -> list[tuple[float, float]]:
+    """The pieces [lo, hi] of a graded running segment from q to p, in read order.
+
+    The cuts are the rungs start + v of a ladder, v = 16^j, taken where v
+    is past twice q's distance from start, past 2^-40 |start|, some
+    thousands of start's ulps (so that no piece is a few ulps wide), and
+    below half of p's.  So a piece is at most 32 times as wide as max(1,
+    its distance from start), or 16 times 2^-40 |start|.  v = 2^4j with 4j
+    below the exponent of p - start, at most 1020: no rung overflows, and
+    there are at most 256.
+    """
+    low = max(2.0 * (q - start), math.ldexp(abs(start), -40))
+    high = (p - start) / 2.0
+    ladder = (math.ldexp(1.0, 4 * j) for j in range((math.frexp(p - start)[1] + 3) // 4))
+    edges = [q, *(start + v for v in ladder if low < v < high), p]
+    return list(zip(edges, edges[1:]))
+
+
+def _increment(pieces):
+    """A graded segment's result: its pieces' sums, or its first failed piece's result."""
+    failed = next((r for r in pieces if not _converged(r)), None)
+    if failed is not None:
+        return failed   # a DomainFault keeps its abscissa
+    value, error, evaluations, _, panels = map(sum, zip(*pieces))
+    return QuadResult(value, error, evaluations, True, panels)
 
 
 def _chunk_end(values, size, m, tol) -> int:

@@ -409,6 +409,24 @@ def test_negative_limit_in_exponent_notation():
     assert json.loads(out)["status"] == "converged"
 
 
+@pytest.mark.parametrize("grid", [
+    ["--f", "exp(-x)", "--a", "0", "--z", "taper:c=1", "--b-step", "1e5"],
+    ["--f", "exp(-x)", "--a", "0", "--z", "taper:c=1", "--b-start", "1e5"],
+    ["--f", "x^-2", "--a", "1", "--z", "taper:c=10", "--b-start", "2e16", "--b-step", "8"],
+], ids=["wide-step", "far-start", "far-start-wide-taper"])
+def test_far_running_segment_is_graded_toward_its_start(grid):
+    # Each integral is 1.  A running segment much wider than its distance
+    # from a is cut on a ladder toward a.  Judged by its six starting panels
+    # alone, [1, 100001] for the wide step or [0, 1e5] for the far start, its
+    # nodes missed the mass, and the requests certified 0.6321, 1.9e-14 and
+    # 4.1e-13, each with exit 0.
+    code, out, err = _run(["eval", "--type", "inf", *grid, "--json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["status"] == "converged"
+    assert abs(payload["value"] - 1.0) <= payload["error_estimate"]
+
+
 def test_overflowing_inner_sums_end_quad_failure():
     # Every value of 1e308*sin(x) is finite, but the rule's sums over a panel
     # pass the float range: no warning, and the quadrature is not certified.

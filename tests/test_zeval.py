@@ -13,6 +13,7 @@ from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _chunk_end,
     _extrapolate,
+    _pieces,
     _start_panels,
     _tail_fit,
     DELTA_SHRINK,
@@ -395,6 +396,83 @@ def test_start_panels_extrapolate_only_a_rising_need():
     assert _start_panels([10, 40, 40], 2) == [20, 20]
     assert _start_panels([40, 20, 30], 1) == [15]
     assert _start_panels([], 2) == _start_panels([8], 2) == [6, 6]
+
+
+@pytest.mark.parametrize("q, p, start, most", [
+    (1.0, 1e7, 1.0, 7),
+    (-1e300, 1e300, -1e300, 256),
+    (0.0, 1.7e308, 0.0, 257),
+    (1e300, 8.9e307, 1e300, 256),
+    (1.0, 1e5, 0.0, 5),
+    (1e15, 1e15 + 1e5, 1e15, 2),
+])
+def test_ladder_is_bounded_and_covers_its_segment(q, p, start, most):
+    # The rungs are start + 16^j; none overflows, even at the top of the float
+    # range, none lies a few ulps from start, and no piece is more than 32
+    # times as wide as max(1, its distance from start) past 2^-40 |start|.
+    # A segment far from zero is still cut: [a, a + 1e5] at a = 1e15 is
+    # [a, a + 4096] and the rest.
+    pieces = _pieces(q, p, start)
+    assert 2 <= len(pieces) <= most
+    edges = [lo for lo, _ in pieces] + [pieces[-1][1]]
+    assert edges[0] == q and edges[-1] == p
+    assert all(lo < hi for lo, hi in pieces)
+    assert all(hi == lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
+    floor = math.ldexp(abs(start), -40)
+    for lo, hi in pieces:
+        assert hi - lo <= 32 * max(1.0, lo - start, 16 * floor)
+
+
+@pytest.mark.parametrize("grid", [{"b_step": 1e5}, {"b_start": 1e15 + 1e5}])
+def test_far_lower_limit_is_not_certified_wrong(grid):
+    # exp(-(x - a)) from a = 1e15 integrates to 1, but its mass lies within a
+    # few hundred ulps of a.  Cut no finer than some thousands of ulps, the
+    # first piece's nodes may still miss it; the evaluation may then fail,
+    # but must not certify a value off by more than its estimate.  With the
+    # cuts kept 2^-36 |a| from a, [a, a + 1e5] was one piece and the far
+    # start certified 2e-14.
+    a = 1e15
+    spec = InfiniteIntegral(parse(f"exp(-(x - {a!r}))"), a, make_smooth_taper(1.0))
+    result = eval_infinite(spec, EvalConfig(**grid))
+    assert result.status != "converged" or abs(result.value - 1.0) <= result.error_estimate
+
+
+def test_graded_span_across_the_float_range_stays_within_budget():
+    # [-1e300, 1e300] is cut into a few pieces, each from six panels: the
+    # constant's integral, 2, takes a few thousand evaluations.
+    spec = InfiniteIntegral(parse("1e-300"), -1e300, make_smooth_taper(1e290))
+    result = eval_infinite(spec, EvalConfig(b_start=1e300, b_step=1e285))
+    assert result.status == "converged"
+    assert abs(result.value - 2.0) <= 1e-9
+    assert result.evaluations <= 10_000 < MAX_EVALS
+
+
+def test_domain_fault_in_a_graded_piece(monkeypatch):
+    # ln(|x - 300| - 10) is not finite on (290, 310), which only the piece
+    # [256, 4096] of [0, 1e4] holds.  The segment fails as that piece fails,
+    # with its fault, and the evaluation counts the evaluations of every piece.
+    import zvar.zeval as zeval
+
+    returned = []
+    original = zeval.integrate_segments
+
+    def recording(*args, **kwargs):
+        results = original(*args, **kwargs)
+        returned.extend(results)
+        return results
+
+    monkeypatch.setattr(zeval, "integrate_segments", recording)
+    spec = InfiniteIntegral(parse("ln(abs(x - 300) - 10)"), 0.0, make_smooth_taper(1.0))
+    result = eval_infinite(spec, EvalConfig(b_start=1e4))
+    assert result.status == "quad_failure" and result.samples == ()
+    faults = [r for r in returned if isinstance(r, DomainFault)]
+    assert len(faults) == 1
+    where = float(str(faults[0]).rsplit(" ", 1)[1])
+    assert 290.0 <= where <= 310.0
+    pieces = _pieces(0.0, 1e4, 0.0)
+    assert pieces[3] == (256.0, 4096.0)
+    assert zeval._increment(returned[:len(pieces)]) is faults[0]
+    assert result.evaluations == sum(r.evaluations for r in returned)
 
 
 def _warm_start_sweep(seed):
