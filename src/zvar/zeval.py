@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -522,13 +522,45 @@ def _chunk_end(values, size, m, tol) -> int:
     tail is fitted, it runs on halfway to the fitted stop if that is later,
     but takes at most n new points to the n samples known and never passes
     `size`: a fit that reaches too far at most doubles the points sampled.
+    A geometric tail runs on through the stop _geometric_stop predicts,
+    which is no later than its true stop, with at most max(n, 32) new
+    points: that bounds what a quadrature failure inside the chunk wastes.
     """
     n = len(values)
     j = n
     while j + 1 < size and (j + 1 < m or _spread(values[j + 1 - m:n] or [0.0]) > tol):
         j += 1
     fit = _tail_fit(values, m, tol)
-    return j + 1 if fit is None else max(j + 1, min((n + fit[1]) // 2, 2 * n, size))
+    end = j + 1 if fit is None else max(j + 1, min((n + fit[1]) // 2, 2 * n, size))
+    stop = _geometric_stop(values, m, tol)
+    return end if stop is None else max(end, min(stop, size, n + max(n, 32)))
+
+
+def _geometric_stop(values, m, tol):
+    """The sample count at which a geometric tail stops, or None if the tail is not one.
+
+    The last four differences must be finite, nonzero and of one sign, and
+    their three ratios below 1 and within 0.1% of each other.  With r the
+    smallest ratio and d the last difference, the window of m samples that
+    ends at count k then spreads |d| r^(k-n) (r^-(m-1) - 1) / (r^-1 - 1),
+    and the stop is the first k at which that is <= tol.  The ratios of a
+    geometric, power-law or 1/ln k tail do not fall later, so its later
+    differences are at least |d| r^(k-n) and it stops no earlier.  The stop
+    is computed in logs, so no ratio overflows it.
+    """
+    d = [b - a for a, b in pairwise(values[-5:])]
+    if len(d) < 4 or not (all(0.0 < x < math.inf for x in d)
+                          or all(-math.inf < x < 0.0 for x in d)):
+        return None
+    ratios = [b / a for a, b in pairwise(d)]
+    r = min(ratios)
+    # r > 0 then: three ratios that underflow to 0 need a difference below the least float
+    if not (max(ratios) < 1.0 and max(ratios) <= 1.001 * r):
+        return None
+    # log(spread at count n / tol); the sum of r^i, i < m - 1, lies in [1, m - 1]
+    excess = (math.log(abs(d[-1])) - math.log(tol) - (m - 2) * math.log(r)
+              + math.log(sum(r ** i for i in range(m - 1))))
+    return len(values) + math.ceil(excess / -math.log(r))
 
 
 def _tail_fit(values, m, tol):

@@ -74,8 +74,9 @@ def test_fitted_chunks_change_no_result_of_the_corpus(monkeypatch):
     # A chunk may run past the stopping point, but no result past it is read:
     # each side gives by repr, evaluations aside, what it gives when the chunk
     # holding its stopping sample (or failing point) ends there, and spends at
-    # least as many.  A pass makes at most 60 engine calls; chunks that end
-    # at the first point that could stop made 135.
+    # least as many.  A pass makes at most 44 engine calls: chunks sized from
+    # a fitted power tail alone made 53, and chunks that end at the first
+    # point that could stop made 135.
     import zvar.zeval
 
     calls = []
@@ -92,7 +93,7 @@ def test_fitted_chunks_change_no_result_of_the_corpus(monkeypatch):
         return repr(dataclasses.replace(side, evaluations=0))
 
     chunked = run()
-    assert len(calls) <= 60
+    assert len(calls) <= 44
     chunk_end = zvar.zeval._chunk_end
     for case, out in zip(cases, chunked, strict=True):
         for spec, mode, side in ((case.left, case.left_mode, out.left),
@@ -119,14 +120,16 @@ def test_compare_pair_raises_the_left_error_first(monkeypatch):
     # The right side's beta is past the engine's range, which it refuses
     # before any quadrature.  The left side's windows reach past the range
     # only after several chunks; its error is still the one raised, as when
-    # the sides run one after the other.
+    # the sides run one after the other.  The step is small enough that the
+    # left side's geometric tail does not run its second chunk to the end of
+    # the range.
     import zvar.zeval
 
     calls = []
     original = zvar.zeval.integrate_segments
     monkeypatch.setattr(zvar.zeval, "integrate_segments",
                         lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-    cfg = EvalConfig(b_start=8.9e307, b_step=3e304)
+    cfg = EvalConfig(b_start=8.9e307, b_step=1e304, b_count=200)
     left = InfiniteIntegral(parse("1/x"), 1e300, make_smooth_taper(1e300))
     right = FiniteIntegral(parse("u", variables=("u",)), 9e307, make_smooth_taper(1.0))
     with pytest.raises(ValueError, match=r"^b_start 8\.9e\+307 and taper width"):

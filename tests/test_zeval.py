@@ -13,6 +13,7 @@ from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _chunk_end,
     _extrapolate,
+    _geometric_stop,
     _pieces,
     _start_panels,
     _tail_fit,
@@ -357,6 +358,8 @@ def test_tail_fit_predicts_where_a_power_law_tail_stops(q):
 ], ids=["flat", "creep", "growing", "oscillating", "sawtooth"])
 def test_tail_fit_needs_a_decaying_tail(values):
     assert _tail_fit(values, STABILITY_WINDOW, 1e-6) is None
+    assert all(_geometric_stop(values[:n], STABILITY_WINDOW, 1e-6) is None
+               for n in range(len(values) + 1))
 
 
 def test_tail_fit_stays_finite_far_out():
@@ -384,6 +387,97 @@ def test_chunk_end_takes_at_most_as_many_new_points_as_it_has():
             assert n < end <= min(2 * n, size)
             grown += end > n + 1
     assert grown
+
+
+def _true_stop(diff, m=STABILITY_WINDOW, tol=1e-6):
+    """First count k whose window of m samples spreads within tol, for a
+    monotone sequence whose difference ending at count j is diff(j)."""
+    def spread(k):
+        return math.fsum(abs(diff(j)) for j in range(k - m + 2, k + 1))
+    lo, hi = m, 10**12   # spread(hi) <= tol < spread(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if spread(mid) <= tol else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("r", [0.1, 0.42, 0.9, 0.99])
+def test_geometric_stop_predicts_where_a_geometric_tail_stops(r):
+    m, tol = STABILITY_WINDOW, 1e-6
+    stop = _true_stop(lambda j: r ** (j - 2) * (1.0 - r))   # the differences of r^k
+    values = [r ** k for k in range(stop)]
+    for n in range(5, stop):
+        assert abs(_geometric_stop(values[:n], m, tol) - stop) <= 1
+
+
+@pytest.mark.parametrize("diff", [
+    *(lambda j, p=p: j ** -p for p in (1.01, 1.5, 2.0, 3.0)),
+    lambda j: 1.0 / math.log(j + 2.0) - 1.0 / math.log(j + 1.0),   # a 1/ln k creep
+], ids=["p1.01", "p1.5", "p2", "p3", "creep"])
+def test_geometric_stop_is_no_later_than_the_stop_of_a_slower_tail(diff):
+    # Ratios of differences that do not fall keep every later difference at
+    # least as large as the geometric prediction's.
+    m, tol = STABILITY_WINDOW, 1e-6
+    stop = _true_stop(diff)
+    values = np.cumsum([diff(j) for j in range(1, 301)]).tolist()
+    predicted = [_geometric_stop(values[:n], m, tol) for n in range(5, 301)]
+    assert all(k is None or k <= stop for k in predicted)
+    assert any(k is not None for k in predicted)
+
+
+def test_geometric_stop_needs_ratios_that_agree():
+    # Decay that speeds up: the ratios of 2^-k (k + 3)'s differences fall
+    # toward 1/2, and agree within 0.1% only from 47 samples on.
+    accelerating = [2.0 ** -k * (k + 3) for k in range(41)]
+    # The first 20 evaluations of the benchmark's deep_oscillatory workload
+    # with seed 1, sin(k/u)/u^2 in both modes.
+    rng = random.Random(1)
+    ks, betas = ([round(lo + (i + rng.random()) * (hi - lo) / 160, 4) for i in range(160)]
+                 for lo, hi in ((0.5, 3.0), (0.5, 2.0)))
+    rng.shuffle(betas)
+    taper = make_smooth_taper(1.0)
+    deep = [[v for _, v in eval_finite(spec, EvalConfig(), mode).samples]
+            for k, beta in zip(ks[:10], betas)
+            for spec in [FiniteIntegral(parse(f"sin({k}/u)/u^2", variables=("u",)), beta, taper)]
+            for mode in ("direct", "bridge")]
+    for values in [accelerating, *deep]:
+        assert all(_geometric_stop(values[:n], STABILITY_WINDOW, 1e-6) is None
+                   for n in range(len(values) + 1))
+
+
+@pytest.mark.parametrize("values, tol", [
+    ([1e300, 1e200, 1e100, 1.0, 1e-100], 1e-6),   # ratios 1e-100: r^-(m-1) overflows
+    (np.cumsum([1e290 * (1.0 - 2.0 ** -40) ** k for k in range(8)]).tolist(), 1e-6),
+    ([1e300 * 0.9 ** k for k in range(8)], 1e-6),
+    ([1e300 * 0.9 ** k for k in range(8)], 5e-324),
+], ids=["tiny-ratio", "ratio-near-one", "huge-spread", "huge-spread-tiny-tol"])
+def test_geometric_stop_stays_finite_far_out(values, tol):
+    m, n = STABILITY_WINDOW, len(values)
+    stop = _geometric_stop(values, m, tol)
+    assert isinstance(stop, int) and stop > n
+    assert n < _chunk_end(values, 10**30, m, tol) <= n + max(n, 32)
+
+
+@pytest.mark.parametrize("form", ["infinite", "finite"])
+def test_geometric_tail_runs_its_chunk_to_its_stop(smooth, monkeypatch, form):
+    # exp(-x) on the b grid and u^-0.5 on the halving d grid have geometric
+    # tails: the second chunk runs to the predicted stop, two engine calls in
+    # all where the power fit alone makes five, with the same result.
+    import zvar.zeval as zeval
+
+    def run():
+        if form == "infinite":
+            return eval_infinite(InfiniteIntegral(parse("exp(-x)"), 0.0, smooth), EvalConfig())
+        spec = FiniteIntegral(parse("u^-0.5", variables=("u",)), 1.0, smooth)
+        return eval_finite(spec, EvalConfig(), mode="direct")
+
+    calls = _record_quadrature(monkeypatch)
+    predicted = run()
+    assert len(calls) == 2
+    calls.clear()
+    monkeypatch.setattr(zeval, "_geometric_stop", lambda values, m, tol: None)
+    assert repr(run()) == repr(predicted)
+    assert len(calls) == 5
 
 
 def test_start_panels_extrapolate_only_a_rising_need():
