@@ -131,12 +131,12 @@ def _result_payload(result: ZResult, spec, mode: str, cfg: EvalConfig) -> dict:
         "value": result.value,
         "error_estimate": result.error_estimate,
         "status": result.status,
-        "samples": [list(s) for s in result.samples],
+        "samples": result.samples,   # json writes a tuple as a list
         "evaluations": result.evaluations,
         "accelerated": result.accelerated,
         # a corpus line's left_spec and config, as resolved for this run
         "spec_echo": {"spec": spec_object(spec, mode),
-                      "config": {**dataclasses.asdict(cfg), "b_start": b_start}},
+                      "config": {**vars(cfg), "b_start": b_start}},
     }
 
 

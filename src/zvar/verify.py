@@ -177,6 +177,11 @@ class SuiteReport:
 
 def strict_json(payload, indent: int | None = None) -> str:
     """Standard JSON text of payload, with every non-finite float written as null."""
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError:   # a non-finite float: walk the payload only then
+        pass
+
     def clean(item):
         if isinstance(item, float) and not math.isfinite(item):
             return None

@@ -522,45 +522,73 @@ def _chunk_end(values, size, m, tol) -> int:
     tail is fitted, it runs on halfway to the fitted stop if that is later,
     but takes at most n new points to the n samples known and never passes
     `size`: a fit that reaches too far at most doubles the points sampled.
-    A geometric tail runs on through the stop _geometric_stop predicts,
-    which is no later than its true stop, with at most max(n, 32) new
-    points: that bounds what a quadrature failure inside the chunk wastes.
+    The fit is read only while the last window's differences keep one sign
+    (zeros allowed): a tail that turns is no power law.  A tail whose ratios
+    _geometric_stop reads runs on through the stop it predicts, no later
+    than the true one, with at most max(n, 32) new points: that bounds what
+    a quadrature failure inside the chunk wastes.  A cap that would leave
+    fewer than m points is `size`, as a chunk that small is not worth a call.
     """
     n = len(values)
     j = n
     while j + 1 < size and (j + 1 < m or _spread(values[j + 1 - m:n] or [0.0]) > tol):
         j += 1
-    fit = _tail_fit(values, m, tol)
+    steps = [b - a for a, b in pairwise(values[-m:])]
+    turns = min(steps, default=0.0) < 0.0 < max(steps, default=0.0)
+    fit = None if turns else _tail_fit(values, m, tol)
     end = j + 1 if fit is None else max(j + 1, min((n + fit[1]) // 2, 2 * n, size))
+    cap = n + max(n, 32)
     stop = _geometric_stop(values, m, tol)
-    return end if stop is None else max(end, min(stop, size, n + max(n, 32)))
+    return end if stop is None else max(end, min(stop, size if size < cap + m else cap))
 
 
 def _geometric_stop(values, m, tol):
-    """The sample count at which a geometric tail stops, or None if the tail is not one.
+    """A sample count no later than the tail's stop, or None if its ratios are not read.
 
-    The last four differences must be finite, nonzero and of one sign, and
-    their three ratios below 1 and within 0.1% of each other.  With r the
-    smallest ratio and d the last difference, the window of m samples that
-    ends at count k then spreads |d| r^(k-n) (r^-(m-1) - 1) / (r^-1 - 1),
-    and the stop is the first k at which that is <= tol.  The ratios of a
-    geometric, power-law or 1/ln k tail do not fall later, so its later
-    differences are at least |d| r^(k-n) and it stops no earlier.  The stop
-    is computed in logs, so no ratio overflows it.
+    The tail is the last five, or four, differences that are finite, nonzero
+    and of one sign; its rounding is 4 eps max|v| / min|d| over five samples.
+    Falling: four ratios below 1, each fall no larger than the one before,
+    and the last three falling by more than their rounding.  Later ratios
+    follow the line of the last fall, floored at 0; while later falls are no
+    larger, the true ratios and differences are no smaller, so the first
+    count whose window of m samples the line's differences spread within tol
+    is no later than the true stop.  The walk ends m - 1 points past the
+    chunk cap n + max(n, 32).  Steady: three ratios below 1, within 0.1% of
+    each other and not falling by more than their rounding.  With r the
+    smallest, the window ending at count k spreads |d| r^(k-n) (r^-(m-1) - 1)
+    / (r^-1 - 1), computed in logs, so no ratio overflows it.  The ratios of
+    a geometric, power-law or 1/ln k tail do not fall, so it stops no earlier.
     """
-    d = [b - a for a, b in pairwise(values[-5:])]
-    if len(d) < 4 or not (all(0.0 < x < math.inf for x in d)
-                          or all(-math.inf < x < 0.0 for x in d)):
+    n = len(values)
+    d = [b - a for a, b in pairwise(values[-6:])]
+    if d and d[-1] < 0.0:   # a falling tail is read as its mirror image
+        d = [-x for x in d]
+    # the tail: the trailing run of finite, positive differences
+    d = d[max((i + 1 for i, x in enumerate(d) if not 0.0 < x < math.inf), default=0):]
+    if len(d) < 4:
         return None
     ratios = [b / a for a, b in pairwise(d)]
-    r = min(ratios)
+    falls = [a - b for a, b in pairwise(ratios)]
+    rounding = 4.0 * np.finfo(float).eps * max(map(abs, values[-5:])) / min(d[-4:])
+    if min(falls[-2:]) > 0.0 and ratios[-3] - ratios[-1] > rounding:
+        if not (len(falls) == 3 and ratios[0] < 1.0 and falls[0] >= falls[1] >= falls[2]):
+            return None
+        k, diff, ratio = n, d[-1], ratios[-1]
+        window = d[1 - m:]
+        while sum(window) > tol and k < n + max(n, 32) + m - 1:
+            ratio = max(ratio - falls[-1], 0.0)
+            diff *= ratio
+            window = [*window[1:], diff]
+            k += 1
+        return k
+    r = min(ratios[-3:])
     # r > 0 then: three ratios that underflow to 0 need a difference below the least float
-    if not (max(ratios) < 1.0 and max(ratios) <= 1.001 * r):
+    if not (max(ratios[-3:]) < 1.0 and max(ratios[-3:]) <= 1.001 * r):
         return None
     # log(spread at count n / tol); the sum of r^i, i < m - 1, lies in [1, m - 1]
-    excess = (math.log(abs(d[-1])) - math.log(tol) - (m - 2) * math.log(r)
+    excess = (math.log(d[-1]) - math.log(tol) - (m - 2) * math.log(r)
               + math.log(sum(r ** i for i in range(m - 1))))
-    return len(values) + math.ceil(excess / -math.log(r))
+    return n + math.ceil(excess / -math.log(r))
 
 
 def _tail_fit(values, m, tol):

@@ -9,7 +9,7 @@ import pytest
 from zvar import taper, zeval
 from zvar.cli import _build_parser, run_cli
 from zvar.expr import MAX_DEPTH
-from zvar.verify import evaluate_spec, load_corpus, run_suite
+from zvar.verify import evaluate_spec, load_corpus, run_suite, strict_json
 
 
 def _run(argv):
@@ -517,6 +517,17 @@ def test_json_output_is_strict(monkeypatch):
     monkeypatch.undo()
     _, out, _ = _run(["verify", "--json"])
     json.loads(out, parse_constant=_reject_constant)
+
+
+def test_strict_json_writes_every_non_finite_float_as_null():
+    # A result's samples are tuples; a NaN inside one is written as null, as
+    # an inf at the top level is, and a finite payload as json writes it.
+    payload = {"value": math.inf, "samples": ((1.0, math.nan), (2.0, 0.5)), "evaluations": 3}
+    text = strict_json(payload)
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "value": None, "samples": [[1.0, None], [2.0, 0.5]], "evaluations": 3}
+    finite = {**payload, "value": 1.0, "samples": ((1.0, 0.25),)}
+    assert strict_json(finite, indent=2) == json.dumps(finite, indent=2)
 
 
 def test_non_numeric_transform_field_is_named():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -377,16 +378,33 @@ def test_tail_fit_stays_finite_far_out():
 
 def test_chunk_end_takes_at_most_as_many_new_points_as_it_has():
     # A 1/ln k creep, the slowest tail the corpus samples: a fitted chunk runs
-    # past the first point that could stop, but never past 2n or the count.
+    # past the first point that could stop, but never past 2n or the count,
+    # except that it runs on to the count when 2n leaves fewer than m points
+    # and the stop predicted, a lower bound, is at or past the count: from
+    # n = 148 on, where 2n is 296, it reaches 300.
     m, tol = STABILITY_WINDOW, 1e-6
     creep = [1.0 / math.log(k + 2.0) for k in range(300)]
     grown = 0
     for n in range(2 * m + 1, 300):
         for size in (n + 1, n + 7, 300, 10**12):
             end = _chunk_end(creep[:n], size, m, tol)
-            assert n < end <= min(2 * n, size)
+            assert n < end <= min(2 * n, size) or (
+                end == size < 2 * n + m and _geometric_stop(creep[:n], m, tol) >= size)
             grown += end > n + 1
     assert grown
+    assert _chunk_end(creep[:147], 300, m, tol) == 294
+    assert _chunk_end(creep[:148], 300, m, tol) == 300
+
+
+def test_chunk_end_fits_no_tail_that_turns():
+    # (-1)^k / (k + 1) spreads its windows like a power law, but its
+    # differences change sign: the chunk ends at the first point that could
+    # stop, not halfway to a fitted stop.
+    m, tol = STABILITY_WINDOW, 1e-6
+    turning = [(-1.0) ** k / (k + 1.0) for k in range(40)]
+    assert _tail_fit(turning, m, tol) is not None
+    assert _geometric_stop(turning, m, tol) is None
+    assert _chunk_end(turning, 10**12, m, tol) == len(turning) + m - 1
 
 
 def _true_stop(diff, m=STABILITY_WINDOW, tol=1e-6):
@@ -426,11 +444,17 @@ def test_geometric_stop_is_no_later_than_the_stop_of_a_slower_tail(diff):
 
 
 def test_geometric_stop_needs_ratios_that_agree():
-    # Decay that speeds up: the ratios of 2^-k (k + 3)'s differences fall
-    # toward 1/2, and agree within 0.1% only from 47 samples on.
+    # Decay that speeds up: the ratios of 2^-k (k + 3)'s differences,
+    # (k + 3) / (2k + 4), fall toward 1/2 by ever smaller steps.  Their line
+    # predicts a stop no later than the true one, 30, from six samples on.
     accelerating = [2.0 ** -k * (k + 3) for k in range(41)]
+    stop = _true_stop(lambda j: 2.0 ** -(j - 1) * (j + 1) - 2.0 ** -(j - 2) * j)
+    assert stop == 30
+    predicted = [_geometric_stop(accelerating[:n], STABILITY_WINDOW, 1e-6) for n in range(stop)]
+    assert predicted == [None] * 6 + [23, 25, 27, 28, 28, 29, 29] + [30] * 17
     # The first 20 evaluations of the benchmark's deep_oscillatory workload
-    # with seed 1, sin(k/u)/u^2 in both modes.
+    # with seed 1, sin(k/u)/u^2 in both modes: their ratios do not agree and
+    # do not fall on a line, so none gets a prediction.
     rng = random.Random(1)
     ks, betas = ([round(lo + (i + rng.random()) * (hi - lo) / 160, 4) for i in range(160)]
                  for lo, hi in ((0.5, 3.0), (0.5, 2.0)))
@@ -440,7 +464,7 @@ def test_geometric_stop_needs_ratios_that_agree():
             for k, beta in zip(ks[:10], betas)
             for spec in [FiniteIntegral(parse(f"sin({k}/u)/u^2", variables=("u",)), beta, taper)]
             for mode in ("direct", "bridge")]
-    for values in [accelerating, *deep]:
+    for values in deep:
         assert all(_geometric_stop(values[:n], STABILITY_WINDOW, 1e-6) is None
                    for n in range(len(values) + 1))
 
@@ -478,6 +502,77 @@ def test_geometric_tail_runs_its_chunk_to_its_stop(smooth, monkeypatch, form):
     monkeypatch.setattr(zeval, "_geometric_stop", lambda values, m, tol: None)
     assert repr(run()) == repr(predicted)
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7, 0.9, 0.95])
+def test_falling_ratios_predict_no_later_than_the_true_stop(r):
+    # The partial sums of (k + b + 1)^p r^k: the ratios of their differences,
+    # r (1 + 1/(k + b + 1))^p, fall toward r by ever smaller steps.  At every
+    # count n their prediction is no later than the true stop, wherever the
+    # last three ratios fall by at least twice their rounding, 4 eps max|v| /
+    # min|d|; where rounding dominates, the steady band reads them and may be
+    # one count late.  A chunk passes the stop only where the power fit's
+    # halfway rule takes it.  The 0.1% band alone read (k + 4)^3 0.95^k at
+    # n = 354 as steady and ran its chunk to 700, 19 points past its stop, 681.
+    m, tol, eps = STABILITY_WINDOW, 1e-6, np.finfo(float).eps
+    for b in (0, 3, 10, 30):
+        for p in (1, 2, 3):
+            def term(k):
+                return (k + b + 1.0) ** p * r ** k
+
+            stop = _true_stop(lambda j: term(j - 1))
+            values = np.cumsum([term(k) for k in range(stop)]).tolist()
+            read = 0
+            for n in range(6, stop):
+                head = values[:n]   # its last four differences are term(n - 4 .. n - 1)
+                fall = term(n - 3) / term(n - 4) - term(n - 1) / term(n - 2)
+                rounding = 4.0 * eps * head[-1] / min(term(k) for k in range(n - 4, n))
+                late = fall < 2.0 * rounding   # rounding dominates: one count late at most
+                predicted = _geometric_stop(head, m, tol)
+                assert predicted is None or predicted <= stop + late, (b, p, n)
+                fit = _tail_fit(head, m, tol)
+                halfway = 0 if fit is None else min((n + fit[1]) // 2, 2 * n)
+                assert _chunk_end(head, 10**12, m, tol) <= max(stop + late, halfway), (b, p, n)
+                read += predicted is not None and not late
+            assert read, (b, p)
+
+
+def test_falling_ratios_near_one_end_their_walk_at_the_cap():
+    # Ratios from 1 - 1e-6 that fall by about 1e-9 a step reach 0 on their
+    # line only after some 10^9 steps, and the stop lies far past any chunk:
+    # the walk ends m - 1 points past the cap n + max(n, 32), at once.
+    m, tol = STABILITY_WINDOW, 1e-6
+    diffs = [1.0]
+    for i in range(4):
+        diffs.append(diffs[-1] * (1.0 - 1e-6 - 1e-9 * i + 1e-11 * i * i))
+    values = np.cumsum([0.0, *diffs]).tolist()
+    n = len(values)
+    start = time.perf_counter()
+    assert _geometric_stop(values, m, tol) == n + max(n, 32) + m - 1
+    assert _chunk_end(values, 10**30, m, tol) == n + max(n, 32)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_a_chunk_runs_to_the_count_when_its_cap_leaves_fewer_than_m_points(smooth, monkeypatch):
+    # u^-0.4588 in bridge mode is geometric with a stop past its 40 samples.
+    # Its second chunk's cap, 5 + 32 points, would leave 3: the chunk takes
+    # them, two engine calls in all where the cap makes three, with the same
+    # result, evaluations included.
+    import zvar.zeval as zeval
+
+    def run():
+        spec = FiniteIntegral(parse("u^-0.4588", variables=("u",)), 1.1215, smooth)
+        return eval_finite(spec, EvalConfig(accelerate=True), mode="bridge")
+
+    calls = _record_quadrature(monkeypatch)
+    result = run()
+    assert len(calls) == 2 and len(result.samples) == 40
+    calls.clear()
+    chunk_end = zeval._chunk_end
+    monkeypatch.setattr(zeval, "_chunk_end", lambda values, size, m, tol: min(
+        chunk_end(values, size, m, tol), len(values) + max(len(values), 32)))
+    assert repr(run()) == repr(result)
+    assert len(calls) == 3
 
 
 def test_start_panels_extrapolate_only_a_rising_need():
