@@ -5,13 +5,17 @@ neg/sin/cos/tan/exp/ln/sqrt/abs, binary add/sub/mul/div/pow).  Trees are
 immutable and hashable; all operations return new trees.
 
 One table, _UFUNCS, maps each operation to the numpy ufunc that computes
-it.  `evaluate` applies it to scalars, `compile_expr` to arrays, and
-`simplify` folds constants through `evaluate`, so a folded constant is the
-value the compiled integrand computes.  Scalar evaluation is strict: an
-operation that raises a floating-point error other than underflow (ln of a
-nonpositive value, x/0, 0^negative, overflow, ...) or gives a non-finite
-value raises DomainFault, so callers can tell a singular integrand from a
-broken one.  Compiled callables let such values through as inf or nan.
+it, and one program applies them: `compile_expr` runs it on arrays,
+`evaluate` at one point, and `simplify` folds constants through
+`evaluate`, so a folded constant is the value the compiled integrand
+computes.  Evaluation at a point is strict.  Its bindings must be finite,
+as parsed constants are (a literal that overflows is refused), so an
+operation whose value is not finite raises a floating-point error (ln of a
+nonpositive value, x/0, 0^negative, overflow, ...).  Every such error but
+underflow raises DomainFault, naming the expression, the bindings and
+numpy's text for the failing ufunc, so callers can tell a singular
+integrand from a broken one.  Compiled callables let such values through
+as inf or nan.
 """
 
 from __future__ import annotations
@@ -298,6 +302,8 @@ def _parse_power(toks: _Tokens, allowed, depth: int) -> ExprAST:
 def _parse_atom(toks: _Tokens, allowed, depth: int) -> ExprAST:
     kind, lex, off = toks.next()
     if kind == "num":
+        if float(lex) == math.inf:
+            raise ParseError(f"number {lex!r} overflows the float range", off)
         return const(float(lex))
     if kind == "name":
         nkind, nlex, _ = toks.peek()
@@ -382,37 +388,6 @@ def free_variables(ast: ExprAST) -> frozenset[str]:
     for child in ast.children:
         out |= free_variables(child)
     return out
-
-
-# --------------------------------------------------------------------------
-# Scalar evaluation with strict domain faults.
-# --------------------------------------------------------------------------
-
-def evaluate(ast: ExprAST, bindings: Mapping[str, float]) -> float:
-    with np.errstate(all="raise", under="ignore"):
-        return float(_evaluate(ast, bindings))
-
-
-def _evaluate(ast: ExprAST, bindings: Mapping[str, float]):
-    if ast.kind == "const":
-        return ast.value
-    if ast.kind == "var":
-        try:
-            return float(bindings[ast.name])
-        except KeyError:
-            raise UnboundVariable(f"variable {ast.name!r} has no binding") from None
-    operands = [_evaluate(child, bindings) for child in ast.children]
-    try:
-        out = _UFUNCS[ast.kind](*operands)
-    except FloatingPointError as err:
-        raise DomainFault(f"{_call_text(ast.kind, operands)}: {err}") from None
-    if not math.isfinite(out):
-        raise DomainFault(f"{_call_text(ast.kind, operands)} is not finite")
-    return out
-
-
-def _call_text(kind: str, operands: list) -> str:
-    return f"{kind}({', '.join(repr(float(v)) for v in operands)})"
 
 
 # --------------------------------------------------------------------------
@@ -536,15 +511,14 @@ def substitute(ast: ExprAST, name: str, replacement: ExprAST) -> ExprAST:
 
 
 # --------------------------------------------------------------------------
-# Vectorized compilation.  compile_expr(ast, ("x", "b")) returns a callable
-# f(x_array, b) evaluating with the same ufuncs as evaluate; domain problems
-# appear as non-finite entries which quadrature turns into DomainFault.
+# Compilation.  compile_expr(ast, ("x", "b")) returns a callable f(x_array, b)
+# that applies each node's ufunc; domain problems appear as non-finite
+# entries, which quadrature turns into DomainFault.  evaluate runs the same
+# program at one point with every floating-point error but underflow raised.
 # --------------------------------------------------------------------------
 
-def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarray]:
-    missing = free_variables(ast) - set(args)
-    if missing:
-        raise UnboundVariable(f"compiled expression leaves {sorted(missing)} unbound")
+def _program(ast: ExprAST, args) -> Callable[[tuple], object]:
+    """ast as nested closures over a tuple of values, one per name in args."""
     index = {name: i for i, name in enumerate(args)}
 
     def build(node: ExprAST):
@@ -552,6 +526,8 @@ def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarra
             v = node.value
             return lambda a: v
         if node.kind == "var":
+            if node.name not in index:
+                raise UnboundVariable(f"variable {node.name!r} has no binding")
             i = index[node.name]
             return lambda a: a[i]
         f = _UFUNCS[node.kind]
@@ -561,7 +537,24 @@ def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarra
         l, r = build(node.children[0]), build(node.children[1])
         return lambda a: f(l(a), r(a))
 
-    body = build(ast)
+    return build(ast)
+
+
+def evaluate(ast: ExprAST, bindings: Mapping[str, float]) -> float:
+    """The value of ast at one point, every floating-point error but underflow a DomainFault."""
+    point = {name: float(value) for name, value in bindings.items()}
+    body = _program(ast, point)
+    if not all(map(math.isfinite, point.values())):
+        raise DomainFault(f"{serialize(ast)} at {point}: a binding is not finite")
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return float(body(tuple(point.values())))
+    except FloatingPointError as err:
+        raise DomainFault(f"{serialize(ast)} at {point}: {err}") from None
+
+
+def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarray]:
+    body = _program(ast, args)
 
     def fn(*values):
         with np.errstate(all="ignore"):

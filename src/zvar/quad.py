@@ -113,7 +113,6 @@ _EPS = np.finfo(float).eps
 MIN_PANELS = 6   # a segment's fewest starting panels: never judge the span by one panel
 PANEL_EVALS = _XK.size   # integrand evaluations per panel evaluated
 _CANDIDATE_CUT = 4096   # while one panel holds most of the error, candidates hold 1/4096 of it
-_SLOTS = np.arange(MIN_PANELS + 1, dtype=float)
 _BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
 _RULE_PANELS = 8 * _BATCH_PANELS   # panels per application of the rule's sums
 MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
@@ -192,11 +191,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
     count = len(lo)
-    # Only starts past six are cut one segment at a time; six is a broadcast.
-    uniform = start_panels is None or max(start_panels, default=0) <= MIN_PANELS
-    split = None if uniform else np.maximum(np.array(start_panels, dtype=np.int64), MIN_PANELS)
-    # What each segment has spent, from its first batch on.
-    spent = (np.zeros(count, dtype=np.int64) + MIN_PANELS if uniform else split) * _XK.size
+    split = np.maximum(np.array([MIN_PANELS] * count if start_panels is None else start_panels,
+                                dtype=np.int64), MIN_PANELS)
+    spent = split * _XK.size   # what each segment has spent, from its first batch on
     if not isinstance(max_evals, (list, tuple)):
         max_evals = [max_evals] * (max(pool, default=0) + 1)
     pool_of = pool = np.array(pool, dtype=np.intp)
@@ -235,23 +232,14 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     # rounds gave them.  The starting panels are the first children of an
     # empty frontier, the edges of n of them np.linspace(lo, hi, n + 1) bit for
     # bit, at a third of its cost: k * ((hi - lo) / n) + lo, and hi.
-    if uniform:
-        edges = _SLOTS * ((hi_arr - lo_arr) / MIN_PANELS)[:, None] + lo_arr[:, None]
-        edges[:, -1] = hi_arr
-        kids = np.empty((6, ids.size, MIN_PANELS))
-        kids[0] = edges[:, :-1]
-        kids[1] = edges[:, 1:]
-        kids = kids.reshape(6, -1)
-        kid_seg = np.arange(ids.size).repeat(MIN_PANELS)
-    else:
-        n = split[ids]
-        kid_seg = np.arange(ids.size).repeat(n)
-        last = np.cumsum(n) - 1   # each segment's last panel
-        slot = np.arange(kid_seg.size) - (last + 1 - n)[kid_seg]
-        kids = np.empty((6, kid_seg.size))
-        kids[0] = slot * ((hi_arr - lo_arr) / n)[kid_seg] + lo_arr[kid_seg]
-        kids[1, :-1] = kids[0, 1:]
-        kids[1, last] = hi_arr
+    n = split[ids]
+    kid_seg = np.arange(ids.size).repeat(n)
+    last = np.cumsum(n) - 1   # each segment's last panel
+    slot = np.arange(kid_seg.size) - (last + 1 - n)[kid_seg]
+    kids = np.empty((6, kid_seg.size))
+    kids[0] = slot * ((hi_arr - lo_arr) / n)[kid_seg] + lo_arr[kid_seg]
+    kids[1, :-1] = kids[0, 1:]
+    kids[1, last] = hi_arr
     kids[5] = math.inf
     panels, seg = kids[:, :0], kid_seg[:0]
     pick = np.zeros(0, dtype=np.intp)   # the frontier columns split last round

@@ -389,10 +389,11 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     fails to converge or meets a domain fault ends it as quad_failure,
     keeping the samples before it.
 
-    A running segment of a growing grid more than _GRADE times as wide as
-    max(1, its distance from start) is graded: cut on the ladder _pieces
-    builds toward start, its pieces read in order before the point's
-    window, its increment their sum, which fails as any piece fails.
+    Each point's running segment is a tuple of pieces: none for a point at
+    start, else one, or, where a growing grid's segment is more than _GRADE
+    times as wide as max(1, its distance from start), the ladder _pieces
+    builds toward start.  The pieces are read in order before the point's
+    window; the increment is their sum, and fails as any piece fails.
 
     A chunk's running segments and windows are one budget pool of one
     integrate_segments call.  _chunk_end sizes it: through the first point
@@ -405,12 +406,16 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     left, so a chunk that cannot pay for its first batches ends as
     quad_failure.
 
-    Each running segment and window starts from the panels those of its
-    kind before it needed (_start_panels), or from six if the evaluation's
-    remaining budget cannot pay the chunk's first batches; a graded piece
-    starts from six, and records no need.  A start moves a
-    value within quadrature error only, so a value depends on where its
-    chunk's boundaries fall, within that error; it stays deterministic.
+    Each piece and window starts from the panels those of its kind before
+    it needed (_start_panels), or from six if the evaluation's remaining
+    budget cannot pay the chunk's first batches.  Only the first two
+    segments can be graded: from the third on, a segment is one step wide
+    and at least one step from start.  Both lie in the first chunk, which
+    holds at least m points and, knowing no need yet, starts all from six;
+    the three needs the next chunk reads are those of ungraded segments.
+    A start moves a value within quadrature error only, so a value depends
+    on where its chunk's boundaries fall, within that error; it stays
+    deterministic.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -424,37 +429,25 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     needs = [], []   # the panels the last finished running segments, and windows, needed
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
-        ends = list(zip([prev, *points], points))
-        moved = [i for i, (q, p) in enumerate(ends) if q != p]
         windows = [span(p) for p in points]
-        # A running segment far wider than its distance from start is read as its pieces.
-        runs = [_pieces(q, p, start) if p - q > _GRADE * max(1.0, q - start)
-                else ((p, q) if p < q else (q, p),) for q, p in (ends[i] for i in moved)]
+        # Each point's running segment as pieces: none at start, one, or a graded ladder.
+        runs = [() if q == p else _pieces(q, p, start) if p - q > _GRADE * max(1.0, q - start)
+                else ((p, q) if p < q else (q, p),) for q, p in zip([prev, *points], points)]
         pieces = [*chain.from_iterable(runs)]
-        graded = len(pieces) > len(runs)
-        starts, order = _start_panels(needs[0], len(moved)), [2 * i for i in moved]
-        if graded:   # a graded piece starts from six, and is read in order before the next
-            starts = [n if len(run) == 1 else MIN_PANELS
-                      for run, n in zip(runs, starts) for _ in run]
-            order = [2 * i + j / len(run)
-                     for i, run in zip(moved, runs) for j in range(len(run))]
-        starts += _start_panels(needs[1], len(points))
+        starts = _start_panels(needs[0], len(pieces)) + _start_panels(needs[1], len(points))
         if sum(starts) * PANEL_EVALS > MAX_EVALS - evals:
             starts = [MIN_PANELS] * len(starts)
         read = yield (
             [(f, [lo for lo, _ in pieces], [hi for _, hi in pieces], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
-            MAX_EVALS - evals, order + [2 * i + 1 for i in range(len(points))], starts)
+            MAX_EVALS - evals,
+            [2 * i + j / len(run) for i, run in enumerate(runs) for j, _ in enumerate(run)]
+            + [*range(1, 2 * len(points), 2)], starts)
         evals += sum(result.evaluations for result in read)
-        results = read
-        if graded:   # one result per running segment, from those of its pieces
-            out = iter(read)
-            results = [_increment([next(out) for _ in run]) if len(run) > 1 else next(out)
-                       for run in runs] + list(out)
-        increments = [None] * len(points)   # none for a first point at the start
-        for i, inc in zip(moved, results):
-            increments[i] = inc
-        for p, inc, window in zip(points, increments, results[len(moved):]):
+        out = iter(read)
+        increments = [None if not run else next(out) if len(run) == 1
+                      else _increment([next(out) for _ in run]) for run in runs]
+        for p, inc, window in zip(points, increments, out):
             if inc is not None:
                 if not _converged(inc):
                     failed = True
@@ -473,8 +466,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
         if not (failed or stopped):   # every result was read, and converged
             # A segment needed its final panels if it split, else at most half its start.
             need = [r.panels if r.panels > n else n // 2 for r, n in zip(read, starts)]
-            needs[0].extend(n for n, run in zip(need, (run for run in runs for _ in run))
-                            if len(run) == 1)
+            needs[0].extend(need[:len(pieces)])
             needs[1].extend(need[len(pieces):])
             del needs[0][:-3], needs[1][:-3]   # all that _start_panels reads
         prev = points[-1]

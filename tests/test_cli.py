@@ -313,6 +313,12 @@ def test_usage_errors_exit_one():
                                "--z", "taper:c=1", "--" + name.replace("_", "-"), value])
         assert (code, out) == (1, "")
         assert err == f"zvar: error: {name} must be finite, got {float(value)!r}\n"
+    # A literal past the float range once parsed to inf, and the request
+    # spent 1,260 evaluations to end quad_failure, exit 2.
+    code, out, err = _run(["eval", "--type", "inf", "--f", "1e999*exp(-x)", "--a", "0",
+                           "--z", "taper:c=1", "--json"])
+    assert (code, out) == (1, "")
+    assert err == "zvar: error: number '1e999' overflows the float range (at offset 0)\n"
 
 
 def test_expression_at_the_depth_bound_evaluates_and_transforms():

@@ -71,6 +71,15 @@ def test_parse_errors_carry_offset():
     with pytest.raises(ParseError, match="unexpected token 'y'") as exc:
         parse("x y")
     assert exc.value.offset == 2
+    # A literal past the float range once parsed to inf, which serializes as
+    # "inf", a variable: parsed constants stay finite.
+    with pytest.raises(ParseError, match=r"^number '1e999' overflows the float range "
+                                         r"\(at offset 0\)$"):
+        parse("1e999*exp(-x)")
+    with pytest.raises(ParseError) as exc:
+        parse("2 + .5e309")
+    assert exc.value.offset == 4
+    assert parse("1.7e308").value == 1.7e308 and parse("1e-400").value == 0.0
 
 
 def _levels(ast):
@@ -102,8 +111,20 @@ def test_evaluate_domain_faults():
         evaluate(parse("x^(-1/2)"), {"x": -4.0})
     with pytest.raises(DomainFault):
         evaluate(parse("0^x"), {"x": -1.0})
-    with pytest.raises(UnboundVariable):
+    with pytest.raises(UnboundVariable, match="^variable 'y' has no binding$"):
         evaluate(parse("x + y"), {"x": 1.0})
+    # A fault names the expression, the bindings and the failing ufunc.
+    with pytest.raises(DomainFault) as exc:
+        evaluate(parse("ln(x)"), {"x": -1})
+    assert str(exc.value) == "ln(x) at {'x': -1.0}: invalid value encountered in log"
+    with pytest.raises(DomainFault, match="overflow encountered in exp$"):
+        evaluate(parse("exp(x)"), {"x": 710.0})
+    with pytest.raises(DomainFault, match="divide by zero encountered in divide$"):
+        evaluate(parse("1/x"), {"x": 0.0})
+    # A non-finite binding is refused, even where the value would be finite.
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainFault, match="a binding is not finite$"):
+            evaluate(parse("exp(x)*0"), {"x": x})
 
 
 def test_differentiate_power_rule():

@@ -392,6 +392,13 @@ def test_error_past_the_float_range_is_not_certified():
     assert not r.converged and r.evaluations == 126
 
 
+def _outcome(result):
+    """A result as a comparable value: a QuadResult, or a fault's text and evaluations."""
+    if isinstance(result, DomainFault):
+        return str(result), result.evaluations
+    return result
+
+
 def test_segments_match_one_at_a_time():
     # Every segment of a lockstep batch gets, bit for bit, the result it gets
     # alone: value, error, evaluations and converged, or the same DomainFault
@@ -489,6 +496,11 @@ def test_segments_match_one_at_a_time():
         # In the batch, this segment has panels cut in four unless its tolerance
         # is below roundoff.
         assert _split_in_four(heard) == (tol > 3e-17)
+        if not mixed:   # no start list, or starts below six, are six-panel starts
+            for other in (None, [i % 7 for i in range(count)]):
+                again = integrate_segments(groups, tol, caps, pools=range(len(groups)),
+                                           start_panels=other)
+                assert list(map(_outcome, again)) == list(map(_outcome, batch))
         segments = [(chirp, 2e-4, 1.0), (loud, 0.0, 30.0)]
         segments += [(fn, 0.0, 30.0) for fn in ripples]
         segments += [(lambda x, p=p: damped(x, p), lo, hi) for lo, hi, p in zip(lo_p, hi_p, freqs)]

@@ -664,6 +664,62 @@ def test_domain_fault_in_a_graded_piece(monkeypatch):
     assert result.evaluations == sum(r.evaluations for r in returned)
 
 
+@pytest.mark.parametrize("integrand, a, c, grid, want", [
+    ("exp(-x)", 0.0, 1.0, {"b_start": 0.0, "b_step": 1e5},
+     (1.0, 1.911942694263041e-14, 1932, 6)),
+    ("x^-2", 1.0, 10.0, {"b_start": 1.0, "b_step": 1e6, "b_count": 6},
+     (0.9999998000002399, 7.999972972832446e-07, 2016, 6)),
+])
+def test_a_chunk_mixes_a_point_at_start_with_a_graded_segment(integrand, a, c, grid, want):
+    # The first point lies at the lower limit and adds no running segment;
+    # the second's segment is graded.  The results are pinned bit for bit.
+    spec = InfiniteIntegral(parse(integrand), a, make_smooth_taper(c))
+    r = eval_infinite(spec, EvalConfig(**grid))
+    assert r.status == "converged"
+    assert (r.value, r.error_estimate, r.evaluations, len(r.samples)) == want
+
+
+def test_graded_pieces_lie_in_the_first_chunk_which_starts_from_six(monkeypatch):
+    # Only the first two running segments can be graded, and both lie in the
+    # first chunk, which holds at least m points and knows no need yet: so
+    # every graded piece starts from six, as every segment of that call does,
+    # and the three needs the next chunk reads are those of ungraded segments.
+    # Over the bracket oracle's far-start and wide-step grids.
+    import zvar.zeval as zeval
+    from test_bracket_oracle import C, FAMILIES, GRIDS
+
+    graded, calls = [], []
+    ladder, engine = zeval._pieces, zeval.integrate_segments
+
+    def pieces(*args):
+        out = ladder(*args)
+        graded.extend(out)
+        return out
+
+    def recording(groups, *args, start_panels, **kwargs):
+        calls.append((len(graded), list(zip(groups[0][1], groups[0][2])), start_panels))
+        return engine(groups, *args, start_panels=start_panels, **kwargs)
+
+    monkeypatch.setattr(zeval, "_pieces", pieces)
+    monkeypatch.setattr(zeval, "integrate_segments", recording)
+    seen = 0
+    for family in sorted(FAMILIES):
+        for grid in ("far-start", "wide-step"):
+            for half in (0, 1):
+                rng = random.Random(f"{family}-{grid}-{half}")
+                integrand, a, _, _ = FAMILIES[family](rng)
+                cfg = EvalConfig(**GRIDS[grid](rng, a, half))
+                graded.clear()
+                calls.clear()
+                eval_infinite(InfiniteIntegral(parse(integrand), a, make_smooth_taper(C)), cfg)
+                made, first, starts = calls[0]
+                assert {n for n, _, _ in calls} == {made}, (family, grid, half)
+                assert set(graded) <= set(first) and set(starts) == {6}, (family, grid, half)
+                assert not set(first[-3:]) & set(graded), (family, grid, half)
+                seen += len(graded)
+    assert seen > 0
+
+
 def _warm_start_sweep(seed):
     """(spec, mode) draws of the families whose bracket segments start warm, or must not."""
     rng = random.Random(seed)
