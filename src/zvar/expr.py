@@ -14,8 +14,9 @@ operation whose value is not finite raises a floating-point error (ln of a
 nonpositive value, x/0, 0^negative, overflow, ...).  Every such error but
 underflow raises DomainFault, naming the expression, the bindings and
 numpy's text for the failing ufunc, so callers can tell a singular
-integrand from a broken one.  Compiled callables let such values through
-as inf or nan.
+integrand from a broken one; so does a value that is not finite all the
+same, from a const(inf) that parse never makes, so simplify keeps that
+subtree.  Compiled callables let such values through as inf or nan.
 """
 
 from __future__ import annotations
@@ -548,9 +549,12 @@ def evaluate(ast: ExprAST, bindings: Mapping[str, float]) -> float:
         raise DomainFault(f"{serialize(ast)} at {point}: a binding is not finite")
     try:
         with np.errstate(all="raise", under="ignore"):
-            return float(body(tuple(point.values())))
+            value = float(body(tuple(point.values())))
     except FloatingPointError as err:
         raise DomainFault(f"{serialize(ast)} at {point}: {err}") from None
+    if not math.isfinite(value):   # only a constant built past parse's check gets here
+        raise DomainFault(f"{serialize(ast)} at {point}: the value {value!r} is not finite")
+    return value
 
 
 def compile_expr(ast: ExprAST, args: tuple[str, ...]) -> Callable[..., np.ndarray]:

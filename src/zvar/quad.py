@@ -4,7 +4,7 @@ One engine integrates S segments in lockstep, each by QUADPACK's QAG
 scheme (Piessens et al. 1983) with its own frontier, error budget and
 evaluation count, as `scipy.integrate.quad_vec` does for the components
 of a vector integrand.  A segment starts as its caller asks, at least
-six equal panels; each round it splits its largest-error panels, the
+six panels; each round it splits its largest-error panels, the
 fewest after which the error left is within what abs_tol still allows
 (quad_vec's loop leaves abs_tol/8 instead), and at least one.  Where the
 error is spread, every panel is a candidate, so the segment splits in
@@ -27,7 +27,10 @@ evaluated: every other panel keeps its value and error from the round
 that created it.  The Kronrod nodes are strictly interior, and no panel
 is split into children too narrow to hold them in floating point (a few
 hundred ulps), so only the first batch of a segment a few thousand ulps
-wide can sample a panel's endpoints.
+wide can sample a panel's endpoints.  A caller may grade the starting
+panels geometrically from lo to hi, and each result reports its grade,
+the width ratio of its end panels, so that the next of a caller's scaled
+copies of one shape can start as its predecessor ended.
 
 The frontier is one set of panel columns tagged with a segment index, and
 each round takes every decision for all segments at once with array
@@ -116,6 +119,7 @@ _CANDIDATE_CUT = 4096   # while one panel holds most of the error, candidates ho
 _BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
 _RULE_PANELS = 8 * _BATCH_PANELS   # panels per application of the rule's sums
 MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
+_GRADES = math.exp(-600.0), math.exp(600.0)   # a starting grade's range: expm1(7/6 600) is finite
 
 # Segments sharing one integrand: (fn, lo, hi, params), see integrate_segments.
 SegmentGroup = tuple[Callable[..., np.ndarray], Sequence[float], Sequence[float],
@@ -130,6 +134,7 @@ class QuadResult(NamedTuple):
     evaluations: int
     converged: bool
     panels: int   # the panels its partition ended with, 0 if it never started
+    grade: float = 1.0   # width of its panel at hi over that of its panel at lo
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -137,7 +142,8 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
                        max_evals: int | list[int] | tuple[int, ...] = 10_000_000,
                        read_order: Sequence[int] | None = None,
                        pools: Sequence[int] | None = None,
-                       start_panels: Sequence[int] | None = None
+                       start_panels: Sequence[int] | None = None,
+                       start_grades: Sequence[float] | None = None
                        ) -> list[QuadResult | DomainFault]:
     """Integrate every segment of every group to absolute tolerance abs_tol.
 
@@ -163,6 +169,12 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     evaluations, is counted in its evaluations and its pool's budget.  A
     segment gets the same result, bit for bit, from the same start
     whatever else the call holds.
+
+    start_grades, one grade g per segment (1 for all by default), grades
+    the n > 6 starting panels of a segment: panel k is g^(k/(n-1)) times as
+    wide as panel 0, |ln g| held at 600, unless one could not hold its
+    nodes.  A result's `grade` is its final partition's; one that never
+    split reports the grade it started with, 1 on equal panels.
 
     read_order, one position per segment, is the order in which a caller
     reads the results of each pool and stops at the first failure (a
@@ -220,7 +232,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         started = np.array(caps)[pool] >= 0
         ids = np.flatnonzero(started)
         spent[~started] = 0
-        pool, position, lo_arr, hi_arr = pool[ids], position[ids], lo_arr[ids], hi_arr[ids]
+        pool, position = pool[ids], position[ids]
         value[:], error[:] = math.nan, math.inf
     narrow = np.zeros(ids.size, dtype=bool)
 
@@ -231,15 +243,30 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     # one stable sort, so equal errors keep the order that the segment's own
     # rounds gave them.  The starting panels are the first children of an
     # empty frontier, the edges of n of them np.linspace(lo, hi, n + 1) bit for
-    # bit, at a third of its cost: k * ((hi - lo) / n) + lo, and hi.
-    n = split[ids]
+    # bit, at a third of its cost: k * ((hi - lo) / n) + lo, and hi.  Graded
+    # ones have edge k at lo + (hi - lo) expm1(k t) / expm1(n t), t = ln g / (n - 1).
+    n, seg_lo, seg_hi = split[ids], lo_arr[ids], hi_arr[ids]
     kid_seg = np.arange(ids.size).repeat(n)
     last = np.cumsum(n) - 1   # each segment's last panel
     slot = np.arange(kid_seg.size) - (last + 1 - n)[kid_seg]
     kids = np.empty((6, kid_seg.size))
-    kids[0] = slot * ((hi_arr - lo_arr) / n)[kid_seg] + lo_arr[kid_seg]
+    lo_kid = seg_lo[kid_seg]
+    kids[0] = slot * ((seg_hi - seg_lo) / n)[kid_seg] + lo_kid
+    grade = np.ones(count)   # each segment's starting grade, then its final one
+    if start_grades is not None:
+        g = np.clip(np.asarray(start_grades, dtype=float)[ids], *_GRADES)
+        t = np.log(g) / (n - 1)   # 0 for a grade of 1, nan for one that is not a number
+        t[n <= MIN_PANELS] = 0.0
+        if np.count_nonzero(t):
+            edges = lo_kid + (seg_hi - seg_lo)[kid_seg] * (np.expm1(slot * t[kid_seg])
+                                                          / np.expm1(n * t)[kid_seg])
+            right = np.append(edges[1:], 0.0)
+            right[last] = seg_hi
+            t[kid_seg[~_holds_nodes(edges, right)]] = 0.0   # equal panels where a graded one fails
+            kids[0] = np.where(t[kid_seg] != 0.0, edges, kids[0])
+            grade[ids] = np.where(t != 0.0, g, 1.0)
     kids[1, :-1] = kids[0, 1:]
-    kids[1, last] = hi_arr
+    kids[1, last] = seg_hi
     kids[5] = math.inf
     panels, seg = kids[:, :0], kid_seg[:0]
     pick = np.zeros(0, dtype=np.intp)   # the frontier columns split last round
@@ -279,6 +306,11 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
             spent[out] += 2 * _XK.size * bisections[out]
             converged[out] = done[end]
             final[out] = np.bincount(seg, minlength=ids.size)[end]
+            grown = end & (bisections[ids] > 0)
+            if np.count_nonzero(grown):   # the widths of its one panel at hi and at lo
+                at = np.flatnonzero(grown[seg])
+                x0, x1, own = panels[0, at], panels[1, at], ids[seg[at]]
+                grade[ids[grown]] = (x1 - x0)[x1 == hi_arr[own]] / (x1 - x0)[x0 == lo_arr[own]]
             if np.count_nonzero(end) == end.size:
                 break
             live = ~end
@@ -356,7 +388,7 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         kid_seg = owner.repeat(pieces)
     return [faults[s] if s in faults else QuadResult(*row)
             for s, row in enumerate(zip(value.tolist(), error.tolist(), spent.tolist(),
-                                        converged.tolist(), final.tolist()))]
+                                        converged.tolist(), final.tolist(), grade.tolist()))]
 
 
 def _room(asked, left, pool, position):

@@ -51,6 +51,7 @@ MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
 _GROWTH = 3.0
 _REACH = 16
 _GRADE = 64   # a running segment wider than 64 max(1, its distance from start) is graded
+_SLACK = 1e-3   # an unsplit start whose error is below 1e-3 quad_tol had panels to spare
 _RANGE = "the largest limit the quadrature takes"
 
 
@@ -351,12 +352,14 @@ def run_together(plans, abs_tol: float) -> list[ZResult]:
                 break
         if not pending:
             break
-        groups, budgets, orders, starts = zip(*pending.values())
+        groups, budgets, orders, starts, grades = zip(*pending.values())
         out = iter(integrate_segments(
             [group for chunk in groups for group in chunk], abs_tol, budgets,
             read_order=[p for order in orders for p in order],
             pools=[pool for pool, chunk in enumerate(groups) for _ in chunk],
-            start_panels=[n for chunk in starts for n in chunk]))
+            start_panels=[n for chunk in starts for n in chunk],
+            start_grades=[g for chunk, ns in zip(grades, starts) for g in chunk or [1.0] * len(ns)]
+            if any(grades) else None))
         answers = {i: [next(out) for _, lo, _, _ in chunk for _ in lo]
                    for i, chunk in zip(pending, groups)}
     if error is not None:
@@ -413,6 +416,10 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     and at least one step from start.  Both lie in the first chunk, which
     holds at least m points and, knowing no need yet, starts all from six;
     the three needs the next chunk reads are those of ungraded segments.
+    Each also starts on the grade the last of its kind in the last chunk
+    read in full ended with, as it is that one scaled or shifted.  An
+    unsplit graded start records itself as its need, or half if its error
+    is below _SLACK quad_tol: a need that stops rising then decays.
     A start moves a value within quadrature error only, so a value depends
     on where its chunk's boundaries fall, within that error; it stays
     deterministic.
@@ -427,6 +434,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     failed = stopped = False
     m = STABILITY_WINDOW
     needs = [], []   # the panels the last finished running segments, and windows, needed
+    grade = [1.0, 1.0]   # the grades the last running segment, and window, ended with
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         windows = [span(p) for p in points]
@@ -437,12 +445,13 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
         starts = _start_panels(needs[0], len(pieces)) + _start_panels(needs[1], len(points))
         if sum(starts) * PANEL_EVALS > MAX_EVALS - evals:
             starts = [MIN_PANELS] * len(starts)
+        grades = None if grade == [1.0, 1.0] else [grade[0]] * len(pieces) + [grade[1]] * len(points)
         read = yield (
             [(f, [lo for lo, _ in pieces], [hi for _, hi in pieces], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
             MAX_EVALS - evals,
             [2 * i + j / len(run) for i, run in enumerate(runs) for j, _ in enumerate(run)]
-            + [*range(1, 2 * len(points), 2)], starts)
+            + [*range(1, 2 * len(points), 2)], starts, grades)
         evals += sum(result.evaluations for result in read)
         out = iter(read)
         increments = [None if not run else next(out) if len(run) == 1
@@ -464,11 +473,15 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
             if stopped:
                 break
         if not (failed or stopped):   # every result was read, and converged
-            # A segment needed its final panels if it split, else at most half its start.
-            need = [r.panels if r.panels > n else n // 2 for r, n in zip(read, starts)]
+            # A segment needed its final panels if it split, its start if that was graded
+            # and not far within quad_tol, else at most half its start.
+            need = [r.panels if r.panels > n
+                    or (r.grade != 1.0 and r.error_estimate >= _SLACK * cfg.quad_tol) else n // 2
+                    for r, n in zip(read, starts)]
             needs[0].extend(need[:len(pieces)])
             needs[1].extend(need[len(pieces):])
             del needs[0][:-3], needs[1][:-3]   # all that _start_panels reads
+            grade = [read[len(pieces) - 1].grade if pieces else grade[0], read[-1].grade]
         prev = points[-1]
     return _classify_result(samples, values, errors, evals, cfg, failed)
 
@@ -500,7 +513,7 @@ def _increment(pieces):
     failed = next((r for r in pieces if not _converged(r)), None)
     if failed is not None:
         return failed   # a DomainFault keeps its abscissa
-    value, error, evaluations, _, panels = map(sum, zip(*pieces))
+    value, error, evaluations, _, panels, _ = map(sum, zip(*pieces))
     return QuadResult(value, error, evaluations, True, panels)
 
 

@@ -10,13 +10,14 @@ from zvar.quad import QuadResult, integrate_segments
 
 
 def integrate_one(fn, lo: float, hi: float, abs_tol: float,
-                  max_evals: int = 10_000_000, start: int = 6) -> QuadResult:
-    """The one segment [lo, hi] of fn(x) from `start` panels, alone in a call.
+                  max_evals: int = 10_000_000, start: int = 6,
+                  grade: float = 1.0) -> QuadResult:
+    """The one segment [lo, hi] of fn(x) from `start` panels of `grade`, alone in a call.
 
     Raises the segment's DomainFault.
     """
     result, = integrate_segments([(fn, (lo,), (hi,), None)], abs_tol, max_evals, read_order=[0],
-                                 start_panels=[start])
+                                 start_panels=[start], start_grades=[grade])
     if isinstance(result, DomainFault):
         raise result
     return result

@@ -21,6 +21,7 @@ from zvar.expr import (
     const,
     differentiate,
     evaluate,
+    exp as expr_exp,
     free_variables,
     parse,
     serialize,
@@ -125,6 +126,15 @@ def test_evaluate_domain_faults():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainFault, match="a binding is not finite$"):
             evaluate(parse("exp(x)*0"), {"x": x})
+    # A non-finite constant made with const(), which parse never makes, gives
+    # a value that sets no floating-point flag; it is refused all the same,
+    # so simplify keeps the tree, whose text is not the variable `inf`.
+    tree = expr_exp(const(math.inf))
+    with pytest.raises(DomainFault, match=r"^exp\(inf\) at \{\}: the value inf is not finite$"):
+        evaluate(tree, {})
+    assert simplify(tree) == tree and simplify(tree).kind == "exp"
+    with pytest.raises(DomainFault, match="the value nan is not finite$"):
+        evaluate(const(math.nan) + var("x"), {"x": 1.0})
 
 
 def test_differentiate_power_rule():

@@ -768,6 +768,67 @@ def test_warm_starts_move_values_only_within_their_error(monkeypatch):
     assert "quad_failure" in {result.status for result in warm}
 
 
+def _equal_starts(monkeypatch):
+    """Make every segment zeval integrates start on equal panels, as grades of 1 do."""
+    import zvar.zeval as zeval
+
+    engine = zeval.integrate_segments
+    monkeypatch.setattr(zeval, "integrate_segments",
+                        lambda *args, start_grades=None, **kwargs: engine(*args, **kwargs))
+
+
+@pytest.mark.parametrize("k, beta", [(1.0, 1.0), (2.3, 0.7), (0.6, 1.8)])
+def test_graded_starts_spend_less_on_a_chirp(smooth, monkeypatch, k, beta):
+    # Each window, and each running segment, of sin(k/u)/u^2 is its
+    # predecessor scaled: started on the grading its predecessor ended with,
+    # it spends less than on equal panels, with the same statuses and sample
+    # counts and values within the two runs' summed error estimates.
+    spec = FiniteIntegral(parse(f"sin({k!r}/u)/u^2", variables=("u",)), beta, smooth)
+    graded = [eval_finite(spec, EvalConfig(), mode) for mode in ("direct", "bridge")]
+    _equal_starts(monkeypatch)
+    for mode, got in zip(("direct", "bridge"), graded):
+        equal = eval_finite(spec, EvalConfig(), mode)
+        assert got.status == equal.status == "converged", mode
+        assert len(got.samples) == len(equal.samples), mode
+        assert abs(got.value - equal.value) <= got.error_estimate + equal.error_estimate, mode
+        assert got.evaluations < equal.evaluations, mode
+
+
+def test_a_need_that_stops_rising_decays(smooth, monkeypatch):
+    # A graded start that ended without splitting records its start as its
+    # need, so starts extrapolated from a rising need could feed their own
+    # rise.  The windows of sin(x^2) e^(-x/c) need up to 16 panels, and once
+    # their need stops rising, started from 629 panels that way: the
+    # evaluation spent 92,085, where equal starts spend 25,347.  A start
+    # that left an error below 1/1000 of quad_tol had panels to spare, and
+    # records half of itself, so the need decays.
+    import zvar.zeval as zeval
+
+    starts = []
+    engine = zeval.integrate_segments
+
+    def recording(groups, *args, **kwargs):
+        starts.extend(kwargs["start_panels"][len(groups[0][1]):])   # the windows'
+        return engine(groups, *args, **kwargs)
+
+    monkeypatch.setattr(zeval, "integrate_segments", recording)
+    spec = InfiniteIntegral(parse("sin(x^2)*exp(-x/12.617619095934067)"), 0.9313001401995467,
+                            smooth)
+    cfg = EvalConfig(b_count=120, tol=1e-8)
+    graded = eval_infinite(spec, cfg)
+    assert max(starts) <= 16
+    # sin(x^2)/x's need rises for 140 samples; graded, it spends no more
+    # than it spent on equal starts.
+    rising = eval_infinite(InfiniteIntegral(parse("sin(x^2)/x"), 1.0, smooth),
+                           EvalConfig(b_count=200, tol=1e-9))
+    assert rising.status == "converged" and len(rising.samples) == 140
+    assert rising.evaluations <= 328_587
+    _equal_starts(monkeypatch)
+    equal = eval_infinite(spec, cfg)
+    assert (graded.status, len(graded.samples)) == (equal.status, len(equal.samples))
+    assert graded.evaluations <= equal.evaluations == 25_347
+
+
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
     # 1 + k * 1e-17 rounds to 1 for k <= 11: the grid repeats its first point
     # and is rejected before any quadrature, whether its last two points are
