@@ -4,7 +4,7 @@ One engine integrates S segments in lockstep, each by QUADPACK's QAG
 scheme (Piessens et al. 1983) with its own frontier, error budget and
 evaluation count, as `scipy.integrate.quad_vec` does for the components
 of a vector integrand.  A segment starts as its caller asks, at least
-six panels; each round it splits its largest-error panels, the
+two panels; each round it splits its largest-error panels, the
 fewest after which the error left is within what abs_tol still allows
 (quad_vec's loop leaves abs_tol/8 instead), and at least one.  Where the
 error is spread, every panel is a candidate, so the segment splits in
@@ -18,19 +18,20 @@ into the quarters two bisections give, at their cost, and the level
 between is never evaluated (QAG and quad_vec only bisect).  A panel
 whose quarters could not hold their nodes (below) is only bisected.  At
 an endpoint singularity no split resolves the end panel, so there the
-quarters cost a little: ln x on [0, 1] at 1e-11 takes 1,596 evaluations,
-where bisection alone took 1,554.  The Gauss(10)/Kronrod(21) rule is
-then applied to the children of every live segment in one vectorized
-batch, with one integrand call per group of segments sharing an
-integrand, cut into calls of at most 512 panels.  Only children are
+quarters cost a little: ln x on [0, 1] at 1e-11 takes 4,148 evaluations,
+where bisection alone takes 4,026.  The Gauss(30)/Kronrod(61) rule,
+QUADPACK's highest-order QAG rule for smooth integrands, is then applied
+to the children of every live segment in one vectorized batch, with one
+integrand call per group of segments sharing an integrand, cut into
+calls of at most 176 panels (10,736 points).  Only children are
 evaluated: every other panel keeps its value and error from the round
 that created it.  The Kronrod nodes are strictly interior, and no panel
-is split into children too narrow to hold them in floating point (a few
-hundred ulps), so only the first batch of a segment a few thousand ulps
-wide can sample a panel's endpoints.  A caller may grade the starting
-panels geometrically from lo to hi, and each result reports its grade,
-the width ratio of its end panels, so that the next of a caller's scaled
-copies of one shape can start as its predecessor ended.
+is split into children too narrow to hold them in floating point (about
+3,900 ulps), so only the first batch of a segment narrower than about
+7,800 ulps can sample a panel's endpoints.  A caller may grade the
+starting panels geometrically from lo to hi, and each result reports its
+grade, the width ratio of its end panels, so that the next of a caller's
+scaled copies of one shape can start as its predecessor ended.
 
 The frontier is one set of panel columns tagged with a segment index, and
 each round takes every decision for all segments at once with array
@@ -68,56 +69,109 @@ from .expr import DomainFault
 
 __all__ = ["MAX_LIMIT", "MIN_PANELS", "PANEL_EVALS", "QuadResult", "integrate_segments"]
 
-# Gauss-Kronrod 10-21 pair (QUADPACK's QK21), nodes sorted ascending.  WG is
-# aligned with the Kronrod nodes and zero where the node is Kronrod-only,
-# the centre included: the 10-point Gauss rule has no centre node.
+# Gauss-Kronrod 30-61 pair (QUADPACK's QK61), nodes sorted ascending.  The
+# half tables run from the outermost node in; the Gauss nodes are every
+# other one, from the second.  WG is aligned with the Kronrod nodes and zero
+# where the node is Kronrod-only, the centre included: the 30-point Gauss
+# rule has no centre node.
 _XK_HALF = np.array([
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
+    0.999484410050490637571325895705811,
+    0.996893484074649540271630050918695,
+    0.991630996870404594858628366109486,
+    0.983668123279747209970032581605663,
+    0.973116322501126268374693868423707,
+    0.960021864968307512216871025581798,
+    0.944374444748559979415831324037439,
+    0.926200047429274325879324277080474,
+    0.905573307699907798546522558925958,
+    0.882560535792052681543116462530226,
+    0.857205233546061098958658510658944,
+    0.829565762382768397442898119732502,
+    0.799727835821839083013668942322683,
+    0.767777432104826194917977340974503,
+    0.733790062453226804726171131369528,
+    0.697850494793315796932292388026640,
+    0.660061064126626961370053668149271,
+    0.620526182989242861140477556431189,
+    0.579345235826361691756024932172540,
+    0.536624148142019899264169793311073,
+    0.492480467861778574993693061207709,
+    0.447033769538089176780609900322854,
+    0.400401254830394392535476211542661,
+    0.352704725530878113471037207089374,
+    0.304073202273625077372677107199257,
+    0.254636926167889846439805129817805,
+    0.204525116682309891438957671002025,
+    0.153869913608583546963794672743256,
+    0.102806937966737030147096751318001,
+    0.051471842555317695833025213166723,
 ])
 _WK_HALF = np.array([
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
+    0.001389013698677007624551591226760,
+    0.003890461127099884051267201844516,
+    0.006630703915931292173319826369750,
+    0.009273279659517763428441146892024,
+    0.011823015253496341742232898853251,
+    0.014369729507045804812451432443580,
+    0.016920889189053272627572289420322,
+    0.019414141193942381173408951050128,
+    0.021828035821609192297167485738339,
+    0.024191162078080601365686370725232,
+    0.026509954882333101610601709335075,
+    0.028754048765041292843978785354334,
+    0.030907257562387762472884252943092,
+    0.032981447057483726031814191016854,
+    0.034979338028060024137499670731468,
+    0.036882364651821229223911065617136,
+    0.038678945624727592950348651532281,
+    0.040374538951535959111995279752468,
+    0.041969810215164246147147541285970,
+    0.043452539701356069316831728117073,
+    0.044814800133162663192355551616723,
+    0.046059238271006988116271735559374,
+    0.047185546569299153945261478181099,
+    0.048185861757087129140779492298305,
+    0.049055434555029778887528165367238,
+    0.049795683427074206357811569379942,
+    0.050405921402782346840893085653585,
+    0.050881795898749606492297473049805,
+    0.051221547849258772170656282604944,
+    0.051426128537459025933862879215781,
 ])
-_WG_HALF = np.array([
-    0.0,
-    0.066671344308688137593568809893332,
-    0.0,
-    0.149451349150580593145776339657697,
-    0.0,
-    0.219086362515982043995534934228163,
-    0.0,
-    0.269266719309996355091226921569469,
-    0.0,
-    0.295524224714752870173892994651338,
-])
+_WG_HALF = np.zeros(30)
+_WG_HALF[1::2] = [
+    0.007968192496166605615465883474674,
+    0.018466468311090959142302131912047,
+    0.028784707883323369349719179611292,
+    0.038799192569627049596801936446348,
+    0.048402672830594052902938140422808,
+    0.057493156217619066481721689402056,
+    0.065974229882180495128128515115962,
+    0.073755974737705206268243850022191,
+    0.080755895229420215354694938460530,
+    0.086899787201082979802387530715126,
+    0.092122522237786128717632707087619,
+    0.096368737174644259639468626351810,
+    0.099593420586795267062780282103569,
+    0.101762389748405504596428952168554,
+    0.102852652893558840341285636705415,
+]
 
 _XK = np.concatenate([-_XK_HALF, [0.0], _XK_HALF[::-1]])
-_WK = np.concatenate([_WK_HALF, [0.149445554002916905664936468389821], _WK_HALF[::-1]])
+_WK = np.concatenate([_WK_HALF, [0.051494729429451567558340433647099], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF, [0.0], _WG_HALF[::-1]])
 
 _EPS = np.finfo(float).eps
-MIN_PANELS = 6   # a segment's fewest starting panels: never judge the span by one panel
+MIN_PANELS = 2   # a segment's fewest starting panels: never judge the span by one panel
 PANEL_EVALS = _XK.size   # integrand evaluations per panel evaluated
 _CANDIDATE_CUT = 4096   # while one panel holds most of the error, candidates hold 1/4096 of it
-_BATCH_PANELS = 512  # panels per integrand call, which bounds its temporaries
+# Points per integrand call, which bounds its temporaries below glibc's 128 KB
+# mmap threshold, in whole panels: 176 of 61 nodes.
+_BATCH_PANELS = 10_752 // PANEL_EVALS
 _RULE_PANELS = 8 * _BATCH_PANELS   # panels per application of the rule's sums
+# Quarters of a panel _NARROW of its magnitude wide keep their outer nodes
+# 2^-50 of it, 4 ulps or more, inside their ends (2^-36.1 for 61 nodes).
+_NARROW = 2**-47 / (1.0 - _XK[-1])
 MAX_LIMIT = sys.float_info.max / 2   # so a + b, and every panel midpoint, stays finite
 _GRADES = math.exp(-600.0), math.exp(600.0)   # a starting grade's range: expm1(7/6 600) is finite
 
@@ -163,18 +217,19 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
     segment gets bit for bit what it gets alone in a call wherever its
     pool's budget does not bind, and always when alone in its pool.
 
-    start_panels, one count per segment in group order (six for all by
-    default, and never fewer), cuts each segment into that many equal
-    panels to start with; its first batch, start_panels times PANEL_EVALS
-    evaluations, is counted in its evaluations and its pool's budget.  A
-    segment gets the same result, bit for bit, from the same start
-    whatever else the call holds.
+    start_panels, one count per segment in group order (MIN_PANELS, two,
+    for all by default, and never fewer), cuts each segment into that many
+    equal panels to start with; its first batch, start_panels times
+    PANEL_EVALS evaluations, is counted in its evaluations and its pool's
+    budget.  A segment gets the same result, bit for bit, from the same
+    start whatever else the call holds.
 
     start_grades, one grade g per segment (1 for all by default), grades
-    the n > 6 starting panels of a segment: panel k is g^(k/(n-1)) times as
-    wide as panel 0, |ln g| held at 600, unless one could not hold its
-    nodes.  A result's `grade` is its final partition's; one that never
-    split reports the grade it started with, 1 on equal panels.
+    the n > MIN_PANELS starting panels of a segment: panel k is
+    g^(k/(n-1)) times as wide as panel 0, |ln g| held at 600, unless one
+    could not hold its nodes.  A result's `grade` is its final partition's;
+    one that never split reports the grade it started with, 1 on equal
+    panels.
 
     read_order, one position per segment, is the order in which a caller
     reads the results of each pool and stops at the first failure (a
@@ -363,9 +418,9 @@ def integrate_segments(groups: Sequence[SegmentGroup], abs_tol: float,
         mid = 0.5 * (a + b)
         cuts = np.array([a, 0.5 * (a + mid), mid, 0.5 * (mid + b), b]).T   # a panel per row
         four = chosen[3] > chosen[5] / 32
-        # The quarters of a panel 2^-39 of its magnitude wide (past the
-        # subnormals) are 2,048 ulps or more: only a narrower one is tested.
-        if np.count_nonzero(b - a < 2**-39 * np.maximum(-a, b) + 2**-1000):
+        # Only a panel narrower than _NARROW of its magnitude (past the
+        # subnormals) can have quarters that do not hold their nodes.
+        if np.count_nonzero(b - a < _NARROW * np.maximum(-a, b) + 2**-1000):
             four &= _holds_nodes(cuts[:, :-1], cuts[:, 1:]).all(axis=1)
             stuck = ~four & ~_holds_nodes(cuts[:, :3:2], cuts[:, 2::2]).all(axis=1)
             narrow[owner[stuck]] = True
@@ -401,7 +456,7 @@ def _room(asked, left, pool, position):
 
 
 class _Rule:
-    """The 21-point rule over the columns of a panel batch, one call per integrand."""
+    """The 61-point rule over the columns of a panel batch, one call per integrand."""
 
     def __init__(self, groups, first):
         self.fns = [fn for fn, _, _, _ in groups]
@@ -476,7 +531,7 @@ class _Rule:
 
 
 def _holds_nodes(a, b):
-    """Whether the 21 nodes of each panel [a, b] lie strictly inside it."""
+    """Whether the Kronrod nodes of each panel [a, b] lie strictly inside it."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     # mid + half*x rounds monotonically in x, so the outer nodes decide.

@@ -47,8 +47,9 @@ DELTA_SHRINK = 0.5   # ratio of consecutive deltas
 STABILITY_WINDOW = 5   # samples per classification window
 MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
 # A rising need is extrapolated at most _GROWTH-fold per segment and
-# _REACH-fold in all, which bounds what a wrong extrapolation wastes.
-_GROWTH = 3.0
+# _REACH-fold in all, which bounds what a wrong extrapolation wastes.  The
+# default grids double a chirp's need per step (delta halves, e^0.7 is 2.01).
+_GROWTH = 2.0
 _REACH = 16
 _GRADE = 64   # a running segment wider than 64 max(1, its distance from start) is graded
 _SLACK = 1e-3   # an unsplit start whose error is below 1e-3 quad_tol had panels to spare
@@ -410,16 +411,20 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     quad_failure.
 
     Each piece and window starts from the panels those of its kind before
-    it needed (_start_panels), or from six if the evaluation's remaining
-    budget cannot pay the chunk's first batches.  Only the first two
-    segments can be graded: from the third on, a segment is one step wide
-    and at least one step from start.  Both lie in the first chunk, which
-    holds at least m points and, knowing no need yet, starts all from six;
-    the three needs the next chunk reads are those of ungraded segments.
-    Each also starts on the grade the last of its kind in the last chunk
-    read in full ended with, as it is that one scaled or shifted.  An
-    unsplit graded start records itself as its need, or half if its error
-    is below _SLACK quad_tol: a need that stops rising then decays.
+    it needed (_start_panels), or from MIN_PANELS if the evaluation's
+    remaining budget cannot pay the chunk's first batches.  Only the first
+    two segments can be graded: from the third on, a segment is one step
+    wide and at least one step from start.  Both lie in the first chunk,
+    which holds at least m points and, knowing no need yet, starts all from
+    MIN_PANELS; the three needs the next chunk reads are those of ungraded
+    segments.  Each also starts on the grade the last of its kind in the
+    last chunk read in full ended with, as it is that one scaled or
+    shifted.  A need measured on equal panels counts them as fine as the
+    segment's fastest part throughout, so a start on grade g takes
+    _graded_share(g) of it; a need measured on graded panels is taken as it
+    is.  The share is at most 1, so the caps of _start_panels still bound a
+    start.  An unsplit graded start records itself as its need, or half if
+    its error is below _SLACK quad_tol: a need that stops rising then decays.
     A start moves a value within quadrature error only, so a value depends
     on where its chunk's boundaries fall, within that error; it stays
     deterministic.
@@ -435,6 +440,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     m = STABILITY_WINDOW
     needs = [], []   # the panels the last finished running segments, and windows, needed
     grade = [1.0, 1.0]   # the grades the last running segment, and window, ended with
+    on_equal = [True, True]   # whether those needs were measured on equal panels
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         windows = [span(p) for p in points]
@@ -442,7 +448,11 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
         runs = [() if q == p else _pieces(q, p, start) if p - q > _GRADE * max(1.0, q - start)
                 else ((p, q) if p < q else (q, p),) for q, p in zip([prev, *points], points)]
         pieces = [*chain.from_iterable(runs)]
-        starts = _start_panels(needs[0], len(pieces)) + _start_panels(needs[1], len(points))
+        # A need measured on equal panels is cut to the share graded panels take of it.
+        starts = [max(round(n * (_graded_share(g) if equal else 1.0)), MIN_PANELS)
+                  for kind, g, equal, size in zip(needs, grade, on_equal,
+                                                  (len(pieces), len(points)))
+                  for n in _start_panels(kind, size)]
         if sum(starts) * PANEL_EVALS > MAX_EVALS - evals:
             starts = [MIN_PANELS] * len(starts)
         grades = None if grade == [1.0, 1.0] else [grade[0]] * len(pieces) + [grade[1]] * len(points)
@@ -481,6 +491,7 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
             needs[0].extend(need[:len(pieces)])
             needs[1].extend(need[len(pieces):])
             del needs[0][:-3], needs[1][:-3]   # all that _start_panels reads
+            on_equal = [g == 1.0 for g in grade]
             grade = [read[len(pieces) - 1].grade if pieces else grade[0], read[-1].grade]
         prev = points[-1]
     return _classify_result(samples, values, errors, evals, cfg, failed)
@@ -616,13 +627,28 @@ def _tail_fit(values, m, tol):
     return q, math.ceil(n * math.exp(min(max(math.log(s1 / tol), 0.0) / q, 40.0)))
 
 
+def _graded_share(g) -> float:
+    """The share of an equal start's panels that a start graded by g needs.
+
+    A span needs panels in proportion to the integral of its local
+    frequency.  Equal panels must all be as fine as its fast end; where the
+    frequency grows geometrically by 1/h across it, h = min(g, 1/g), panels
+    graded to it take (1 - h)/ln(1/h) as many.  Measured on the minimal
+    starts of sin(k/u)/u^2 segments that converge unsplit: 0.77 at g = 1/2,
+    0.55 at g = 4 and 0.48 at g = 8, where the share is 0.72, 0.54 and 0.42.
+    """
+    # |ln g| held at 600, as a starting grade is: widths can differ past the float range
+    h = min(g, 1.0 / g) if math.exp(-600.0) < g < math.exp(600.0) else math.exp(-600.0)
+    return (1.0 - h) / -math.log(h) if h < 1.0 else 1.0
+
+
 def _start_panels(needs, count) -> list[int]:
     """Starting panels of the next `count` segments of one kind, from those it needed.
 
     When the last three needs rise strictly, the j-th segment (from 0)
     starts at need * r^(j+1), r the last ratio of needs held at _GROWTH,
     and at most _REACH times the last need.  Else each starts at half the
-    last need, so a start that was too large decays.  Never below six.
+    last need, so a start that was too large decays.  Never below MIN_PANELS.
     """
     if len(needs) >= 3 and needs[-3] < needs[-2] < needs[-1]:
         need = needs[-1]

@@ -6,11 +6,11 @@ through integrate_one.
 """
 
 from zvar.expr import DomainFault
-from zvar.quad import QuadResult, integrate_segments
+from zvar.quad import MIN_PANELS, QuadResult, integrate_segments
 
 
 def integrate_one(fn, lo: float, hi: float, abs_tol: float,
-                  max_evals: int = 10_000_000, start: int = 6,
+                  max_evals: int = 10_000_000, start: int = MIN_PANELS,
                   grade: float = 1.0) -> QuadResult:
     """The one segment [lo, hi] of fn(x) from `start` panels of `grade`, alone in a call.
 

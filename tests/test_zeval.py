@@ -10,11 +10,13 @@ import pytest
 from abel_oracle import ORACLE_TOL, abel_limit
 from one_segment import integrate_one
 from zvar.expr import DomainFault, parse
+from zvar.quad import MIN_PANELS
 from zvar.taper import make_matched_trig, make_smooth_taper
 from zvar.zeval import (
     _chunk_end,
     _extrapolate,
     _geometric_stop,
+    _graded_share,
     _pieces,
     _start_panels,
     _tail_fit,
@@ -576,15 +578,27 @@ def test_a_chunk_runs_to_the_count_when_its_cap_leaves_fewer_than_m_points(smoot
 
 
 def test_start_panels_extrapolate_only_a_rising_need():
-    # Rising needs grow the starts by their last ratio, held at 3, and the
+    # Rising needs grow the starts by their last ratio, held at 2, and the
     # start at 16 times the last need, however long the chunk.
     assert _start_panels([10, 20, 30], 4) == [45, 67, 101, 151]
-    assert _start_panels([10, 40, 160], 3) == [480, 1440, 2560]
+    assert _start_panels([10, 40, 160], 3) == [320, 640, 1280]
     assert _start_panels([10, 40, 160], 2000)[-1] == 2560
-    # Otherwise half the last need, and never fewer than six.
+    # Otherwise half the last need, and never fewer than MIN_PANELS, two.
     assert _start_panels([10, 40, 40], 2) == [20, 20]
     assert _start_panels([40, 20, 30], 1) == [15]
-    assert _start_panels([], 2) == _start_panels([8], 2) == [6, 6]
+    assert _start_panels([], 2) == _start_panels([3], 2) == [MIN_PANELS] * 2 == [2, 2]
+
+
+def test_graded_share_follows_a_geometric_frequency():
+    # Panels graded to a frequency that grows by 1/h across a span take
+    # (1 - h)/ln(1/h) of the equal ones, h = min(g, 1/g); equal panels take all.
+    assert _graded_share(1.0) == 1.0
+    assert _graded_share(0.5) == _graded_share(2.0) == pytest.approx(0.5 / math.log(2.0))
+    assert _graded_share(8.0) == pytest.approx(0.875 / math.log(8.0))
+    # A grade past e^600 either way, as widths past the float range can
+    # give, is held there, as a starting grade is: no share is 0.
+    assert (_graded_share(0.0) == _graded_share(math.inf) == _graded_share(1e300)
+            == pytest.approx(1.0 / 600.0))
 
 
 @pytest.mark.parametrize("q, p, start, most", [
@@ -627,7 +641,7 @@ def test_far_lower_limit_is_not_certified_wrong(grid):
 
 
 def test_graded_span_across_the_float_range_stays_within_budget():
-    # [-1e300, 1e300] is cut into a few pieces, each from six panels: the
+    # [-1e300, 1e300] is cut into a few pieces, each from two panels: the
     # constant's integral, 2, takes a few thousand evaluations.
     spec = InfiniteIntegral(parse("1e-300"), -1e300, make_smooth_taper(1e290))
     result = eval_infinite(spec, EvalConfig(b_start=1e300, b_step=1e285))
@@ -666,9 +680,9 @@ def test_domain_fault_in_a_graded_piece(monkeypatch):
 
 @pytest.mark.parametrize("integrand, a, c, grid, want", [
     ("exp(-x)", 0.0, 1.0, {"b_start": 0.0, "b_step": 1e5},
-     (1.0, 1.911942694263041e-14, 1932, 6)),
+     (1.0, 2.220448015513001e-15, 1830, 6)),
     ("x^-2", 1.0, 10.0, {"b_start": 1.0, "b_step": 1e6, "b_count": 6},
-     (0.9999998000002399, 7.999972972832446e-07, 2016, 6)),
+     (0.9999998000002398, 7.999942421843538e-07, 1952, 6)),
 ])
 def test_a_chunk_mixes_a_point_at_start_with_a_graded_segment(integrand, a, c, grid, want):
     # The first point lies at the lower limit and adds no running segment;
@@ -679,12 +693,12 @@ def test_a_chunk_mixes_a_point_at_start_with_a_graded_segment(integrand, a, c, g
     assert (r.value, r.error_estimate, r.evaluations, len(r.samples)) == want
 
 
-def test_graded_pieces_lie_in_the_first_chunk_which_starts_from_six(monkeypatch):
+def test_graded_pieces_lie_in_the_first_chunk_which_starts_from_min_panels(monkeypatch):
     # Only the first two running segments can be graded, and both lie in the
     # first chunk, which holds at least m points and knows no need yet: so
-    # every graded piece starts from six, as every segment of that call does,
-    # and the three needs the next chunk reads are those of ungraded segments.
-    # Over the bracket oracle's far-start and wide-step grids.
+    # every graded piece starts from MIN_PANELS, as every segment of that call
+    # does, and the three needs the next chunk reads are those of ungraded
+    # segments.  Over the bracket oracle's far-start and wide-step grids.
     import zvar.zeval as zeval
     from test_bracket_oracle import C, FAMILIES, GRIDS
 
@@ -714,7 +728,8 @@ def test_graded_pieces_lie_in_the_first_chunk_which_starts_from_six(monkeypatch)
                 eval_infinite(InfiniteIntegral(parse(integrand), a, make_smooth_taper(C)), cfg)
                 made, first, starts = calls[0]
                 assert {n for n, _, _ in calls} == {made}, (family, grid, half)
-                assert set(graded) <= set(first) and set(starts) == {6}, (family, grid, half)
+                assert set(graded) <= set(first), (family, grid, half)
+                assert set(starts) == {MIN_PANELS}, (family, grid, half)
                 assert not set(first[-3:]) & set(graded), (family, grid, half)
                 seen += len(graded)
     assert seen > 0
@@ -739,13 +754,13 @@ def _warm_start_sweep(seed):
 
 
 def test_warm_starts_move_values_only_within_their_error(monkeypatch):
-    # Against segments that all start from six panels, as the engine alone
+    # Against segments that all start from MIN_PANELS, as the engine alone
     # does: the same statuses and sample counts, values within the two runs'
     # summed error estimates, and at most 10% more evaluations per result
     # that does not fail.  sin(k/u)/u^p with p near 2.5 ends quad_failure
     # when a segment's roundoff floor passes quad_tol, right after its first
     # batch: a warm start pays that batch, and the unread segments after it
-    # pay theirs, so such a result spends up to 5.9 times as much.
+    # pay theirs, so such a result spends up to 4.5 times as much.
     import zvar.zeval as zeval
 
     def run(spec, mode):
@@ -755,7 +770,7 @@ def test_warm_starts_move_values_only_within_their_error(monkeypatch):
 
     cases = _warm_start_sweep(seed=3)
     warm = [run(spec, mode) for spec, mode in cases]
-    monkeypatch.setattr(zeval, "_start_panels", lambda needs, count: [6] * count)
+    monkeypatch.setattr(zeval, "_start_panels", lambda needs, count: [MIN_PANELS] * count)
     spent = 0
     for (spec, mode), got in zip(cases, warm, strict=True):
         cold = run(spec, mode)
@@ -769,12 +784,17 @@ def test_warm_starts_move_values_only_within_their_error(monkeypatch):
 
 
 def _equal_starts(monkeypatch):
-    """Make every segment zeval integrates start on equal panels, as grades of 1 do."""
+    """Make every segment zeval integrates start on equal panels, as grades of 1 do.
+
+    The driver then also sizes each start as for equal panels: no need is cut
+    to a graded share of it.
+    """
     import zvar.zeval as zeval
 
     engine = zeval.integrate_segments
     monkeypatch.setattr(zeval, "integrate_segments",
                         lambda *args, start_grades=None, **kwargs: engine(*args, **kwargs))
+    monkeypatch.setattr(zeval, "_graded_share", lambda g: 1.0)
 
 
 @pytest.mark.parametrize("k, beta", [(1.0, 1.0), (2.3, 0.7), (0.6, 1.8)])
@@ -797,36 +817,40 @@ def test_graded_starts_spend_less_on_a_chirp(smooth, monkeypatch, k, beta):
 def test_a_need_that_stops_rising_decays(smooth, monkeypatch):
     # A graded start that ended without splitting records its start as its
     # need, so starts extrapolated from a rising need could feed their own
-    # rise.  The windows of sin(x^2) e^(-x/c) need up to 16 panels, and once
-    # their need stops rising, started from 629 panels that way: the
-    # evaluation spent 92,085, where equal starts spend 25,347.  A start
-    # that left an error below 1/1000 of quad_tol had panels to spare, and
-    # records half of itself, so the need decays.
+    # rise.  The running segments of sin(2 x^2) e^(-x/c) at quad_tol 1e-13
+    # need up to 484 panels; were every unsplit graded start recorded as its
+    # need, they would start from up to 1,755 panels, and the evaluation
+    # would spend 475,922, where equal starts spend 176,229 and so do graded
+    # ones with the rule below.  (With the
+    # 21-point rule the windows of sin(x^2) e^(-x/c) at quad_tol 1e-10 showed
+    # it, 92,085 against 25,347; two 61-node panels resolve those windows.)
+    # A start that left an error below 1/1000 of quad_tol had panels to
+    # spare, and records half of itself, so the need decays.
     import zvar.zeval as zeval
 
     starts = []
     engine = zeval.integrate_segments
 
     def recording(groups, *args, **kwargs):
-        starts.extend(kwargs["start_panels"][len(groups[0][1]):])   # the windows'
+        starts.extend(kwargs["start_panels"][:len(groups[0][1])])   # the running segments'
         return engine(groups, *args, **kwargs)
 
     monkeypatch.setattr(zeval, "integrate_segments", recording)
-    spec = InfiniteIntegral(parse("sin(x^2)*exp(-x/12.617619095934067)"), 0.9313001401995467,
+    spec = InfiniteIntegral(parse("sin(2*x^2)*exp(-x/12.617619095934067)"), 0.9313001401995467,
                             smooth)
-    cfg = EvalConfig(b_count=120, tol=1e-8)
+    cfg = EvalConfig(b_count=200, tol=1e-10, quad_tol=1e-13)
     graded = eval_infinite(spec, cfg)
-    assert max(starts) <= 16
+    assert max(starts) == 484
     # sin(x^2)/x's need rises for 140 samples; graded, it spends no more
     # than it spent on equal starts.
     rising = eval_infinite(InfiniteIntegral(parse("sin(x^2)/x"), 1.0, smooth),
                            EvalConfig(b_count=200, tol=1e-9))
     assert rising.status == "converged" and len(rising.samples) == 140
-    assert rising.evaluations <= 328_587
+    assert rising.evaluations <= 66_124
     _equal_starts(monkeypatch)
     equal = eval_infinite(spec, cfg)
     assert (graded.status, len(graded.samples)) == (equal.status, len(equal.samples))
-    assert graded.evaluations <= equal.evaluations == 25_347
+    assert graded.evaluations <= equal.evaluations == 176_229
 
 
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
