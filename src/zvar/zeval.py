@@ -52,7 +52,6 @@ MAX_EVALS = 10_000_000   # integrand evaluations one evaluation may spend
 _GROWTH = 2.0
 _REACH = 16
 _GRADE = 64   # a running segment wider than 64 max(1, its distance from start) is graded
-_SLACK = 1e-3   # an unsplit start whose error is below 1e-3 quad_tol had panels to spare
 _RANGE = "the largest limit the quadrature takes"
 
 
@@ -353,14 +352,12 @@ def run_together(plans, abs_tol: float) -> list[ZResult]:
                 break
         if not pending:
             break
-        groups, budgets, orders, starts, grades = zip(*pending.values())
+        groups, budgets, orders, starts = zip(*pending.values())
         out = iter(integrate_segments(
             [group for chunk in groups for group in chunk], abs_tol, budgets,
             read_order=[p for order in orders for p in order],
             pools=[pool for pool, chunk in enumerate(groups) for _ in chunk],
-            start_panels=[n for chunk in starts for n in chunk],
-            start_grades=[g for chunk, ns in zip(grades, starts) for g in chunk or [1.0] * len(ns)]
-            if any(grades) else None))
+            start_panels=[n for chunk in starts for n in chunk]))
         answers = {i: [next(out) for _, lo, _, _ in chunk for _ in lo]
                    for i, chunk in zip(pending, groups)}
     if error is not None:
@@ -410,24 +407,18 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     left, so a chunk that cannot pay for its first batches ends as
     quad_failure.
 
-    Each piece and window starts from the panels those of its kind before
-    it needed (_start_panels), or from MIN_PANELS if the evaluation's
-    remaining budget cannot pay the chunk's first batches.  Only the first
-    two segments can be graded: from the third on, a segment is one step
+    Each piece and window starts from as many equal panels as those of its
+    kind before it needed (_start_panels), or from MIN_PANELS if the
+    evaluation's remaining budget cannot pay the chunk's first batches.  A
+    segment needed its final panels if it split, else half its start, so a
+    need that stops rising decays.  Only the first two running segments can
+    be graded into _pieces' ladder: from the third on, a segment is one step
     wide and at least one step from start.  Both lie in the first chunk,
     which holds at least m points and, knowing no need yet, starts all from
     MIN_PANELS; the three needs the next chunk reads are those of ungraded
-    segments.  Each also starts on the grade the last of its kind in the
-    last chunk read in full ended with, as it is that one scaled or
-    shifted.  A need measured on equal panels counts them as fine as the
-    segment's fastest part throughout, so a start on grade g takes
-    _graded_share(g) of it; a need measured on graded panels is taken as it
-    is.  The share is at most 1, so the caps of _start_panels still bound a
-    start.  An unsplit graded start records itself as its need, or half if
-    its error is below _SLACK quad_tol: a need that stops rising then decays.
-    A start moves a value within quadrature error only, so a value depends
-    on where its chunk's boundaries fall, within that error; it stays
-    deterministic.
+    segments.  A start moves a value within quadrature error only, so a
+    value depends on where its chunk's boundaries fall, within that error;
+    it stays deterministic.
     """
     samples: list[tuple[float, float]] = []
     values: list[float] = []
@@ -439,8 +430,6 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
     failed = stopped = False
     m = STABILITY_WINDOW
     needs = [], []   # the panels the last finished running segments, and windows, needed
-    grade = [1.0, 1.0]   # the grades the last running segment, and window, ended with
-    on_equal = [True, True]   # whether those needs were measured on equal panels
     while len(values) < count and not (failed or stopped):
         points = [point(k) for k in range(len(values), _chunk_end(values, count, m, cfg.tol))]
         windows = [span(p) for p in points]
@@ -448,20 +437,15 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
         runs = [() if q == p else _pieces(q, p, start) if p - q > _GRADE * max(1.0, q - start)
                 else ((p, q) if p < q else (q, p),) for q, p in zip([prev, *points], points)]
         pieces = [*chain.from_iterable(runs)]
-        # A need measured on equal panels is cut to the share graded panels take of it.
-        starts = [max(round(n * (_graded_share(g) if equal else 1.0)), MIN_PANELS)
-                  for kind, g, equal, size in zip(needs, grade, on_equal,
-                                                  (len(pieces), len(points)))
-                  for n in _start_panels(kind, size)]
+        starts = _start_panels(needs[0], len(pieces)) + _start_panels(needs[1], len(points))
         if sum(starts) * PANEL_EVALS > MAX_EVALS - evals:
             starts = [MIN_PANELS] * len(starts)
-        grades = None if grade == [1.0, 1.0] else [grade[0]] * len(pieces) + [grade[1]] * len(points)
         read = yield (
             [(f, [lo for lo, _ in pieces], [hi for _, hi in pieces], None),
              (window_f, [lo for lo, _ in windows], [hi for _, hi in windows], points)],
             MAX_EVALS - evals,
             [2 * i + j / len(run) for i, run in enumerate(runs) for j, _ in enumerate(run)]
-            + [*range(1, 2 * len(points), 2)], starts, grades)
+            + [*range(1, 2 * len(points), 2)], starts)
         evals += sum(result.evaluations for result in read)
         out = iter(read)
         increments = [None if not run else next(out) if len(run) == 1
@@ -483,16 +467,11 @@ def _sample_brackets(f, window_f, start, count, point, span, cfg):
             if stopped:
                 break
         if not (failed or stopped):   # every result was read, and converged
-            # A segment needed its final panels if it split, its start if that was graded
-            # and not far within quad_tol, else at most half its start.
-            need = [r.panels if r.panels > n
-                    or (r.grade != 1.0 and r.error_estimate >= _SLACK * cfg.quad_tol) else n // 2
-                    for r, n in zip(read, starts)]
+            # A segment needed its final panels if it split, else at most half its start.
+            need = [r.panels if r.panels > n else n // 2 for r, n in zip(read, starts)]
             needs[0].extend(need[:len(pieces)])
             needs[1].extend(need[len(pieces):])
             del needs[0][:-3], needs[1][:-3]   # all that _start_panels reads
-            on_equal = [g == 1.0 for g in grade]
-            grade = [read[len(pieces) - 1].grade if pieces else grade[0], read[-1].grade]
         prev = points[-1]
     return _classify_result(samples, values, errors, evals, cfg, failed)
 
@@ -524,7 +503,7 @@ def _increment(pieces):
     failed = next((r for r in pieces if not _converged(r)), None)
     if failed is not None:
         return failed   # a DomainFault keeps its abscissa
-    value, error, evaluations, _, panels, _ = map(sum, zip(*pieces))
+    value, error, evaluations, _, panels = map(sum, zip(*pieces))
     return QuadResult(value, error, evaluations, True, panels)
 
 
@@ -625,21 +604,6 @@ def _tail_fit(values, m, tol):
         return None
     q = math.log(s0 / s1) / math.log(n / (n + 1 - m))
     return q, math.ceil(n * math.exp(min(max(math.log(s1 / tol), 0.0) / q, 40.0)))
-
-
-def _graded_share(g) -> float:
-    """The share of an equal start's panels that a start graded by g needs.
-
-    A span needs panels in proportion to the integral of its local
-    frequency.  Equal panels must all be as fine as its fast end; where the
-    frequency grows geometrically by 1/h across it, h = min(g, 1/g), panels
-    graded to it take (1 - h)/ln(1/h) as many.  Measured on the minimal
-    starts of sin(k/u)/u^2 segments that converge unsplit: 0.77 at g = 1/2,
-    0.55 at g = 4 and 0.48 at g = 8, where the share is 0.72, 0.54 and 0.42.
-    """
-    # |ln g| held at 600, as a starting grade is: widths can differ past the float range
-    h = min(g, 1.0 / g) if math.exp(-600.0) < g < math.exp(600.0) else math.exp(-600.0)
-    return (1.0 - h) / -math.log(h) if h < 1.0 else 1.0
 
 
 def _start_panels(needs, count) -> list[int]:

@@ -115,8 +115,6 @@ def test_open_endpoint_singularities():
     r = integrate_one(_fx("ln(x)"), 0.0, 1.0, 1e-11)
     assert r.converged and abs(r.value - (-1.0)) < 1e-10
     assert r.evaluations == 4148
-    # Its panels narrow toward 0: the one at 1 is 2^33 times as wide as the one at 0.
-    assert r.grade == pytest.approx(2.0**33)
 
     # integral_0^1 x^(-1/2) dx = 2
     r = integrate_one(_fx("x^(-1/2)"), 0.0, 1.0, 1e-10)
@@ -322,33 +320,6 @@ def test_quarters_of_narrow_panels_hold_their_nodes():
         assert 1.0 < x.min() and x.max() < hi
 
 
-def test_graded_starts_hold_their_nodes_and_stay_finite():
-    # On a span 30,000 ulps wide, seven panels graded by 2^60 or 2^-60 would
-    # leave the narrowest one too narrow for its nodes, which would round
-    # onto an end where the integrand is singular.  Such a segment starts
-    # on equal panels instead, and gets what it gets from them.  (On 27,000
-    # ulps, seven equal panels put nodes on the ends too.)
-    lo = 1.0
-    hi = lo + 30000 * np.spacing(lo)
-
-    def fn(x):
-        return (x - lo) ** -0.5 + (hi - x) ** -0.5
-
-    equal = integrate_one(fn, lo, hi, 1e-10, start=7)
-    for grade in (2.0**60, 2.0**-60):
-        assert integrate_one(fn, lo, hi, 1e-10, start=7, grade=grade) == equal
-    # |ln g| is held at 600, so no edge of a wide graded start is inf or nan:
-    # cos on [0, 1] converges on its forty starting panels, the narrowest
-    # 1e-261 wide.  A grade that is not a positive number starts on equal panels.
-    for grade in (1e300, math.inf):
-        r = integrate_one(np.cos, 0.0, 1.0, 1e-10, start=40, grade=grade)
-        assert r.converged and r.evaluations == 40 * PANEL_EVALS and r.grade == math.exp(600.0)
-        assert abs(r.value - math.sin(1.0)) < 1e-14
-    for grade in (math.nan, -2.0):
-        assert integrate_one(np.cos, 0.0, 1.0, 1e-10, start=40, grade=grade) == \
-            integrate_one(np.cos, 0.0, 1.0, 1e-10, start=40)
-
-
 def test_segment_stops_at_a_panel_too_narrow_to_split():
     # Toward the interior singularity at 0.3 bisection reaches a panel whose
     # halves cannot hold their nodes.  The segment stops there, with its
@@ -518,27 +489,22 @@ def test_segments_match_one_at_a_time():
     freqs = rng.uniform(1.0, 40.0, 12)
     kinks = rng.uniform(0.1, 0.9, 24)
 
-    def alone(fn, lo, hi, tol, budget, start, grade):
+    def alone(fn, lo, hi, tol, budget, start):
         try:
-            return integrate_one(fn, lo, hi, tol, budget, start, grade)
+            return integrate_one(fn, lo, hi, tol, budget, start)
         except DomainFault as fault:
             return fault
 
     outcomes = set()
     # The third run's sin segment bisects more than _BATCH_PANELS / 2 panels
     # in one round, so its children take more than one integrand call.  Every
-    # run starts the few-ulp segments from six panels.  The last two start
-    # the others from 2, 12 and 96 panels in turn, and that sin segment from
-    # 1,500, so its first
-    # round holds more panels than one application of the rule takes.  The
-    # last run grades those starts too, with grades from 2^-60 to 2^60, and
-    # its sin segment's by 1.5.
-    grading = (1.0, 5.0, 0.2, 2.0**60, 2.0**-60, 1.0 + 2**-40, 1e300)
-    runs = {}
-    for tol, budget, wide, mixed, graded in (
-            (3e-17, 6000, [], False, False), (1e-10, 6000, [], False, False),
-            (1e-10, 100_000, [20000.0], False, False),
-            (1e-10, 100_000, [20000.0], True, False), (1e-10, 100_000, [20000.0], True, True)):
+    # run starts the few-ulp segments from six panels.  The last starts the
+    # others from 2, 12 and 96 panels in turn, and that sin segment from
+    # 1,500, so its first round holds more panels than one application of
+    # the rule takes.
+    for tol, budget, wide, mixed in (
+            (3e-17, 6000, [], False), (1e-10, 6000, [], False),
+            (1e-10, 100_000, [20000.0], False), (1e-10, 100_000, [20000.0], True)):
         heard.clear()
         groups = [(recorded_chirp, [2e-4], [1.0], None),
                   (loud, [0.0], [30.0], None),
@@ -555,11 +521,8 @@ def test_segments_match_one_at_a_time():
         starts[few] = [6, 6, 6]
         if mixed:
             starts[-1] = 1500
-        grades = [grading[i % len(grading)] if graded else 1.0 for i in range(count)]
-        if graded:
-            grades[-1] = 1.5
         batch = integrate_segments(groups, tol, caps, pools=range(len(groups)),
-                                   start_panels=starts, start_grades=grades if graded else None)
+                                   start_panels=starts)
         # In the batch, this segment has panels cut in four unless its tolerance
         # is below roundoff.
         assert _split_in_four(heard) == (tol > 3e-17)
@@ -569,43 +532,31 @@ def test_segments_match_one_at_a_time():
                 again = integrate_segments(groups, tol, caps, pools=range(len(groups)),
                                            start_panels=other)
                 assert list(map(_outcome, again)) == list(map(_outcome, batch))
-        if not graded:   # grades of 1, or on MIN_PANELS panels, start on equal panels
-            for other in ([1.0] * count, [1.0 if n > MIN_PANELS else 3.0 for n in starts]):
-                again = integrate_segments(groups, tol, caps, pools=range(len(groups)),
-                                           start_panels=starts, start_grades=other)
-                assert list(map(_outcome, again)) == list(map(_outcome, batch))
         segments = [(chirp, 2e-4, 1.0), (loud, 0.0, 30.0)]
         segments += [(fn, 0.0, 30.0) for fn in ripples]
         segments += [(lambda x, p=p: damped(x, p), lo, hi) for lo, hi, p in zip(lo_p, hi_p, freqs)]
         segments += [(lambda x, c=c: kink(x, c), 0.0, 1.0) for c in kinks]
         segments += plain
         segments += [(np.sin, 0.0, hi) for hi in wide]
-        expected = [alone(fn, lo, hi, tol, budget, start, grade)
-                    for (fn, lo, hi), start, grade in zip(segments, starts, grades, strict=True)]
+        expected = [alone(fn, lo, hi, tol, budget, start)
+                    for (fn, lo, hi), start in zip(segments, starts, strict=True)]
         assert len(batch) == len(expected)
-        runs[mixed, graded] = list(map(_outcome, batch))
-        for got, want, start, grade in zip(batch, expected, starts, grades):
+        for got, want, start in zip(batch, expected, starts):
             if isinstance(want, DomainFault):
                 assert isinstance(got, DomainFault) and str(got) == str(want)
                 assert got.evaluations == want.evaluations
                 outcomes.add("fault")
             else:
                 assert got == want
-                # A segment ends with its start's panels only if it split none,
-                # and then reports the grade it started with: 1 on equal panels.
+                # A segment ends with its start's panels only if it split none.
                 assert got.panels >= start
                 assert (got.panels == start) == (got.evaluations == PANEL_EVALS * start)
-                if got.panels == start:
-                    assert got.grade in {1.0, min(grade, math.exp(600.0))}
-                    assert got.grade == 1.0 or start > MIN_PANELS
                 outcomes.add((tol, got.converged, got.evaluations))
         narrow_step, narrow_sin, all_picked = batch[-3 - len(wide):][:3]
         assert narrow_step.converged and narrow_step.value == 6.661338147750939e-16
         assert not narrow_sin.converged and not all_picked.converged
         assert narrow_step.evaluations == narrow_sin.evaluations == all_picked.evaluations == 366
     assert "fault" in outcomes
-    # The grades moved results, which still match one at a time.
-    assert sum(a != b for a, b in zip(runs[True, True], runs[True, False])) >= 20
     assert (3e-17, False, 4880) in outcomes     # the step: a panel too narrow to split
     assert (3e-17, False, 122) in outcomes      # below roundoff
     assert (1e-10, False, 5978) in outcomes     # budget spent: 48 bisections

@@ -16,7 +16,6 @@ from zvar.zeval import (
     _chunk_end,
     _extrapolate,
     _geometric_stop,
-    _graded_share,
     _pieces,
     _start_panels,
     _tail_fit,
@@ -589,18 +588,6 @@ def test_start_panels_extrapolate_only_a_rising_need():
     assert _start_panels([], 2) == _start_panels([3], 2) == [MIN_PANELS] * 2 == [2, 2]
 
 
-def test_graded_share_follows_a_geometric_frequency():
-    # Panels graded to a frequency that grows by 1/h across a span take
-    # (1 - h)/ln(1/h) of the equal ones, h = min(g, 1/g); equal panels take all.
-    assert _graded_share(1.0) == 1.0
-    assert _graded_share(0.5) == _graded_share(2.0) == pytest.approx(0.5 / math.log(2.0))
-    assert _graded_share(8.0) == pytest.approx(0.875 / math.log(8.0))
-    # A grade past e^600 either way, as widths past the float range can
-    # give, is held there, as a starting grade is: no share is 0.
-    assert (_graded_share(0.0) == _graded_share(math.inf) == _graded_share(1e300)
-            == pytest.approx(1.0 / 600.0))
-
-
 @pytest.mark.parametrize("q, p, start, most", [
     (1.0, 1e7, 1.0, 7),
     (-1e300, 1e300, -1e300, 256),
@@ -783,49 +770,33 @@ def test_warm_starts_move_values_only_within_their_error(monkeypatch):
     assert "quad_failure" in {result.status for result in warm}
 
 
-def _equal_starts(monkeypatch):
-    """Make every segment zeval integrates start on equal panels, as grades of 1 do.
-
-    The driver then also sizes each start as for equal panels: no need is cut
-    to a graded share of it.
-    """
+@pytest.mark.parametrize("k, beta", [(1.0, 1.0), (2.3, 0.7), (0.6, 1.8)])
+def test_warm_starts_spend_less_on_a_chirp(smooth, monkeypatch, k, beta):
+    # Each window, and each running segment, of sin(k/u)/u^2 is its
+    # predecessor scaled, and needs about twice its panels: started from
+    # the panels its predecessors needed, it spends less than from
+    # MIN_PANELS, with the same statuses and sample counts and values within
+    # the two runs' summed error estimates.
     import zvar.zeval as zeval
 
-    engine = zeval.integrate_segments
-    monkeypatch.setattr(zeval, "integrate_segments",
-                        lambda *args, start_grades=None, **kwargs: engine(*args, **kwargs))
-    monkeypatch.setattr(zeval, "_graded_share", lambda g: 1.0)
-
-
-@pytest.mark.parametrize("k, beta", [(1.0, 1.0), (2.3, 0.7), (0.6, 1.8)])
-def test_graded_starts_spend_less_on_a_chirp(smooth, monkeypatch, k, beta):
-    # Each window, and each running segment, of sin(k/u)/u^2 is its
-    # predecessor scaled: started on the grading its predecessor ended with,
-    # it spends less than on equal panels, with the same statuses and sample
-    # counts and values within the two runs' summed error estimates.
     spec = FiniteIntegral(parse(f"sin({k!r}/u)/u^2", variables=("u",)), beta, smooth)
-    graded = [eval_finite(spec, EvalConfig(), mode) for mode in ("direct", "bridge")]
-    _equal_starts(monkeypatch)
-    for mode, got in zip(("direct", "bridge"), graded):
-        equal = eval_finite(spec, EvalConfig(), mode)
-        assert got.status == equal.status == "converged", mode
-        assert len(got.samples) == len(equal.samples), mode
-        assert abs(got.value - equal.value) <= got.error_estimate + equal.error_estimate, mode
-        assert got.evaluations < equal.evaluations, mode
+    warm = [eval_finite(spec, EvalConfig(), mode) for mode in ("direct", "bridge")]
+    monkeypatch.setattr(zeval, "_start_panels", lambda needs, count: [MIN_PANELS] * count)
+    for mode, got in zip(("direct", "bridge"), warm):
+        cold = eval_finite(spec, EvalConfig(), mode)
+        assert got.status == cold.status == "converged", mode
+        assert len(got.samples) == len(cold.samples), mode
+        assert abs(got.value - cold.value) <= got.error_estimate + cold.error_estimate, mode
+        assert got.evaluations < cold.evaluations, mode
 
 
 def test_a_need_that_stops_rising_decays(smooth, monkeypatch):
-    # A graded start that ended without splitting records its start as its
-    # need, so starts extrapolated from a rising need could feed their own
+    # A segment that ended without splitting records half its start as its
+    # need, so starts extrapolated from a rising need cannot feed their own
     # rise.  The running segments of sin(2 x^2) e^(-x/c) at quad_tol 1e-13
-    # need up to 484 panels; were every unsplit graded start recorded as its
-    # need, they would start from up to 1,755 panels, and the evaluation
-    # would spend 475,922, where equal starts spend 176,229 and so do graded
-    # ones with the rule below.  (With the
-    # 21-point rule the windows of sin(x^2) e^(-x/c) at quad_tol 1e-10 showed
-    # it, 92,085 against 25,347; two 61-node panels resolve those windows.)
-    # A start that left an error below 1/1000 of quad_tol had panels to
-    # spare, and records half of itself, so the need decays.
+    # need up to 484 panels, and start from no more; had every unsplit
+    # start recorded itself as its need, they would start from up to 1,755
+    # panels, and the evaluation would spend 475,922 against 176,229.
     import zvar.zeval as zeval
 
     starts = []
@@ -838,19 +809,14 @@ def test_a_need_that_stops_rising_decays(smooth, monkeypatch):
     monkeypatch.setattr(zeval, "integrate_segments", recording)
     spec = InfiniteIntegral(parse("sin(2*x^2)*exp(-x/12.617619095934067)"), 0.9313001401995467,
                             smooth)
-    cfg = EvalConfig(b_count=200, tol=1e-10, quad_tol=1e-13)
-    graded = eval_infinite(spec, cfg)
+    r = eval_infinite(spec, EvalConfig(b_count=200, tol=1e-10, quad_tol=1e-13))
     assert max(starts) == 484
-    # sin(x^2)/x's need rises for 140 samples; graded, it spends no more
-    # than it spent on equal starts.
+    assert r.evaluations == 176_229
+    # sin(x^2)/x's need rises for 140 samples.
     rising = eval_infinite(InfiniteIntegral(parse("sin(x^2)/x"), 1.0, smooth),
                            EvalConfig(b_count=200, tol=1e-9))
     assert rising.status == "converged" and len(rising.samples) == 140
     assert rising.evaluations <= 66_124
-    _equal_starts(monkeypatch)
-    equal = eval_infinite(spec, cfg)
-    assert (graded.status, len(graded.samples)) == (equal.status, len(equal.samples))
-    assert graded.evaluations <= equal.evaluations == 176_229
 
 
 def test_repeated_grid_points_add_no_running_segment(smooth, monkeypatch):
